@@ -47,7 +47,7 @@ def main():
           f"({window.duration * (window.duration + 1) // 2} subintervals)\n")
 
     tcd = run_tcd(g, K, WINDOW)
-    otcd = run_otcd(g, K, WINDOW)
+    otcd = run_otcd(g, K, WINDOW, debug=True)  # debug keeps the visit trace read below
     assert dict(tcd.cores) == dict(otcd.cores)
     print(f"exhaustive engine: visited {tcd.stats.cells_visited} cells, "
           f"{tcd.stats.distinct_cores} distinct cores, {tcd.stats.wall_ms:.1f} ms")

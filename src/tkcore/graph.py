@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import gzip
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 
@@ -128,36 +130,107 @@ class TemporalGraph:
             return None
         return TimeInterval(self.min_t, self.max_t)
 
+    @cached_property
+    def _neighbor_stamps(self) -> dict:
+        """vertex -> neighbor -> ascending timestamps of their edges."""
+        out: dict = {}
+        for u, v, t in self.edges:
+            out.setdefault(u, {}).setdefault(v, []).append(t)
+            out.setdefault(v, {}).setdefault(u, []).append(t)
+        return out
 
-@dataclass(frozen=True)
+    def degree_in(self, vertex: int, window) -> int:
+        """Distinct neighbors of `vertex` over the edges inside `window`,
+        found by bisecting each neighbor's timestamps."""
+        ts, te = window
+        count = 0
+        for stamps in self._neighbor_stamps.get(vertex, {}).values():
+            i = bisect_left(stamps, ts)
+            if i < len(stamps) and stamps[i] <= te:
+                count += 1
+        return count
+
+
+def _edge_time(e: TemporalEdge) -> int:
+    return e.t
+
+
+def _edges_within(edges: tuple[TemporalEdge, ...], ts: int, te: int) -> tuple[TemporalEdge, ...]:
+    """The edges with ts <= t <= te of a time-sorted edge tuple, by bisection."""
+    lo = bisect_left(edges, ts, key=_edge_time)
+    return edges[lo : bisect_right(edges, te, lo, key=_edge_time)]
+
+
 class CoreSnapshot:
-    """Frozen copy of a core: surviving vertices, edge multiset, and the
-    [min, max] surviving timestamp pair (None when empty).
+    """A core, identified by its vertex set and its tightest time interval
+    (TTI, the [min, max] surviving timestamp pair; None when empty).
 
-    `k` records which degree bound produced the snapshot; it is metadata and
-    excluded from equality so cores compare by content alone.
+    A core is the subgraph its vertices induce inside its TTI, so its edges
+    are exactly the graph edges with a timestamp in the TTI and both ends in
+    `vertices`.  A capture from a TEL (`captured`) therefore keeps only a
+    handle on the graph's time-sorted edge tuple and materializes `edges` on
+    first use; `pair_counts` and `neighbor_sets` are built from it, also on
+    first use.  `edge_count`, `is_empty` and `degrees` (distinct neighbors
+    per vertex, a read-only mapping) never touch it.
+    `CoreSnapshot(vertices, edges, tti, k)` takes an explicit edge tuple
+    instead.  A snapshot is shared by every evaluation of its core and must
+    not be modified.
+
+    Cores compare and hash by `(vertices, tti, edge_count)`: the first two
+    determine the core, and `edge_count`, which a capture reads from the TEL,
+    ties the comparison to the TEL's content in O(1).  `k` records which
+    degree bound produced the snapshot; it is metadata and excluded from
+    equality.
     """
 
-    vertices: frozenset
-    edges: tuple[TemporalEdge, ...]
-    tti: TimeInterval | None
-    k: int | None = None
+    def __init__(self, vertices: frozenset, edges, tti: TimeInterval | None, k: int | None = None):
+        self.vertices = vertices
+        self.tti = tti
+        self.k = k
+        self.__dict__["edges"] = edges = tuple(edges)  # fills the lazy cache
+        self.edge_count = len(edges)
+
+    @classmethod
+    def captured(cls, vertices, tti, k, edge_count, degrees, graph_edges) -> "CoreSnapshot":
+        """A core whose edges stay in `graph_edges`, the canonical (t, u, v)
+        sorted edge tuple of the graph it was induced from."""
+        snap = cls.__new__(cls)
+        snap.vertices = vertices
+        snap.tti = tti
+        snap.k = k
+        snap.edge_count = edge_count
+        snap.__dict__["degrees"] = MappingProxyType(degrees)
+        snap._graph_edges = graph_edges
+        return snap
 
     def __eq__(self, other):
         if not isinstance(other, CoreSnapshot):
             return NotImplemented
-        return self.edges == other.edges and self.vertices == other.vertices
+        return (
+            self.tti == other.tti
+            and self.edge_count == other.edge_count
+            and self.vertices == other.vertices
+        )
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self.tti, self.edge_count))
+
+    def __repr__(self):
+        return f"CoreSnapshot(vertices={sorted(self.vertices)}, tti={self.tti}, k={self.k})"
 
     @property
     def is_empty(self) -> bool:
-        return not self.edges
+        return self.edge_count == 0
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    @cached_property
+    def edges(self) -> tuple[TemporalEdge, ...]:
+        vs = self.vertices
+        inside = _edges_within(self._graph_edges, *self.tti)
+        return tuple(e for e in inside if e.u in vs and e.v in vs)
+
+    @cached_property
+    def degrees(self) -> MappingProxyType:
+        return MappingProxyType({v: len(s) for v, s in self.neighbor_sets.items()})
 
     @cached_property
     def neighbor_sets(self) -> dict:
@@ -174,9 +247,6 @@ class CoreSnapshot:
 
     def neighbors(self, v) -> frozenset:
         return self.neighbor_sets[v]
-
-
-EMPTY_SNAPSHOT = CoreSnapshot(frozenset(), (), None)
 
 
 def project(g: TemporalGraph, window) -> TemporalGraph:

@@ -14,7 +14,6 @@ Values are exact: plain ints or `fractions.Fraction`.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -145,19 +144,15 @@ def _growth_rate(core, w, ctx):
 
 
 def _burstiness(core, w, ctx):
-    return Fraction(2 * len(core.pair_counts), w.duration)
+    # the degree sum counts every adjacent vertex pair twice
+    return Fraction(sum(core.degrees.values()), w.duration)
 
 
 def _engagement(core, w, ctx):
     if ctx.graph is None:
         raise ContractViolation("engagement needs the source graph in the context")
-    ambient: dict = defaultdict(set)
-    for u, v, t in ctx.graph.edges:
-        if w.ts <= t <= w.te:
-            ambient[u].add(v)
-            ambient[v].add(u)
     return min(
-        Fraction(len(core.neighbors(v)), len(ambient[v])) for v in sorted(core.vertices)
+        Fraction(core.degrees[v], ctx.graph.degree_in(v, w)) for v in core.vertices
     )
 
 

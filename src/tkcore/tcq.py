@@ -148,7 +148,7 @@ class EngineStats:
     pruned_by_rule: dict = field(default_factory=lambda: {r: 0 for r in PRUNE_RULES})
     distinct_cores: int = 0
     wall_ms: float = 0.0
-    visit_trace: list = field(default_factory=list)
+    visit_trace: list = field(default_factory=list)  # visited cells of a run_otcd(debug=True) walk
 
     @property
     def cells_pruned(self) -> int:
@@ -225,15 +225,14 @@ def run_tcd(g: TemporalGraph, k: int, window) -> CoreCatalog:
 
     def visit(cell: Cell, tel: TEL):
         stats.cells_visited += 1
-        stats.visit_trace.append(cell)
         if tel.edge_count:
             stats.nonempty_inductions += 1
             tti = tel.tti()
             if tti not in cores:
                 cores[tti] = tel.snapshot()
 
-    row_head = TEL.from_graph(g)
-    row_head.tcd(k, w)
+    row_head = TEL.from_graph(g, w)
+    row_head.decompose(k)
     stats.decompositions += 1
     for ts in range(w.ts, w.te + 1):
         if ts > w.ts:
@@ -271,7 +270,8 @@ def _run_pruned(
 
     `on_nonempty(table, cell, tti, tel)` is called for every visited
     nonempty cell and decides which cells to prune; when None, the three
-    TTI rules apply (plain optimized enumeration).
+    TTI rules apply (plain optimized enumeration).  `debug` records the
+    visit order and checks that cores sharing a TTI share their edges.
     """
     started = time.perf_counter()
     w = clamp_window(g, window)
@@ -283,8 +283,8 @@ def _run_pruned(
     cores: dict[TimeInterval, CoreSnapshot] = {}
     table = PruneTable(w)
 
-    row_head = TEL.from_graph(g)
-    row_head.tcd(k, w)
+    row_head = TEL.from_graph(g, w)
+    row_head.decompose(k)
     stats.decompositions += 1
     for ts in range(w.ts, w.te + 1):
         te = table.next_unpruned(ts, w.te)
@@ -307,7 +307,8 @@ def _run_pruned(
                 stats.decompositions += 1
                 current = walker
             stats.cells_visited += 1
-            stats.visit_trace.append(cell)
+            if debug:
+                stats.visit_trace.append(cell)
             if current.edge_count == 0:
                 empty_prune(table, cell)
             else:

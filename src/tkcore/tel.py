@@ -22,6 +22,7 @@ from .graph import (
     TemporalGraph,
     TimeInterval,
     _edge_order,
+    _edges_within,
 )
 
 
@@ -83,15 +84,24 @@ class TEL:
         self.edge_count = 0
         self.represents: TimeInterval | None = None
         self.k_applied: int | None = None
+        # the source graph's edge tuple, which captured cores read lazily
+        self.graph_edges: tuple[TemporalEdge, ...] | None = None
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_graph(cls, g: TemporalGraph) -> "TEL":
+    def from_graph(cls, g: TemporalGraph, window=None) -> "TEL":
+        """The graph's edges, or with `window` only the edges inside it,
+        found by bisecting the time-sorted edge tuple."""
         tel = cls()
-        for u, v, t in g.edges:  # canonical order is ascending by timestamp
+        tel.graph_edges = edges = g.edges
+        if window is None:
+            tel.represents = g.time_range()
+        else:
+            w = tel.represents = TimeInterval(*window)
+            edges = _edges_within(edges, *w)
+        for u, v, t in edges:  # canonical order is ascending by timestamp
             tel._append_edge(u, v, t)
-        tel.represents = g.time_range()
         return tel
 
     def _append_edge(self, u, v, t):
@@ -144,6 +154,7 @@ class TEL:
         equivalent to (but cheaper than) cloning and then truncating.
         """
         other = TEL()
+        other.graph_edges = self.graph_edges
         lo, hi = window if window is not None else (None, None)
         bucket = self._head.next
         while bucket is not self._tail:
@@ -281,17 +292,18 @@ class TEL:
             bucket = bucket.next
 
     def snapshot(self) -> CoreSnapshot:
-        # the timeline is kept in canonical (t, u, v) order, so no sort here
-        edges = []
-        bucket = self._head.next
-        while bucket is not self._tail:
-            node = bucket.head.tn
-            while node is not bucket.head:
-                edges.append(TemporalEdge(node.u, node.v, node.t))
-                node = node.tn
-            bucket = bucket.next
-        vertices = frozenset(v for v, d in self.degree.items() if d > 0)
-        return CoreSnapshot(vertices, tuple(edges), self.tti(), self.k_applied)
+        """Capture the content in O(|V|): vertex set, TTI and degrees.
+
+        The content is always the subgraph its vertices induce inside its
+        TTI (truncating and peeling both keep that), so the edges are left
+        in the graph's edge tuple.
+        """
+        if not self.edge_count:
+            return CoreSnapshot(frozenset(), (), None, self.k_applied)
+        degrees = dict(self.degree)
+        return CoreSnapshot.captured(
+            frozenset(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph_edges
+        )
 
     def dump(self) -> str:
         """One line per surviving edge, 't src dst', sorted by (t, src, dst)."""

@@ -19,6 +19,7 @@ prove identical, so decompositions are still saved.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from collections import defaultdict
@@ -85,6 +86,13 @@ def zone_member_intervals(zone: ZoneRecord) -> list[TimeInterval]:
     return sorted(out)
 
 
+def _is_finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except (OverflowError, TypeError):  # beyond float range, or not a real number
+        return True
+
+
 @dataclass(frozen=True)
 class QuerySpec:
     k: int
@@ -103,6 +111,8 @@ class QuerySpec:
             raise ValueError(f"mode {self.mode!r} needs a measure")
         if self.mode == "constrain" and self.sigma is None:
             raise ValueError("constrain mode needs a threshold")
+        if self.sigma is not None and not _is_finite(self.sigma):
+            raise ValueError(f"threshold must be finite, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -167,26 +177,21 @@ def canonical_result(result: QueryResult, mode: str):
 
 
 def _otcd_star_impl(g: TemporalGraph, k: int, window):
-    records: dict[TimeInterval, tuple[CoreSnapshot, list[Cell]]] = {}
+    visited: dict[TimeInterval, list[Cell]] = defaultdict(list)  # TTI -> its LTI cells
 
     def on_nonempty(table, cell, tti, walker):
-        rec = records.get(tti)
-        if rec is None:
-            records[tti] = (walker.snapshot(), [cell])
-        else:
-            rec[1].append(cell)
+        visited[tti].append(cell)
         if tti != cell:
             rectangle_prune(table, cell, tti)
 
     catalog = _run_pruned(g, k, window, algorithm="otcd-star", on_nonempty=on_nonempty)
     zones = []
-    for tti in sorted(records):
-        snap, cells = records[tti]
-        ltis = tuple(reversed(cells))  # visited ascending ts, so this is descending te
+    for tti in sorted(visited):
+        ltis = tuple(reversed(visited[tti]))  # visited ascending ts, so this is descending te
         for l in ltis:
             if not l.contains(tti):
                 raise AssertionError(f"visited cell {l} does not contain its core's span {tti}")
-        zones.append(ZoneRecord(core=snap, tti=tti, ltis=ltis))
+        zones.append(ZoneRecord(core=catalog.cores[tti], tti=tti, ltis=ltis))
     return zones, catalog.stats
 
 
@@ -435,8 +440,8 @@ def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     def predicted_empty(ts, te):
         return any(a <= ts and te <= b for a, b in empty_corners)
 
-    row_head = TEL.from_graph(g)
-    row_head.tcd(spec.k, w)
+    row_head = TEL.from_graph(g, w)
+    row_head.decompose(spec.k)
     engine.decompositions += 1
     for ts in range(w.ts, w.te + 1):
         if predicted_empty(ts, w.te):

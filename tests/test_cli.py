@@ -147,6 +147,17 @@ def test_usage_errors_exit_2(g0_file, capsys):
         assert err.startswith("error:") or "usage:" in err
 
 
+def test_non_finite_thresholds_exit_2(g0_file, capsys):
+    for sigma in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(
+            capsys, "query", "--input", g0_file, "--k", "2",
+            "--measure", "engagement", "--mode", "constrain", f"--sigma={sigma}",
+        )
+        assert code == 2, sigma
+        assert out == ""
+        assert "finite" in err
+
+
 def test_io_errors_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "query", "--input", str(tmp_path / "ghost.txt"), "--k", "2")
     assert code == 3

@@ -23,7 +23,10 @@ from tkcore import (
     register_udf,
     run_otcd_star,
     satisfies,
+    zone_member_intervals,
 )
+
+from conftest import random_instance
 
 BUILTINS = [
     "burstiness",
@@ -82,6 +85,32 @@ def test_monotonic_values_change_inside_a_zone(g0, g0_zones):
     assert value(g0, g0_zones, "growth_rate", (1, 3), window=(1, 4)) == Fraction(3, 4)
     assert value(g0, g0_zones, "burstiness", (1, 3), window=(1, 4)) == Fraction(3, 2)
     assert value(g0, g0_zones, "engagement", (1, 3), window=(1, 4)) == Fraction(2, 3)
+
+
+def test_degree_based_values_match_the_edge_scans():
+    # burstiness reads the captured degrees and engagement the graph's
+    # timestamp index; both must equal the scans over the edges they replace
+    rng = random.Random(2718)
+    checked = 0
+    for trial in range(30):
+        g = random_instance(rng, 3100 + trial)
+        zones = tuple(run_otcd_star(g, rng.choice((2, 3)), (1, 14)))
+        for zone in zones:
+            core = zone.core
+            for w in zone_member_intervals(zone):
+                ctx = ctx_for(g, zones, get_measure("engagement"), zone)
+                ambient = {v: set() for v in core.vertices}
+                for u, v, t in g.edges:
+                    if w.ts <= t <= w.te:
+                        ambient.setdefault(u, set()).add(v)
+                        ambient.setdefault(v, set()).add(u)
+                want = min(Fraction(len(core.neighbors(v)), len(ambient[v])) for v in core.vertices)
+                assert evaluate(get_measure("engagement"), core, w, ctx) == want
+                assert evaluate(get_measure("burstiness"), core, w, ctx) == Fraction(
+                    2 * len(core.pair_counts), w.duration
+                )
+                checked += 1
+    assert checked > 100
 
 
 def test_frequency_counts_the_weakest_pair():

@@ -188,4 +188,5 @@ def test_pruned_walk_never_changes_the_catalog(seed, k):
     for cls in oracle.classes:
         snap = pruned[cls.tti]
         assert snap.vertices == cls.core.vertices
+        assert snap.edge_count == cls.core.edge_count  # read from the TEL
         assert snap.edges == cls.core.edges

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tkcore import (
     ContractViolation,
+    CoreSnapshot,
     TEL,
     TemporalGraph,
     TimeInterval,
@@ -163,3 +164,48 @@ def test_tcd_agrees_with_reference_peeling(g, k, a, b):
     tel.tcd(k, window)
     tel.validate()
     assert tel.snapshot() == reference_core(g, k, window)
+
+
+@given(
+    g=small_graphs(),
+    k=st.integers(min_value=1, max_value=4),
+    a=st.integers(min_value=1, max_value=8),
+    b=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=150, deadline=None)
+def test_captured_edges_equal_the_content(g, k, a, b):
+    # a capture keeps only vertices and TTI; its lazily read edges must be
+    # exactly what the TEL held, whichever operation shaped the content
+    window = (min(a, b), max(a, b))
+    tel = TEL.from_graph(g)
+    shaped = [tel.clone(window=window)]
+    tel.truncate(window)
+    shaped.append(tel.clone())
+    tel.decompose(k)
+    shaped.append(tel)
+    for t in shaped:
+        snap = t.snapshot()
+        assert snap.edges == tuple(t.iter_edges())
+        assert snap.edge_count == t.edge_count
+        assert snap.degrees == {v: len(n) for v, n in snap.neighbor_sets.items()}
+
+
+def test_captured_core_is_read_only_and_compares_by_content(tel_fixture_graph):
+    tel = TEL.from_graph(tel_fixture_graph)
+    tel.decompose(2)
+    snap = tel.snapshot()
+    with pytest.raises(TypeError):
+        snap.degrees[next(iter(snap.vertices))] = 0
+    assert snap == CoreSnapshot(snap.vertices, snap.edges, snap.tti)
+    # same vertex set and TTI but one edge fewer: a different core
+    assert snap != CoreSnapshot(snap.vertices, snap.edges[1:], snap.tti)
+
+
+def test_windowed_build_equals_build_then_truncate(tel_fixture_graph):
+    for window in ((2, 6), (3, 5), (5, 6), (4, 4), (7, 9)):
+        fused = TEL.from_graph(tel_fixture_graph, window)
+        spelled = TEL.from_graph(tel_fixture_graph)
+        spelled.truncate(window)
+        assert list(fused.iter_edges()) == list(spelled.iter_edges())
+        assert fused.represents == TimeInterval(*window)
+        fused.validate()

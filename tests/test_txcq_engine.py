@@ -10,6 +10,7 @@ from tkcore import (
     ContractViolation,
     MeasureDescriptor,
     QuerySpec,
+    TEL,
     TimeInterval,
     ZoneRecord,
     brute_force_txcq,
@@ -92,6 +93,18 @@ def test_spec_coerces_window_and_validates():
         QuerySpec(k=2, window=(1, 5), measure=get_measure("size"), mode="constrain")
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_non_finite_thresholds(sigma):
+    with pytest.raises(ValueError, match="finite"):
+        QuerySpec(k=2, window=(1, 5), measure=get_measure("engagement"), mode="constrain", sigma=sigma)
+
+
+def test_spec_keeps_finite_thresholds_of_any_size():
+    for sigma in (0, Fraction(3, 4), 10**400, 2.5):
+        spec = QuerySpec(k=2, window=(1, 5), measure=get_measure("size"), mode="constrain", sigma=sigma)
+        assert spec.sigma == sigma
+
+
 # -- phase 1 --------------------------------------------------------------
 
 
@@ -123,6 +136,32 @@ def test_enumerate_query_reports_rectangle_prune_stats(g0):
 def test_empty_window_yields_no_zones(g0):
     assert run_otcd_star(g0, 2, (8, 9)) == []
     assert run_txcq(g0, QuerySpec(k=2, window=(8, 9))).entries == ()
+
+
+def test_each_core_is_captured_once_per_zone(monkeypatch):
+    captures = []
+    capture = TEL.snapshot
+
+    def counted(tel):
+        captures.append(tel.tti())
+        return capture(tel)
+
+    monkeypatch.setattr(TEL, "snapshot", counted)
+    rng = random.Random(4242)
+    for trial in range(20):
+        g = random_instance(rng, 7000 + trial)
+        k = rng.choice((2, 3))
+        for measure, mode in ((None, "enumerate"), ("burstiness", "optimize"), ("engagement", "constrain")):
+            spec = QuerySpec(
+                k=k, window=(1, 14), measure=measure and get_measure(measure), mode=mode,
+                sigma=Fraction(1, 2) if mode == "constrain" else None,
+            )
+            captures.clear()
+            zones = run_otcd_star(g, k, (1, 14))
+            assert sorted(captures) == [z.tti for z in zones]
+            captures.clear()
+            run_txcq(g, spec)
+            assert sorted(captures) == [z.tti for z in zones]
 
 
 # -- phase 2: one evaluation per zone for insensitive measures -------------
