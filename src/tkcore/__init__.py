@@ -52,7 +52,7 @@ from .tcq import (
     run_otcd,
     run_tcd,
 )
-from .tel import TEL, build_tel
+from .tel import TEL
 from .txcq import (
     QueryResult,
     QuerySpec,
@@ -63,9 +63,6 @@ from .txcq import (
     run_otcd_star,
     run_tcd_star,
     run_txcq,
-    ti_ls,
-    tmc_ls,
-    tmo_ls,
     zone_contains,
     zone_member_intervals,
 )
@@ -99,7 +96,6 @@ __all__ = [
     "ZoneRecord",
     "brute_force_tcq",
     "brute_force_txcq",
-    "build_tel",
     "canonical_result",
     "check_measure_sensitivity",
     "clamp_window",
@@ -121,9 +117,6 @@ __all__ = [
     "run_tcd_star",
     "run_txcq",
     "satisfies",
-    "ti_ls",
-    "tmc_ls",
-    "tmo_ls",
     "zone_contains",
     "zone_member_intervals",
 ]

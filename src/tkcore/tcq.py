@@ -211,9 +211,13 @@ def _empty_catalog(algorithm: str) -> CoreCatalog:
     return CoreCatalog(None, {}, EngineStats(algorithm=algorithm))
 
 
-def run_tcd(g: TemporalGraph, k: int, window) -> CoreCatalog:
+def run_tcd(g: TemporalGraph, k: int, window, *, on_visit=None) -> CoreCatalog:
     """Exhaustive decremental enumeration: every cell of the triangular
-    schedule is visited and decomposed."""
+    schedule is visited and decomposed.
+
+    `on_visit(cell, tti)` is called for every cell, with `tti` None when
+    the cell's core is empty.
+    """
     started = time.perf_counter()
     w = clamp_window(g, window)
     if w is None:
@@ -225,11 +229,14 @@ def run_tcd(g: TemporalGraph, k: int, window) -> CoreCatalog:
 
     def visit(cell: Cell, tel: TEL):
         stats.cells_visited += 1
+        tti = None
         if tel.edge_count:
             stats.nonempty_inductions += 1
             tti = tel.tti()
             if tti not in cores:
                 cores[tti] = tel.snapshot()
+        if on_visit is not None:
+            on_visit(cell, tti)
 
     row_head = TEL.from_graph(g, w)
     row_head.decompose(k)
@@ -239,7 +246,7 @@ def run_tcd(g: TemporalGraph, k: int, window) -> CoreCatalog:
             row_head.tcd(k, (ts, w.te))
             stats.decompositions += 1
         visit(Cell(ts, w.te), row_head)
-        walker = row_head.clone()
+        walker = row_head.clone(window=Cell(ts, w.te - 1))
         for te in range(w.te - 1, ts - 1, -1):
             walker.tcd(k, (ts, te))
             stats.decompositions += 1
@@ -253,8 +260,7 @@ def run_otcd(g: TemporalGraph, k: int, window, *, debug: bool = False) -> CoreCa
     """Optimized enumeration: identical catalog to `run_tcd`, but cells whose
     cores are implied by an already-induced core are skipped via the three
     TTI rules plus the empty-triangle rule."""
-    catalog = _run_pruned(g, k, window, algorithm="otcd", debug=debug)
-    return catalog
+    return _run_pruned(g, k, window, algorithm="otcd", debug=debug)
 
 
 def _run_pruned(

@@ -371,7 +371,3 @@ class TEL:
                 node = node.dn
         if sl_total != self.edge_count or dl_total != self.edge_count:
             raise AssertionError("source/destination lists out of sync")
-
-
-def build_tel(g: TemporalGraph) -> TEL:
-    return TEL.from_graph(g)

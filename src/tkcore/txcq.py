@@ -13,29 +13,19 @@ once per zone for insensitive measures (`ti_ls`), at each zone's tightest
 or loosest intervals for monotonic measures (`tmo_ls`), or along the
 decision boundary of the qualifying region for monotonic threshold queries
 (`tmc_ls`).  Measures with no usable structure fall back to `run_tcd_star`,
-which evaluates every subinterval but reuses cores that the skip rules
-prove identical, so decompositions are still saved.
+which runs the exhaustive TCD walk and evaluates every subinterval.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
 from .measures import EvalContext, MeasureDescriptor, compare, evaluate, satisfies
-from .tcq import (
-    Cell,
-    EngineStats,
-    clamp_window,
-    rectangle_prune,
-    _run_pruned,
-)
-from .tel import TEL
+from .tcq import Cell, _run_pruned, rectangle_prune, run_tcd
 
 MODES = ("enumerate", "optimize", "constrain")
 
@@ -205,92 +195,54 @@ def run_otcd_star(g: TemporalGraph, k: int, window) -> list[ZoneRecord]:
 # -- phase 2: local searches ------------------------------------------------
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TXC_THREADS", "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
+def _best(measure: MeasureDescriptor, values):
+    """The best of `values` under the measure's orientation; None when empty."""
+    best = None
+    for val in values:
+        if best is None or compare(measure, val, best) == "better":
+            best = val
+    return best
 
 
-def _map_zones(fn, zones):
-    """Apply fn to each zone, optionally on a thread pool; order preserved."""
-    n = _thread_count()
-    if n <= 1 or len(zones) <= 1:
-        return [fn(z) for z in zones]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, zones))
-
-
-def ti_ls(zones, spec: QuerySpec, ctx: EvalContext) -> QueryResult:
+def ti_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
     """Time-insensitive search: one evaluation per zone, at the TTI."""
     measure = spec.measure
-    if measure.sensitivity != "insensitive":
-        raise ContractViolation("ti_ls requires a time-insensitive measure")
-    started = time.perf_counter()
-    stats = QueryStats(algorithm="otcd-star")
-
-    def job(zone):
-        return evaluate(measure, zone.core, zone.tti, ctx.with_zone(zone))
-
-    values = _map_zones(job, zones)
-    stats.x_evaluations = len(values)
-    entries = []
+    values = []
+    for zone in zones:
+        values.append(evaluate(measure, zone.core, zone.tti, ctx.with_zone(zone)))
+        stats.zone_eval_counts[zone.tti] = 1
+    stats.x_evaluations += len(values)
     if spec.mode == "optimize":
-        best = None
-        for val in values:
-            if best is None or compare(measure, val, best) == "better":
-                best = val
-        for zone, val in zip(zones, values):
-            if val == best:
-                entries.append(
-                    ResultEntry(zone, tuple(zone_member_intervals(zone)), val)
-                )
-    elif spec.mode == "constrain":
-        for zone, val in zip(zones, values):
-            if satisfies(measure, val, spec.sigma):
-                entries.append(
-                    ResultEntry(zone, tuple(zone_member_intervals(zone)), val)
-                )
+        best = _best(measure, values)
+        keep = [val == best for val in values]
     else:
-        raise ContractViolation("ti_ls answers optimize or constrain queries")
-    entries.sort(key=lambda e: e.zone.tti)
-    stats.phase2_ms = (time.perf_counter() - started) * 1000.0
-    return QueryResult(tuple(entries), stats)
+        keep = [satisfies(measure, val, spec.sigma) for val in values]
+    return [
+        ResultEntry(zone, tuple(zone_member_intervals(zone)), val)
+        for zone, val, kept in zip(zones, values, keep)
+        if kept
+    ]
 
 
-def tmo_ls(zones, spec: QuerySpec, ctx: EvalContext) -> QueryResult:
+def tmo_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
     """Monotonic optimization: the optimum over a zone sits at its TTI when
     the measure improves on shrinking, or at one of its LTIs when it
     improves on expanding, so only those cells are evaluated."""
     measure = spec.measure
-    if measure.sensitivity != "monotonic":
-        raise ContractViolation("tmo_ls requires a monotonic measure")
-    if spec.mode != "optimize":
-        raise ContractViolation("tmo_ls answers optimize queries")
-    started = time.perf_counter()
-    stats = QueryStats(algorithm="otcd-star")
-
-    def job(zone):
+    per_zone = []
+    for zone in zones:
         zctx = ctx.with_zone(zone)
         cells = [zone.tti] if measure.improves_on == "shrink" else list(zone.ltis)
-        return [(cell, evaluate(measure, zone.core, cell, zctx)) for cell in cells]
-
-    per_zone = _map_zones(job, zones)
-    stats.x_evaluations = sum(len(cells) for cells in per_zone)
-    best = None
-    for cells in per_zone:
-        for _, val in cells:
-            if best is None or compare(measure, val, best) == "better":
-                best = val
+        per_zone.append([(cell, evaluate(measure, zone.core, cell, zctx)) for cell in cells])
+        stats.zone_eval_counts[zone.tti] = len(cells)
+        stats.x_evaluations += len(cells)
+    best = _best(measure, (val for cells in per_zone for _, val in cells))
     entries = []
     for zone, cells in zip(zones, per_zone):
         winning = tuple(sorted(cell for cell, val in cells if val == best))
         if winning:
             entries.append(ResultEntry(zone, winning, best))
-    entries.sort(key=lambda e: e.zone.tti)
-    stats.phase2_ms = (time.perf_counter() - started) * 1000.0
-    return QueryResult(tuple(entries), stats)
+    return entries
 
 
 def _tmc_walk(zone: ZoneRecord, measure, sigma, ctx: EvalContext):
@@ -350,16 +302,17 @@ def _tmc_walk(zone: ZoneRecord, measure, sigma, ctx: EvalContext):
     return sorted(out), evals
 
 
-def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext) -> list[TimeInterval]:
-    """Monotonic threshold search within one zone: every member interval
-    whose value satisfies the threshold, found by the boundary walk."""
-    measure = spec.measure
-    if measure is None or measure.sensitivity != "monotonic":
-        raise ContractViolation("tmc_ls requires a monotonic measure")
-    if spec.mode != "constrain":
-        raise ContractViolation("tmc_ls answers constrain queries")
-    intervals, _ = _tmc_walk(zone, measure, spec.sigma, ctx.with_zone(zone))
-    return intervals
+def tmc_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
+    """Monotonic threshold search: every member interval whose value
+    satisfies the threshold, found zone by zone by the boundary walk."""
+    entries = []
+    for zone in zones:
+        intervals, evals = _tmc_walk(zone, spec.measure, spec.sigma, ctx.with_zone(zone))
+        stats.x_evaluations += evals
+        stats.zone_eval_counts[zone.tti] = evals
+        if intervals:
+            entries.append(ResultEntry(zone, tuple(intervals), None))
+    return entries
 
 
 # -- dispatch ---------------------------------------------------------------
@@ -373,7 +326,7 @@ def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
         return run_tcd_star(g, spec)
 
     zones, phase1 = _otcd_star_impl(g, spec.k, spec.window)
-    base_stats = QueryStats(
+    stats = QueryStats(
         algorithm="otcd-star",
         phase1_ms=phase1.wall_ms,
         cells_visited=phase1.cells_visited,
@@ -381,140 +334,57 @@ def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     )
     if spec.mode == "enumerate":
         entries = tuple(ResultEntry(z, None, None) for z in zones)
-        return QueryResult(entries, base_stats)
+        return QueryResult(entries, stats)
 
     ctx = EvalContext(graph=g, all_zones=tuple(zones), params=dict(measure.params))
     started = time.perf_counter()
     if measure.sensitivity == "insensitive":
-        partial = ti_ls(zones, spec, ctx)
+        search = ti_ls
     elif spec.mode == "optimize":
-        partial = tmo_ls(zones, spec, ctx)
-    else:  # monotonic constrain: boundary walk per zone
-
-        def job(zone):
-            return _tmc_walk(zone, measure, spec.sigma, ctx.with_zone(zone))
-
-        walks = _map_zones(job, zones)
-        entries = []
-        stats = QueryStats(algorithm="otcd-star")
-        for zone, (intervals, evals) in zip(zones, walks):
-            stats.x_evaluations += evals
-            stats.zone_eval_counts[zone.tti] = evals
-            if intervals:
-                entries.append(ResultEntry(zone, tuple(intervals), None))
-        entries.sort(key=lambda e: e.zone.tti)
-        partial = QueryResult(tuple(entries), stats)
-    base_stats.phase2_ms = (time.perf_counter() - started) * 1000.0
-    base_stats.x_evaluations = partial.stats.x_evaluations
-    base_stats.zone_eval_counts = partial.stats.zone_eval_counts
-    return QueryResult(partial.entries, base_stats)
+        search = tmo_ls
+    else:
+        search = tmc_ls
+    entries = search(zones, spec, ctx, stats)
+    entries.sort(key=lambda e: e.zone.tti)
+    stats.phase2_ms = (time.perf_counter() - started) * 1000.0
+    return QueryResult(tuple(entries), stats)
 
 
 # -- exhaustive fallback -----------------------------------------------------
 
 
 def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
-    """Evaluate the measure on every subinterval.  Cores are still induced
-    decrementally, and a decomposition is skipped whenever an earlier
-    induction already proves the cell's core: a core whose span ends early
-    repeats across the rest of its row, and a core whose span starts late
-    repeats column-by-column across the rows up to that start.  Exact for
-    any measure, including nonmonotonic ones."""
+    """Evaluate the measure on every subinterval.  The exhaustive TCD walk
+    decomposes every cell; the cells sharing a core become one zone, whose
+    LTIs are its maximal members.  Exact for any measure, including
+    nonmonotonic ones."""
     if spec.measure is None:
         raise ContractViolation("run_tcd_star needs a measure; use run_otcd_star to enumerate")
-    started = time.perf_counter()
-    stats = QueryStats(algorithm="tcd-star", exhaustive=True)
-    w = clamp_window(g, spec.window)
-    if w is None:
-        return QueryResult((), stats)
-    engine = EngineStats(algorithm="tcd-star")
-    m = w.duration
-    engine.cells_total = m * (m + 1) // 2
-
-    key_of: dict[Cell, TimeInterval | None] = {}
-    snaps: dict[TimeInterval, CoreSnapshot] = {}
     members: dict[TimeInterval, list[Cell]] = defaultdict(list)
-    copy_sources: dict[int, dict[int, int]] = defaultdict(dict)  # row -> src row -> max col
-    empty_corners: list[Cell] = []
 
-    def predicted_empty(ts, te):
-        return any(a <= ts and te <= b for a, b in empty_corners)
+    def on_visit(cell, tti):
+        if tti is not None:
+            members[tti].append(cell)
 
-    row_head = TEL.from_graph(g, w)
-    row_head.decompose(spec.k)
-    engine.decompositions += 1
-    for ts in range(w.ts, w.te + 1):
-        if predicted_empty(ts, w.te):
-            break  # every remaining subinterval sits inside an empty one
-        head_decomposed = True
-        if ts > w.ts:
-            sources = copy_sources.get(ts, {})
-            if any(hi >= w.te for hi in sources.values()):
-                row_head.truncate((ts, w.te))
-                head_decomposed = False
-            else:
-                row_head.tcd(spec.k, (ts, w.te))
-                engine.decompositions += 1
-        walker = row_head.clone()
-        active: tuple[int, TimeInterval] | None = None  # (low col, key) within this row
-        for te in range(w.te, ts - 1, -1):
-            cell = Cell(ts, te)
-            engine.cells_visited += 1
-            if active and te < active[0]:
-                active = None
-            key: TimeInterval | None
-            if te == w.te and head_decomposed:
-                key = row_head.tti()
-                if key is not None and key not in snaps:
-                    snaps[key] = row_head.snapshot()
-            elif predicted_empty(ts, te):
-                key = None
-                walker.truncate(cell)
-            elif active and te >= active[0]:
-                key = active[1]
-                walker.truncate(cell)
-            else:
-                src = next(
-                    (r for r, hi in copy_sources.get(ts, {}).items() if hi >= te), None
-                )
-                if src is not None and ts > w.ts:
-                    key = key_of[Cell(src, te)]
-                    walker.truncate(cell)
-                else:
-                    walker.tcd(spec.k, cell)
-                    engine.decompositions += 1
-                    key = walker.tti()
-                    if key is not None and key not in snaps:
-                        snaps[key] = walker.snapshot()
-            key_of[cell] = key
-            if key is None:
-                if not empty_corners or not predicted_empty(ts, te):
-                    empty_corners.append(cell)
-            else:
-                members[key].append(cell)
-                if key.te < te:
-                    active = (key.te, key)
-                if key.ts > ts:
-                    for row in range(ts + 1, key.ts + 1):
-                        prev = copy_sources[row].get(ts, -1)
-                        if te > prev:
-                            copy_sources[row][ts] = te
-    engine.nonempty_inductions = sum(len(v) for v in members.values())
-    engine.distinct_cores = len(snaps)
-    stats.phase1_ms = (time.perf_counter() - started) * 1000.0
-    stats.cells_visited = engine.cells_visited
-    stats.prune_counters = engine.to_dict()
+    catalog = run_tcd(g, spec.k, spec.window, on_visit=on_visit)
+    stats = QueryStats(
+        algorithm="tcd-star",
+        phase1_ms=catalog.stats.wall_ms,
+        cells_visited=catalog.stats.cells_visited,
+        prune_counters=catalog.stats.to_dict(),
+        exhaustive=True,
+    )
 
     zone_by_tti: dict[TimeInterval, ZoneRecord] = {}
     for tti in sorted(members):
         mems = members[tti]
         maximal = [c for c in mems if not any(o != c and o.contains(c) for o in mems)]
         zone_by_tti[tti] = ZoneRecord(
-            core=snaps[tti],
+            core=catalog.cores[tti],
             tti=tti,
             ltis=tuple(sorted(maximal, key=lambda iv: iv.te, reverse=True)),
         )
-    zones = tuple(zone_by_tti[t] for t in sorted(zone_by_tti))
+    zones = tuple(zone_by_tti.values())
 
     phase2_start = time.perf_counter()
     measure = spec.measure
@@ -524,32 +394,24 @@ def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     for tti, mems in members.items():
         zctx = base_ctx.with_zone(zone_by_tti[tti])
         for cell in mems:
-            values[cell] = evaluate(measure, snaps[tti], cell, zctx)
+            values[cell] = evaluate(measure, catalog.cores[tti], cell, zctx)
             owner[cell] = tti
             stats.x_evaluations += 1
 
-    def grouped(cells, value_for):
+    def grouped(cells, value):
         by_zone: dict[TimeInterval, list[Cell]] = defaultdict(list)
         for c in cells:
             by_zone[owner[c]].append(c)
-        entries = []
-        for tti in sorted(by_zone):
-            ivs = tuple(sorted(by_zone[tti]))
-            entries.append(ResultEntry(zone_by_tti[tti], ivs, value_for(ivs)))
-        return tuple(entries)
+        return tuple(
+            ResultEntry(zone_by_tti[tti], tuple(sorted(by_zone[tti])), value)
+            for tti in sorted(by_zone)
+        )
 
     if spec.mode == "optimize":
-        entries: tuple = ()
-        if values:
-            best = None
-            for val in values.values():
-                if best is None or compare(measure, val, best) == "better":
-                    best = val
-            winners = [c for c, val in values.items() if val == best]
-            entries = grouped(winners, lambda ivs: best)
+        best = _best(measure, values.values())
+        entries = grouped([c for c, val in values.items() if val == best], best)
     elif spec.mode == "constrain":
-        qualifying = [c for c, val in values.items() if satisfies(measure, val, spec.sigma)]
-        entries = grouped(qualifying, lambda ivs: None)
+        entries = grouped([c for c, val in values.items() if satisfies(measure, val, spec.sigma)], None)
     else:
         raise ContractViolation("run_tcd_star answers optimize or constrain queries")
     stats.phase2_ms = (time.perf_counter() - phase2_start) * 1000.0

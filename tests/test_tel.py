@@ -11,7 +11,6 @@ from tkcore import (
     TEL,
     TemporalGraph,
     TimeInterval,
-    build_tel,
     clamp_window,
     reference_core,
 )
@@ -22,7 +21,7 @@ def core_labels(graph, snapshot):
 
 
 def test_wide_window_keeps_both_groups(tel_fixture_graph):
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     tel.tcd(2, (2, 6))
     snap = tel.snapshot()
     assert snap.edge_count == 10
@@ -31,7 +30,7 @@ def test_wide_window_keeps_both_groups(tel_fixture_graph):
 
 
 def test_narrow_window_drops_the_triangle(tel_fixture_graph):
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     tel.tcd(2, (5, 6))
     snap = tel.snapshot()
     assert snap.edge_count == 7
@@ -41,17 +40,17 @@ def test_narrow_window_drops_the_triangle(tel_fixture_graph):
 
 def test_decremental_narrowing_matches_fresh_build(tel_fixture_graph):
     # narrowing an already-decomposed structure must equal starting over
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     tel.tcd(2, (2, 6))
     tel.tcd(2, (5, 6))
-    fresh = build_tel(tel_fixture_graph)
+    fresh = TEL.from_graph(tel_fixture_graph)
     fresh.tcd(2, (5, 6))
     assert tel.snapshot() == fresh.snapshot()
     tel.validate()
 
 
 def test_window_outside_represented_range_is_rejected(tel_fixture_graph):
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     tel.tcd(2, (5, 6))
     with pytest.raises(ContractViolation):
         tel.tcd(2, (2, 6))
@@ -59,7 +58,7 @@ def test_window_outside_represented_range_is_rejected(tel_fixture_graph):
 
 def test_degree_counts_distinct_neighbors_not_edges():
     g = TemporalGraph.from_edges(3, [(0, 1, 1), (0, 1, 2), (0, 1, 3), (1, 2, 2)])
-    tel = build_tel(g)
+    tel = TEL.from_graph(g)
     tel.decompose(2)
     # vertex 1 touches three parallel edges to 0 but only two neighbors;
     # nobody reaches two distinct neighbors except vertex 1, so all peel
@@ -68,13 +67,13 @@ def test_degree_counts_distinct_neighbors_not_edges():
 
 
 def test_decompose_rejects_nonpositive_k(tel_fixture_graph):
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     with pytest.raises(ValueError):
         tel.decompose(0)
 
 
 def test_truncate_then_snapshot_prunes_empty_bookkeeping(tel_fixture_graph):
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     tel.truncate((5, 6))
     tel.validate()
     snap = tel.snapshot()
@@ -86,7 +85,7 @@ def test_truncate_then_snapshot_prunes_empty_bookkeeping(tel_fixture_graph):
 
 
 def test_clone_is_structurally_independent(tel_fixture_graph):
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     twin = tel.clone()
     before = tel.snapshot()
     twin.tcd(2, (5, 6))
@@ -96,7 +95,7 @@ def test_clone_is_structurally_independent(tel_fixture_graph):
 
 
 def test_windowed_clone_equals_clone_then_truncate(tel_fixture_graph):
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     for window in ((2, 6), (3, 5), (5, 6), (4, 4)):
         fused = tel.clone(window=window)
         spelled = tel.clone()
@@ -107,7 +106,7 @@ def test_windowed_clone_equals_clone_then_truncate(tel_fixture_graph):
 
 
 def test_clone_forgets_core_status_when_edges_were_dropped(tel_fixture_graph):
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     tel.tcd(2, (2, 6))
     assert tel.clone().k_applied == 2
     assert tel.clone(window=(5, 6)).k_applied is None
@@ -116,7 +115,7 @@ def test_clone_forgets_core_status_when_edges_were_dropped(tel_fixture_graph):
 def test_tti_reads_in_constant_time():
     edges = [(i % 97, (i * 7 + 1) % 97 + 97, i % 50000 + 1) for i in range(100_000)]
     g = TemporalGraph.from_edges(194, edges)
-    tel = build_tel(g)
+    tel = TEL.from_graph(g)
     started = time.perf_counter()
     for _ in range(10_000):
         tel.tti()
@@ -127,7 +126,7 @@ def test_tti_reads_in_constant_time():
 
 
 def test_dump_lists_edges_in_time_order(tel_fixture_graph):
-    tel = build_tel(tel_fixture_graph)
+    tel = TEL.from_graph(tel_fixture_graph)
     tel.tcd(2, (5, 6))
     lines = tel.dump().splitlines()
     assert len(lines) == 7

@@ -281,27 +281,18 @@ def test_nonmonotonic_measures_fall_back_to_full_evaluation(g0):
     assert canon(brute_force_txcq(g0, spec), "optimize") == want
 
 
-def test_exhaustive_fallback_reuses_proved_cores(g0):
+def test_exhaustive_fallback_decomposes_every_cell(g0):
     spec = QuerySpec(k=2, window=(1, 5), measure=get_measure("size"), mode="optimize")
     res = run_tcd_star(g0, spec)
     assert res.stats.x_evaluations == 4  # one per nonempty subinterval
-    assert res.stats.cells_visited == 12  # walk stops at the all-empty corner
-    assert res.stats.prune_counters["decompositions"] == 6
+    assert res.stats.cells_visited == 15  # the whole triangle of window (1, 5)
+    assert res.stats.prune_counters["decompositions"] == 15
     assert canon(res, "optimize") == canon(run_txcq(g0, spec), "optimize")
 
 
 def test_exhaustive_fallback_requires_a_measure(g0):
     with pytest.raises(ContractViolation):
         run_tcd_star(g0, QuerySpec(k=2, window=(1, 5)))
-
-
-def test_thread_pool_does_not_change_results(g0, monkeypatch):
-    spec = QuerySpec(k=2, window=(1, 5), measure=get_measure("engagement"), mode="optimize")
-    base = canon(run_txcq(g0, spec), "optimize")
-    monkeypatch.setenv("TXC_THREADS", "4")
-    assert canon(run_txcq(g0, spec), "optimize") == base
-    monkeypatch.setenv("TXC_THREADS", "not-a-number")
-    assert canon(run_txcq(g0, spec), "optimize") == base
 
 
 def test_canonical_enumerate_compares_full_geometry(g0):
@@ -347,3 +338,21 @@ def test_measured_modes_match_the_oracle(seed):
         want = canon(brute_force_txcq(g, spec), mode)
         assert canon(run_txcq(g, spec), mode) == want
         assert canon(run_tcd_star(g, spec), mode) == want
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_exhaustive_fallback_reports_the_zones_of_otcd_star(seed):
+    rng = random.Random(seed)
+    g = random_instance(rng, seed)
+    k = rng.choice((2, 3))
+    # an unreachable threshold on `size` makes every member qualify
+    spec = QuerySpec(k, (1, 14), get_measure("size"), "constrain", g.vertex_count + 1)
+    entries = run_tcd_star(g, spec).entries
+
+    def geometry(z):
+        return (z.tti, z.ltis, z.core.vertices, z.core.edge_count)
+
+    assert [geometry(e.zone) for e in entries] == [geometry(z) for z in run_otcd_star(g, k, (1, 14))]
+    for e in entries:
+        assert list(e.qualifying) == zone_member_intervals(e.zone)
