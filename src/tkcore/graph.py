@@ -155,10 +155,11 @@ def _edge_time(e: TemporalEdge) -> int:
     return e.t
 
 
-def _edges_within(edges: tuple[TemporalEdge, ...], ts: int, te: int) -> tuple[TemporalEdge, ...]:
-    """The edges with ts <= t <= te of a time-sorted edge tuple, by bisection."""
-    lo = bisect_left(edges, ts, key=_edge_time)
-    return edges[lo : bisect_right(edges, te, lo, key=_edge_time)]
+def _window_bounds(edges: tuple[TemporalEdge, ...], ts: int, te: int, lo=0, hi=None) -> tuple[int, int]:
+    """Index bounds [lo, hi) of the edges with ts <= t <= te in a time-sorted
+    edge tuple, by bisection; `lo` and `hi` limit the search to a slice."""
+    lo = bisect_left(edges, ts, lo, hi, key=_edge_time)
+    return lo, bisect_right(edges, te, lo, hi, key=_edge_time)
 
 
 class CoreSnapshot:
@@ -225,8 +226,8 @@ class CoreSnapshot:
     @cached_property
     def edges(self) -> tuple[TemporalEdge, ...]:
         vs = self.vertices
-        inside = _edges_within(self._graph_edges, *self.tti)
-        return tuple(e for e in inside if e.u in vs and e.v in vs)
+        lo, hi = _window_bounds(self._graph_edges, *self.tti)
+        return tuple(e for e in self._graph_edges[lo:hi] if e.u in vs and e.v in vs)
 
     @cached_property
     def degrees(self) -> MappingProxyType:

@@ -322,9 +322,7 @@ def _run_pruned(
                 tti = current.tti()
                 if tti not in cores:
                     cores[tti] = current.snapshot()
-                elif debug and cores[tti].edges != tuple(
-                    sorted(current.iter_edges(), key=lambda e: (e.t, e.u, e.v))
-                ):
+                elif debug and cores[tti].edges != tuple(current.iter_edges()):
                     raise AssertionError(f"two distinct cores share the key {tti}")
                 if on_nonempty is not None:
                     on_nonempty(table, cell, tti, current)

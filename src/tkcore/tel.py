@@ -1,19 +1,28 @@
 """Temporal edge list: the mutable working representation of temporal cores.
 
-Each edge node is threaded through three doubly-linked lists at once: the
-time list of its timestamp (buckets on an ascending timeline), the source
-list of one endpoint, and the destination list of the other.  Unlinking a
-node is O(1) in all three, so truncating a window or peeling a vertex costs
-time proportional to the edges actually removed, and the surviving
-[min, max] timestamp pair reads off the timeline ends in O(1).
+A TEL holds no edges of its own.  It keeps a window `_lo:_hi` over the
+graph's canonical edge tuple, which is sorted by (t, u, v), and for each
+surviving vertex the number of parallel edges to each surviving neighbor
+inside that window (`neighbor_mult`).  A vertex survives while it has an
+entry.  The content is, by invariant, the window's edges whose two endpoints
+both survive: truncating and peeling always leave exactly the subgraph that
+the surviving vertices induce inside the window, so nothing else is stored.
 
-Degree is the number of distinct surviving neighbors, maintained through
-per-pair parallel-edge counts, so parallel edges never inflate it.
+Truncating bisects the window's new ends and subtracts the pair counts of
+the edges cut off, which are tallied in C, so its Python work is the distinct
+pairs cut off.  Peeling pops a vertex's neighbor map, so it costs the
+vertex's distinct neighbors, not its edges.  A clone copies the pair counts
+and no edges.  The surviving [min, max]
+timestamp pair reads off the window ends once they are stepped past dead
+edges, which never come back.  Degree is the number of distinct surviving
+neighbors, so parallel edges never inflate it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
+from itertools import chain
+from operator import itemgetter
 
 from .graph import (
     ContractViolation,
@@ -21,49 +30,14 @@ from .graph import (
     TemporalEdge,
     TemporalGraph,
     TimeInterval,
-    _edge_order,
-    _edges_within,
+    _window_bounds,
 )
 
-
-class _Node:
-    """One edge occurrence; prev/next links per list family.
-
-    tp/tn: time list, sp/sn: source list of u, dp/dn: destination list of v.
-    Sentinels reuse the class with u = v = t = None.
-    """
-
-    __slots__ = ("u", "v", "t", "tp", "tn", "sp", "sn", "dp", "dn", "alive")
-
-    def __init__(self, u=None, v=None, t=None):
-        self.u = u
-        self.v = v
-        self.t = t
-        self.tp = self.tn = self.sp = self.sn = self.dp = self.dn = None
-        self.alive = True
-
-
-def _list_head() -> _Node:
-    head = _Node()
-    head.tp = head.tn = head.sp = head.sn = head.dp = head.dn = head
-    return head
-
-
-class _Bucket:
-    """Timeline entry holding the time list of a single timestamp."""
-
-    __slots__ = ("t", "prev", "next", "head", "size")
-
-    def __init__(self, t=None):
-        self.t = t
-        self.prev = None
-        self.next = None
-        self.head = _list_head()
-        self.size = 0
+_endpoints = itemgetter(0, 1)
 
 
 class TEL:
-    """Triply-linked temporal edge list.
+    """A window over a graph's sorted edges plus per-vertex neighbor counts.
 
     `represents` is the window this structure was last narrowed to; the
     invariant is that the content lies within that window's projection and
@@ -71,21 +45,15 @@ class TEL:
     induced from it.  `decompose` tightens the content to exactly the core.
     """
 
-    def __init__(self):
-        self._head = _Bucket()
-        self._tail = _Bucket()
-        self._head.next = self._tail
-        self._tail.prev = self._head
-        self._buckets: dict[int, _Bucket] = {}
-        self._sl: dict = {}
-        self._dl: dict = {}
-        self.neighbor_mult: dict = {}
-        self.degree: dict = {}
-        self.edge_count = 0
-        self.represents: TimeInterval | None = None
-        self.k_applied: int | None = None
+    def __init__(self, graph_edges, lo, hi, neighbor_mult, edge_count, represents, k_applied=None):
         # the source graph's edge tuple, which captured cores read lazily
-        self.graph_edges: tuple[TemporalEdge, ...] | None = None
+        self.graph_edges: tuple[TemporalEdge, ...] = graph_edges
+        self._lo = lo
+        self._hi = hi
+        self.neighbor_mult: dict = neighbor_mult
+        self.edge_count = edge_count
+        self.represents: TimeInterval | None = represents
+        self.k_applied: int | None = k_applied
 
     # -- construction ---------------------------------------------------
 
@@ -93,172 +61,88 @@ class TEL:
     def from_graph(cls, g: TemporalGraph, window=None) -> "TEL":
         """The graph's edges, or with `window` only the edges inside it,
         found by bisecting the time-sorted edge tuple."""
-        tel = cls()
-        tel.graph_edges = edges = g.edges
+        edges = g.edges
         if window is None:
-            tel.represents = g.time_range()
+            represents = g.time_range()
+            lo, hi = 0, len(edges)
         else:
-            w = tel.represents = TimeInterval(*window)
-            edges = _edges_within(edges, *w)
-        for u, v, t in edges:  # canonical order is ascending by timestamp
-            tel._append_edge(u, v, t)
-        return tel
-
-    def _append_edge(self, u, v, t):
-        bucket = self._buckets.get(t)
-        if bucket is None:
-            last = self._tail.prev
-            if last is not self._head and last.t > t:
-                raise ContractViolation("edges must arrive in ascending timestamp order")
-            bucket = _Bucket(t)
-            bucket.prev = self._tail.prev
-            bucket.next = self._tail
-            self._tail.prev.next = bucket
-            self._tail.prev = bucket
-            self._buckets[t] = bucket
-        node = _Node(u, v, t)
-        th = bucket.head
-        node.tp, node.tn = th.tp, th
-        th.tp.tn = node
-        th.tp = node
-        bucket.size += 1
-        sl = self._sl.get(u)
-        if sl is None:
-            sl = self._sl[u] = _list_head()
-        node.sp, node.sn = sl.sp, sl
-        sl.sp.sn = node
-        sl.sp = node
-        dl = self._dl.get(v)
-        if dl is None:
-            dl = self._dl[v] = _list_head()
-        node.dp, node.dn = dl.dp, dl
-        dl.dp.dn = node
-        dl.dp = node
-        self._bump(u, v)
-        self._bump(v, u)
-        self.edge_count += 1
-
-    def _bump(self, a, b):
-        mult = self.neighbor_mult.get(a)
-        if mult is None:
-            mult = self.neighbor_mult[a] = {}
-            self.degree[a] = 0
-        mult[b] = mult.get(b, 0) + 1
-        if mult[b] == 1:
-            self.degree[a] += 1
+            represents = TimeInterval(*window)
+            lo, hi = _window_bounds(edges, *represents)
+        mult: dict = {}
+        for (u, v), count in Counter(map(_endpoints, edges[lo:hi])).items():
+            mult.setdefault(u, {})[v] = count
+            mult.setdefault(v, {})[u] = count
+        return cls(edges, lo, hi, mult, hi - lo, represents)
 
     def clone(self, window=None) -> "TEL":
-        """Structurally independent copy; mutations never cross over.
-
-        With `window`, out-of-window edges are simply never copied, which is
-        equivalent to (but cheaper than) cloning and then truncating.
-        """
-        other = TEL()
-        other.graph_edges = self.graph_edges
-        lo, hi = window if window is not None else (None, None)
-        bucket = self._head.next
-        while bucket is not self._tail:
-            if lo is not None and bucket.t < lo:
-                bucket = bucket.next
-                continue
-            if hi is not None and bucket.t > hi:
-                break
-            node = bucket.head.tn
-            while node is not bucket.head:
-                other._append_edge(node.u, node.v, node.t)
-                node = node.tn
-            bucket = bucket.next
-        if window is None or self.represents is None:
-            other.represents = self.represents
-        else:
-            w = TimeInterval(*window)
-            s = max(self.represents.ts, w.ts)
-            e = min(self.represents.te, w.te)
-            other.represents = TimeInterval(s, e) if s <= e else w
-        # a windowed copy may have dropped edges, so it is no longer a core
-        other.k_applied = self.k_applied if other.edge_count == self.edge_count else None
+        """Independent copy of the pair counts; mutations never cross over.
+        With `window`, the copy is then truncated to it."""
+        other = TEL(
+            self.graph_edges,
+            self._lo,
+            self._hi,
+            {a: dict(m) for a, m in self.neighbor_mult.items()},
+            self.edge_count,
+            self.represents,
+            self.k_applied,
+        )
+        if window is not None:
+            other.truncate(window)
         return other
 
     # -- removal --------------------------------------------------------
 
-    def _unlink(self, node: _Node):
-        node.sp.sn = node.sn
-        node.sn.sp = node.sp
-        node.dp.dn = node.dn
-        node.dn.dp = node.dp
-        node.tp.tn = node.tn
-        node.tn.tp = node.tp
-        node.alive = False
-        bucket = self._buckets[node.t]
-        bucket.size -= 1
-        if bucket.size == 0:
-            bucket.prev.next = bucket.next
-            bucket.next.prev = bucket.prev
-            del self._buckets[node.t]
-        self._drop(node.u, node.v)
-        self._drop(node.v, node.u)
-        self.edge_count -= 1
-
-    def _drop(self, a, b):
-        mult = self.neighbor_mult[a]
-        mult[b] -= 1
-        if mult[b] == 0:
-            del mult[b]
-            self.degree[a] -= 1
-            if self.degree[a] == 0:
-                del self.degree[a]
-                del self.neighbor_mult[a]
-
     def truncate(self, window) -> None:
-        """Remove every edge with a timestamp outside `window`, walking the
-        timeline inward from whichever ends stick out."""
+        """Remove every edge with a timestamp outside `window` by bisecting
+        the window's new ends and subtracting the pair counts of the edges
+        cut off.  Content that lost edges is no longer a core, so
+        `k_applied` is cleared."""
         w = TimeInterval(*window)
-        while self._head.next is not self._tail and self._head.next.t < w.ts:
-            self._drain(self._head.next)
-        while self._tail.prev is not self._head and self._tail.prev.t > w.te:
-            self._drain(self._tail.prev)
+        edges, lo, hi = self.graph_edges, self._lo, self._hi
+        self._lo, self._hi = _window_bounds(edges, w.ts, w.te, lo, hi)
+        mult = self.neighbor_mult
+        cut = Counter(map(_endpoints, chain(edges[lo : self._lo], edges[self._hi : hi])))
+        before = self.edge_count
+        for (u, v), count in cut.items():
+            mu, mv = mult.get(u), mult.get(v)
+            if mu is None or mv is None:
+                continue  # already dead
+            self.edge_count -= count
+            left = mu[v] - count
+            if left:
+                mu[v] = mv[u] = left
+                continue
+            del mu[v], mv[u]
+            if not mu:
+                del mult[u]
+            if not mv:
+                del mult[v]
+        if self.edge_count != before:
+            self.k_applied = None
         if self.represents is None:
             self.represents = w
         else:
-            lo = max(self.represents.ts, w.ts)
-            hi = min(self.represents.te, w.te)
-            self.represents = TimeInterval(lo, hi) if lo <= hi else w
-
-    def _drain(self, bucket: _Bucket):
-        head = bucket.head
-        while head.tn is not head:
-            self._unlink(head.tn)
+            s = max(self.represents.ts, w.ts)
+            e = min(self.represents.te, w.te)
+            self.represents = TimeInterval(s, e) if s <= e else w
 
     def decompose(self, k: int) -> None:
         """Peel vertices with fewer than k distinct neighbors until the
         content is exactly the k-core of what remained."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        worklist = deque(v for v, d in self.degree.items() if d < k)
-        while worklist:
-            v = worklist.popleft()
-            if self.degree.get(v, 0) == 0:
-                continue
-            doomed = []
-            sl = self._sl.get(v)
-            if sl is not None:
-                node = sl.sn
-                while node is not sl:
-                    doomed.append(node)
-                    node = node.sn
-            dl = self._dl.get(v)
-            if dl is not None:
-                node = dl.dn
-                while node is not dl:
-                    doomed.append(node)
-                    node = node.dn
-            for node in doomed:
-                other = node.v if node.u == v else node.u
-                before = self.degree[other]
-                self._unlink(node)
-                after = self.degree.get(other, 0)
-                if after < before and after == k - 1:
-                    worklist.append(other)
+        mult = self.neighbor_mult
+        doomed = [v for v, m in mult.items() if len(m) < k]
+        dropped = 0
+        while doomed:
+            v = doomed.pop()
+            for b, count in mult.pop(v).items():
+                mb = mult[b]
+                del mb[v]
+                if len(mb) == k - 1:  # b just fell below k, and only now
+                    doomed.append(b)
+                dropped += count
+        self.edge_count -= dropped
         self.k_applied = k
 
     def tcd(self, k: int, window) -> None:
@@ -276,20 +160,30 @@ class TEL:
     # -- inspection -----------------------------------------------------
 
     def tti(self) -> TimeInterval | None:
-        """[min, max] surviving timestamp pair, read from the timeline ends."""
-        first = self._head.next
-        if first is self._tail:
+        """[min, max] surviving timestamp pair, read from the window ends
+        after stepping them past dead edges."""
+        if not self.edge_count:
             return None
-        return TimeInterval(first.t, self._tail.prev.t)
+        edges, mult = self.graph_edges, self.neighbor_mult
+        lo, hi = self._lo, self._hi - 1
+        while edges[lo].u not in mult or edges[lo].v not in mult:
+            lo += 1
+        while edges[hi].u not in mult or edges[hi].v not in mult:
+            hi -= 1
+        self._lo, self._hi = lo, hi + 1
+        return TimeInterval(edges[lo].t, edges[hi].t)
+
+    @property
+    def degree(self) -> dict:
+        """Distinct surviving neighbors per surviving vertex, as a new dict."""
+        return {v: len(m) for v, m in self.neighbor_mult.items()}
 
     def iter_edges(self):
-        bucket = self._head.next
-        while bucket is not self._tail:
-            node = bucket.head.tn
-            while node is not bucket.head:
-                yield TemporalEdge(node.u, node.v, node.t)
-                node = node.tn
-            bucket = bucket.next
+        """The content, in the graph's (t, u, v) order."""
+        mult = self.neighbor_mult
+        for e in self.graph_edges[self._lo : self._hi]:
+            if e.u in mult and e.v in mult:
+                yield e
 
     def snapshot(self) -> CoreSnapshot:
         """Capture the content in O(|V|): vertex set, TTI and degrees.
@@ -300,74 +194,39 @@ class TEL:
         """
         if not self.edge_count:
             return CoreSnapshot(frozenset(), (), None, self.k_applied)
-        degrees = dict(self.degree)
+        degrees = self.degree
         return CoreSnapshot.captured(
             frozenset(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph_edges
         )
 
     def dump(self) -> str:
         """One line per surviving edge, 't src dst', sorted by (t, src, dst)."""
-        return "\n".join(f"{t} {u} {v}" for u, v, t in sorted(self.iter_edges(), key=_edge_order))
-
-    def __len__(self):
-        return self.edge_count
+        return "\n".join(f"{t} {u} {v}" for u, v, t in self.iter_edges())
 
     # -- test support ---------------------------------------------------
 
     def validate(self) -> None:
-        """Recompute all bookkeeping from the raw node links and compare."""
-        seen = 0
-        prev_t = None
+        """Recompute the counts from `graph_edges` and compare, and check
+        that every edge between survivors inside `represents` is content."""
+        edges, lo, hi = self.graph_edges, self._lo, self._hi
+        if not 0 <= lo <= hi <= len(edges):
+            raise AssertionError("window out of range")
+        alive = self.neighbor_mult
         mult: dict = {}
-        bucket = self._head.next
-        while bucket is not self._tail:
-            if prev_t is not None and bucket.t <= prev_t:
-                raise AssertionError("timeline not strictly ascending")
-            prev_t = bucket.t
-            if self._buckets.get(bucket.t) is not bucket:
-                raise AssertionError("bucket index out of sync")
-            count = 0
-            prev_pair = None
-            node = bucket.head.tn
-            while node is not bucket.head:
-                if not node.alive:
-                    raise AssertionError("dead node still linked")
-                if node.t != bucket.t:
-                    raise AssertionError("node filed under wrong timestamp")
-                if prev_pair is not None and (node.u, node.v) < prev_pair:
-                    raise AssertionError("bucket lost canonical endpoint order")
-                prev_pair = (node.u, node.v)
-                mult.setdefault(node.u, {}).setdefault(node.v, 0)
-                mult[node.u][node.v] += 1
-                mult.setdefault(node.v, {}).setdefault(node.u, 0)
-                mult[node.v][node.u] += 1
-                count += 1
-                node = node.tn
-            if count != bucket.size:
-                raise AssertionError("bucket size out of sync")
-            seen += count
-            bucket = bucket.next
+        seen = 0
+        for u, v, _ in edges[lo:hi]:
+            if u in alive and v in alive:
+                mult.setdefault(u, Counter())[v] += 1
+                mult.setdefault(v, Counter())[u] += 1
+                seen += 1
         if seen != self.edge_count:
             raise AssertionError("edge count out of sync")
-        for v, m in mult.items():
-            if self.neighbor_mult.get(v) != m:
-                raise AssertionError(f"neighbor multiset wrong for {v}")
-            if self.degree.get(v) != len(m):
-                raise AssertionError(f"degree wrong for {v}")
-        for v, d in self.degree.items():
-            if d and v not in mult:
-                raise AssertionError(f"vertex {v} has degree {d} but no edges")
-        sl_total = 0
-        for head in self._sl.values():
-            node = head.sn
-            while node is not head:
-                sl_total += 1
-                node = node.sn
-        dl_total = 0
-        for head in self._dl.values():
-            node = head.dn
-            while node is not head:
-                dl_total += 1
-                node = node.dn
-        if sl_total != self.edge_count or dl_total != self.edge_count:
-            raise AssertionError("source/destination lists out of sync")
+        if mult != alive:
+            raise AssertionError("neighbor counts out of sync")
+        if self.represents is not None:
+            a, b = _window_bounds(edges, *self.represents)
+            if lo < hi and (lo < a or hi > b):
+                raise AssertionError(f"window reaches outside {self.represents}")
+            for u, v, _ in chain(edges[a:lo], edges[hi:b]):
+                if u in alive and v in alive:
+                    raise AssertionError(f"edge {u}-{v} between survivors is missing")

@@ -1,4 +1,5 @@
-"""The triply-linked temporal edge list."""
+"""The temporal edge list: a window over the graph's edges plus per-vertex
+neighbor counts."""
 
 import time
 
@@ -113,16 +114,24 @@ def test_clone_forgets_core_status_when_edges_were_dropped(tel_fixture_graph):
 
 
 def test_tti_reads_in_constant_time():
-    edges = [(i % 97, (i * 7 + 1) % 97 + 97, i % 50000 + 1) for i in range(100_000)]
-    g = TemporalGraph.from_edges(194, edges)
-    tel = TEL.from_graph(g)
-    started = time.perf_counter()
-    for _ in range(10_000):
-        tel.tti()
-    elapsed = time.perf_counter() - started
-    # ~50k timeline buckets; a scan would cost seconds, end reads cost µs
-    assert elapsed < 0.5
-    assert tel.tti() == TimeInterval(1, 50000)
+    # 100k edges over 50k stamps; a scan of the window would cost seconds,
+    # end reads cost µs.  In the peeled case only two triangles at t=2 and
+    # t=49999 survive, so both ends step past dead edges once, and the dead
+    # middle is never read.
+    bipartite = [(i % 97, (i * 7 + 1) % 97 + 97, i % 50000 + 1) for i in range(100_000)]
+    matching = [(2 * (i % 97) + 3, 2 * (i % 97) + 4, i % 50000 + 1) for i in range(100_000)]
+    triangles = [(u, v, t) for t in (2, 49999) for u, v in ((0, 1), (0, 2), (1, 2))]
+    live = TEL.from_graph(TemporalGraph.from_edges(194, bipartite))
+    peeled = TEL.from_graph(TemporalGraph.from_edges(197, matching + triangles))
+    peeled.decompose(2)
+    assert peeled.edge_count == 6
+    for tel, tti in ((live, TimeInterval(1, 50000)), (peeled, TimeInterval(2, 49999))):
+        started = time.perf_counter()
+        for _ in range(10_000):
+            tel.tti()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.5
+        assert tel.tti() == tti
 
 
 def test_dump_lists_edges_in_time_order(tel_fixture_graph):
@@ -153,16 +162,23 @@ def small_graphs(draw):
     k=st.integers(min_value=1, max_value=4),
     a=st.integers(min_value=1, max_value=8),
     b=st.integers(min_value=1, max_value=8),
+    cuts=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=2),
 )
 @settings(max_examples=150, deadline=None)
-def test_tcd_agrees_with_reference_peeling(g, k, a, b):
+def test_tcd_agrees_with_reference_peeling(g, k, a, b, cuts):
+    # one TEL narrowed through nested windows; tti() moves the window ends
+    # past dead edges, and the next truncate and peel start from there
     window = clamp_window(g, (min(a, b), max(a, b)))
     if window is None:
         return
     tel = TEL.from_graph(g)
-    tel.tcd(k, window)
-    tel.validate()
-    assert tel.snapshot() == reference_core(g, k, window)
+    for left, right in [(0, 0), *cuts]:
+        ts = min(window.ts + left, window.te)
+        window = TimeInterval(ts, max(ts, window.te - right))
+        tel.tcd(k, window)
+        tel.tti()
+        tel.validate()
+        assert tel.snapshot() == reference_core(g, k, window)
 
 
 @given(
