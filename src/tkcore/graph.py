@@ -131,6 +131,11 @@ class TemporalGraph:
         return TimeInterval(self.min_t, self.max_t)
 
     @cached_property
+    def timestamps(self) -> tuple[int, ...]:
+        """The distinct timestamps, ascending; built on first use."""
+        return tuple(dict.fromkeys(map(_edge_time, self.edges)))
+
+    @cached_property
     def _neighbor_stamps(self) -> dict:
         """vertex -> neighbor -> ascending timestamps of their edges."""
         out: dict = {}
@@ -326,7 +331,7 @@ def normalize_timestamps(g: TemporalGraph, mode: str, width: int | None = None) 
             return (t - lo) // width + 1
 
     elif mode == "rank":
-        ranks = {t: i for i, t in enumerate(sorted({e.t for e in g.edges}), start=1)}
+        ranks = {t: i for i, t in enumerate(g.timestamps, start=1)}
         remap = ranks.__getitem__
     else:
         raise ValueError(f"unknown normalization mode: {mode!r}")

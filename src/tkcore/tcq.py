@@ -16,12 +16,20 @@ time interval (TTI):
 
 Both engines produce the same catalog of distinct nonempty cores keyed by
 TTI, with visit/prune/decomposition counters for reporting.
+
+`run_tcd` walks every integer of the window: it is the exhaustive reference.
+The pruned walk (`run_otcd`, and OTCD* zone location in `txcq`) walks ranks,
+the positions of the distinct timestamps inside the window, since a cell's
+core depends only on which stamps it holds; so raw unix-second stamps cost
+what their ranks cost.  Its prune table, rules and counters are in ranks.
+Catalog keys, captured cores and the cells it reports stay in raw
+timestamps.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .graph import CoreSnapshot, TemporalGraph, TimeInterval
@@ -139,6 +147,11 @@ def empty_prune(table: PruneTable, cell: Cell) -> None:
 
 @dataclass
 class EngineStats:
+    """Work counters of one walk.  For `otcd` and `otcd-star` the cells are
+    rank cells (pairs of distinct timestamps inside the window), for `tcd`
+    and `tcd-star` raw integer cells; both agree when every integer of the
+    window holds a stamp."""
+
     algorithm: str
     cells_total: int = 0
     cells_visited: int = 0
@@ -274,62 +287,81 @@ def _run_pruned(
 ) -> CoreCatalog:
     """Shared schedule walker for the rule-based engines.
 
-    `on_nonempty(table, cell, tti, tel)` is called for every visited
-    nonempty cell and decides which cells to prune; when None, the three
-    TTI rules apply (plain optimized enumeration).  `debug` records the
-    visit order and checks that cores sharing a TTI share their edges.
+    The walk runs over ranks: row r and column c stand for `times[r]` and
+    `times[c]`, the distinct timestamps inside the clamped window, so a gap
+    between two stamps costs nothing.  The prune table, the rules and the
+    counters see rank cells and rank TTIs.  Everything else stays raw: the
+    TEL is truncated to the raw stamps, the catalog is keyed by the raw TTI,
+    and a visited cell is reported as its loosest raw cell, which reaches
+    from just past the previous stamp (or the window's start) to just
+    before the next one (or the window's end); every raw cell in it
+    induces the same core.
+
+    `on_nonempty(table, cell, tti, raw_cell, raw_tti)` is called for every
+    visited nonempty cell, with the rank cell and rank TTI to prune by and
+    the loosest raw cell and raw TTI to report; when None, the three TTI
+    rules apply (plain optimized enumeration).  `debug` records the visited
+    cells (raw) and checks that cores sharing a TTI share their edges.
     """
     started = time.perf_counter()
     w = clamp_window(g, window)
     if w is None:
         return _empty_catalog(algorithm)
+    stamps = g.timestamps
+    times = stamps[bisect_left(stamps, w.ts) : bisect_right(stamps, w.te)]
+    last = len(times) - 1
     stats = EngineStats(algorithm=algorithm)
-    m = w.duration
-    stats.cells_total = m * (m + 1) // 2
+    stats.cells_total = len(times) * (len(times) + 1) // 2
     cores: dict[TimeInterval, CoreSnapshot] = {}
-    table = PruneTable(w)
+    if not times:  # the window lies inside a gap: every core is empty
+        return CoreCatalog(w, cores, stats)
+    table = PruneTable(TimeInterval(0, last))
+
+    def loosest(r: int, c: int) -> Cell:
+        return Cell(w.ts if r == 0 else times[r - 1] + 1, w.te if c == last else times[c + 1] - 1)
 
     row_head = TEL.from_graph(g, w)
     row_head.decompose(k)
     stats.decompositions += 1
-    for ts in range(w.ts, w.te + 1):
-        te = table.next_unpruned(ts, w.te)
-        if te < ts:
+    for r in range(last + 1):
+        c = table.next_unpruned(r, last)
+        if c < r:
             continue  # row fully pruned; the row head core stays stale but enclosing
         walker = None
-        while te >= ts:
-            cell = Cell(ts, te)
-            if walker is None and te == w.te:
+        while c >= r:
+            cell = Cell(r, c)
+            span = (times[r], times[c])
+            if walker is None and c == last:
                 # serve the row head cell from the head itself; a walker
                 # copy is only made if a second cell of the row survives
-                if ts > w.ts:
-                    row_head.tcd(k, (ts, w.te))
+                if r:
+                    row_head.tcd(k, span)
                     stats.decompositions += 1
                 current = row_head
             else:
                 if walker is None:
-                    walker = row_head.clone(window=cell)
-                walker.tcd(k, cell)
+                    walker = row_head.clone(window=span)
+                walker.tcd(k, span)
                 stats.decompositions += 1
                 current = walker
             stats.cells_visited += 1
             if debug:
-                stats.visit_trace.append(cell)
+                stats.visit_trace.append(loosest(r, c))
             if current.edge_count == 0:
                 empty_prune(table, cell)
             else:
                 stats.nonempty_inductions += 1
-                tti = current.tti()
-                if tti not in cores:
-                    cores[tti] = current.snapshot()
-                elif debug and cores[tti].edges != tuple(current.iter_edges()):
-                    raise AssertionError(f"two distinct cores share the key {tti}")
+                raw_tti = current.tti()
+                if raw_tti not in cores:
+                    cores[raw_tti] = current.snapshot()
+                elif debug and cores[raw_tti].edges != tuple(current.iter_edges()):
+                    raise AssertionError(f"two distinct cores share the key {raw_tti}")
+                tti = TimeInterval(bisect_left(times, raw_tti.ts), bisect_left(times, raw_tti.te))
                 if on_nonempty is not None:
-                    on_nonempty(table, cell, tti, current)
+                    on_nonempty(table, cell, tti, loosest(r, c), raw_tti)
                 else:
                     apply_pruning(table, cell, tti)
-            nxt = table.next_unpruned(ts, te - 1)
-            te = nxt
+            c = table.next_unpruned(r, c - 1)
     stats.absorb_table(table)
     stats.distinct_cores = len(cores)
     stats.wall_ms = (time.perf_counter() - started) * 1000.0

@@ -169,9 +169,9 @@ def canonical_result(result: QueryResult, mode: str):
 def _otcd_star_impl(g: TemporalGraph, k: int, window):
     visited: dict[TimeInterval, list[Cell]] = defaultdict(list)  # TTI -> its LTI cells
 
-    def on_nonempty(table, cell, tti, walker):
-        visited[tti].append(cell)
-        if tti != cell:
+    def on_nonempty(table, cell, tti, raw_cell, raw_tti):
+        visited[raw_tti].append(raw_cell)
+        if tti != cell:  # both in ranks
             rectangle_prune(table, cell, tti)
 
     catalog = _run_pruned(g, k, window, algorithm="otcd-star", on_nonempty=on_nonempty)

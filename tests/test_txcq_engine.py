@@ -4,20 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tkcore import (
     ContractViolation,
     MeasureDescriptor,
     QuerySpec,
     TEL,
+    TemporalGraph,
     TimeInterval,
     ZoneRecord,
+    brute_force_tcq,
     brute_force_txcq,
     canonical_result,
     get_measure,
+    normalize_timestamps,
     reference_core,
+    run_otcd,
     run_otcd_star,
+    run_tcd,
     run_tcd_star,
     run_txcq,
     zone_contains,
@@ -356,3 +361,130 @@ def test_exhaustive_fallback_reports_the_zones_of_otcd_star(seed):
     assert [geometry(e.zone) for e in entries] == [geometry(z) for z in run_otcd_star(g, k, (1, 14))]
     for e in entries:
         assert list(e.qualifying) == zone_member_intervals(e.zone)
+
+
+# -- gapped timestamps: the pruned walk runs over ranks, answers stay raw ----
+
+
+def gapped_instance(rng, seed):
+    """A random instance whose distinct stamps are spread by random gaps of
+    1 to at most 50 raw units, with at least one gap of 2 or more."""
+    g = random_instance(rng, seed, max_edges=80, max_timestamps=24)
+    stamps = g.timestamps
+    max_gap = rng.choice((2, 3, 6, 50))
+    gaps = [rng.randint(1, max_gap) for _ in stamps[1:]]
+    if gaps and max(gaps) < 2:
+        gaps[rng.randrange(len(gaps))] = 2
+    raw = {stamps[0]: rng.randint(-20, 100)}
+    for prev, t, gap in zip(stamps, stamps[1:], gaps):
+        raw[t] = raw[prev] + gap
+    return TemporalGraph.from_edges(g.vertex_count, [(e.u, e.v, raw[e.t]) for e in g.edges])
+
+
+def gapped_window(rng, stamps, kind):
+    """A window of raw span at most 40 of the given kind."""
+    first, last = stamps[0], stamps[-1]
+    gaps = [(a + 1, b - 1) for a, b in zip(stamps, stamps[1:]) if b - a >= 2]
+    if kind == "before-first":
+        ts = rng.randint(first - 10, first - 1)
+        return ts, rng.randint(ts, ts + 40)
+    if kind == "after-last":
+        te = rng.randint(last + 1, last + 10)
+        return rng.randint(te - 40, te), te
+    if kind == "inside-one-gap":
+        lo, hi = rng.choice(gaps)
+        ts = rng.randint(lo, hi)
+        return ts, rng.randint(ts, hi)
+    lo, hi = rng.choice(gaps[: (len(gaps) + 1) // 2])  # start early, so the window holds stamps
+    ts = rng.randint(lo, hi)
+    # both ends inside gaps, the end drawn from the farther half of reach
+    held = set(stamps)
+    ends = [t for t in range(ts, min(ts + 40, last) + 1) if t not in held]
+    return ts, rng.choice(ends[len(ends) // 2 :])
+
+
+@pytest.mark.parametrize("kind", ["ends-in-gaps", "before-first", "after-last", "inside-one-gap"])
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=20, deadline=None)
+def test_gapped_stamps_match_the_oracle(kind, seed):
+    rng = random.Random(seed)
+    g = gapped_instance(rng, seed)
+    stamps = g.timestamps
+    assume(len(stamps) >= 2)
+    window = gapped_window(rng, stamps, kind)
+    if kind == "inside-one-gap":
+        assert not any(window[0] <= t <= window[1] for t in stamps)
+    k = rng.choice((2, 3))
+
+    pruned = run_otcd(g, k, window)
+    assert dict(pruned.items()) == dict(run_tcd(g, k, window).items())
+    s = pruned.stats
+    assert s.cells_visited + s.cells_pruned == s.cells_total
+
+    def geometry(z):
+        return (z.tti, z.ltis, z.core.vertices, z.core.edge_count)
+
+    oracle = brute_force_tcq(g, k, window)
+    assert [geometry(z) for z in run_otcd_star(g, k, window)] == [geometry(c) for c in oracle.classes]
+
+    for name, mode, sigma in (
+        (None, "enumerate", None),
+        ("burstiness", "optimize", None),
+        ("burstiness", "constrain", rng.choice((Fraction(1, 2), 1, 2, 4))),
+        ("growth_rate", "optimize", None),
+        ("growth_rate", "constrain", rng.choice((Fraction(1, 8), Fraction(1, 3), 1))),
+        ("size", "optimize", None),
+        ("persistence", "optimize", None),
+    ):
+        spec = QuerySpec(k, window, name and get_measure(name), mode, sigma)
+        res = run_txcq(g, spec)
+        assert canon(res, mode) == canon(brute_force_txcq(g, spec), mode), (name, mode)
+        c = res.stats.prune_counters
+        if c:
+            assert c["cells_visited"] + c["cells_pruned"] == c["cells_total"]
+
+
+def test_unix_scale_gap_costs_what_its_ranks_cost():
+    """Two triangles a billion seconds apart: the pruned walk sees two
+    distinct stamps, so three cells, and answers as on the ranked graph."""
+    big = 10**9
+    g = TemporalGraph.from_edges(
+        3, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 1, big), (1, 2, big), (0, 2, big)]
+    )
+    ranked = normalize_timestamps(g, "rank")
+    raw = g.timestamps  # rank r is raw[r - 1]
+
+    def tight(iv):
+        return TimeInterval(raw[iv.ts - 1], raw[iv.te - 1])
+
+    def loose(iv):  # a rank LTI reaches the edge of the next gap or the window
+        return TimeInterval(
+            1 if iv.ts == 1 else raw[iv.ts - 2] + 1, big if iv.te == len(raw) else raw[iv.te] - 1
+        )
+
+    def answer(res, tight=None, loose=None):
+        tight, loose = tight or (lambda iv: iv), loose or (lambda iv: iv)
+        return [
+            (
+                tight(e.zone.tti),
+                tuple(map(loose, e.zone.ltis)),
+                e.zone.core.vertices,
+                e.zone.core.edge_count,
+                e.qualifying and tuple(map(tight, e.qualifying)),
+                e.x_value,
+            )
+            for e in res.entries
+        ]
+
+    for measure, mode in ((None, "enumerate"), (get_measure("burstiness"), "optimize")):
+        res = run_txcq(g, QuerySpec(2, (1, big), measure, mode))
+        want = run_txcq(ranked, QuerySpec(2, (1, 2), measure, mode))
+        assert answer(res) == answer(want, tight, loose)
+        assert res.stats.prune_counters["cells_total"] == 3
+        assert res.stats.cells_visited + res.stats.prune_counters["cells_pruned"] == 3
+    assert [(e.zone.tti, e.zone.ltis) for e in run_txcq(g, QuerySpec(2, (1, big))).entries] == [
+        (TimeInterval(1, 1), (TimeInterval(1, big - 1),)),
+        (TimeInterval(1, big), (TimeInterval(1, big),)),
+        (TimeInterval(big, big), (TimeInterval(2, big),)),
+    ]
+    assert run_otcd(g, 2, (1, big)).stats.cells_total == 3
