@@ -54,6 +54,7 @@ from .tcq import (
 )
 from .tel import TEL
 from .txcq import (
+    MAX_TCD_STAR_CELLS,
     QueryResult,
     QuerySpec,
     QueryStats,
@@ -78,6 +79,7 @@ __all__ = [
     "EvalContext",
     "MAX_ORACLE_EDGES",
     "MAX_ORACLE_SPAN",
+    "MAX_TCD_STAR_CELLS",
     "MeasureDescriptor",
     "MeasureValueError",
     "OracleCatalog",

@@ -444,18 +444,11 @@ def cmd_verify(args) -> int:
         engine_result = _inject_fault(engine_result)
     if spec.mode == "enumerate" and not has_ltis:
         # these engines report cores without zone geometry
-        eng_key = tuple(
-            sorted(
-                ((e.zone.tti, e.zone.core.vertices, e.zone.core.edges) for e in engine_result.entries),
-                key=lambda r: r[0],
-            )
-        )
-        ora_key = tuple(
-            sorted(
-                ((e.zone.tti, e.zone.core.vertices, e.zone.core.edges) for e in oracle_result.entries),
-                key=lambda r: r[0],
-            )
-        )
+        def cores_key(result):
+            cores = ((e.zone.tti, e.zone.core.vertices, e.zone.core.edges) for e in result.entries)
+            return tuple(sorted(cores, key=lambda r: r[0]))
+
+        eng_key, ora_key = cores_key(engine_result), cores_key(oracle_result)
         mode_for_diff = "enumerate"
     else:
         eng_key = canonical_result(engine_result, spec.mode)

@@ -201,13 +201,12 @@ def check_measure_sensitivity(
     from .txcq import zone_member_intervals
 
     violations = []
-    candidates = [z for z in zones if len(zone_member_intervals(z)) >= 2]
+    candidates = [(z, m) for z in zones if len(m := zone_member_intervals(z)) >= 2]
     if not candidates:
         return violations
     base = EvalContext(graph=graph, all_zones=tuple(zones), params=dict(measure.params))
     for _ in range(samples):
-        zone = rng.choice(candidates)
-        members = zone_member_intervals(zone)
+        zone, members = rng.choice(candidates)
         outer = rng.choice(members)
         inner_options = [m for m in members if m != outer and outer.contains(m)]
         if not inner_options:

@@ -17,13 +17,14 @@ time interval (TTI):
 Both engines produce the same catalog of distinct nonempty cores keyed by
 TTI, with visit/prune/decomposition counters for reporting.
 
-`run_tcd` walks every integer of the window: it is the exhaustive reference.
-The pruned walk (`run_otcd`, and OTCD* zone location in `txcq`) walks ranks,
-the positions of the distinct timestamps inside the window, since a cell's
-core depends only on which stamps it holds; so raw unix-second stamps cost
-what their ranks cost.  Its prune table, rules and counters are in ranks.
-Catalog keys, captured cores and the cells it reports stay in raw
-timestamps.
+One walker, `walk_schedule`, serves every engine, here and in `txcq`; an
+engine differs only in the per-cell callback that applies its rules.  The
+walk runs over ranks, the positions of the distinct timestamps inside the
+window, since a cell's core depends only on which stamps it holds; so raw
+unix-second stamps cost what their ranks cost, and `run_tcd`, which visits
+every rank cell, is still exhaustive.  The prune table, rules and counters
+are in ranks.  Catalog keys, captured cores and the cells the walk reports
+stay in raw timestamps.
 """
 
 from __future__ import annotations
@@ -147,10 +148,9 @@ def empty_prune(table: PruneTable, cell: Cell) -> None:
 
 @dataclass
 class EngineStats:
-    """Work counters of one walk.  For `otcd` and `otcd-star` the cells are
-    rank cells (pairs of distinct timestamps inside the window), for `tcd`
-    and `tcd-star` raw integer cells; both agree when every integer of the
-    window holds a stamp."""
+    """Work counters of one walk.  Cells are rank cells, pairs of distinct
+    timestamps inside the window, for every engine; they equal raw integer
+    cells when every integer of the window holds a stamp."""
 
     algorithm: str
     cells_total: int = 0
@@ -220,72 +220,32 @@ def clamp_window(g: TemporalGraph, window) -> TimeInterval | None:
     return TimeInterval(lo, hi) if lo <= hi else None
 
 
-def _empty_catalog(algorithm: str) -> CoreCatalog:
-    return CoreCatalog(None, {}, EngineStats(algorithm=algorithm))
+def run_tcd(g: TemporalGraph, k: int, window) -> CoreCatalog:
+    """Exhaustive decremental enumeration: every rank cell of the triangular
+    schedule is visited and decomposed."""
+    return walk_schedule(g, k, window, algorithm="tcd")
 
 
-def run_tcd(g: TemporalGraph, k: int, window, *, on_visit=None) -> CoreCatalog:
-    """Exhaustive decremental enumeration: every cell of the triangular
-    schedule is visited and decomposed.
-
-    `on_visit(cell, tti)` is called for every cell, with `tti` None when
-    the cell's core is empty.
-    """
-    started = time.perf_counter()
-    w = clamp_window(g, window)
-    if w is None:
-        return _empty_catalog("tcd")
-    stats = EngineStats(algorithm="tcd")
-    m = w.duration
-    stats.cells_total = m * (m + 1) // 2
-    cores: dict[TimeInterval, CoreSnapshot] = {}
-
-    def visit(cell: Cell, tel: TEL):
-        stats.cells_visited += 1
-        tti = None
-        if tel.edge_count:
-            stats.nonempty_inductions += 1
-            tti = tel.tti()
-            if tti not in cores:
-                cores[tti] = tel.snapshot()
-        if on_visit is not None:
-            on_visit(cell, tti)
-
-    row_head = TEL.from_graph(g, w)
-    row_head.decompose(k)
-    stats.decompositions += 1
-    for ts in range(w.ts, w.te + 1):
-        if ts > w.ts:
-            row_head.tcd(k, (ts, w.te))
-            stats.decompositions += 1
-        visit(Cell(ts, w.te), row_head)
-        walker = row_head.clone(window=Cell(ts, w.te - 1))
-        for te in range(w.te - 1, ts - 1, -1):
-            walker.tcd(k, (ts, te))
-            stats.decompositions += 1
-            visit(Cell(ts, te), walker)
-    stats.distinct_cores = len(cores)
-    stats.wall_ms = (time.perf_counter() - started) * 1000.0
-    return CoreCatalog(w, cores, stats)
+def otcd_rules(table: PruneTable, cell: Cell, tti, raw_cell: Cell, raw_tti) -> None:
+    """OTCD's per-cell rules: the three TTI rules on a nonempty core, the
+    empty-triangle rule on an empty one."""
+    if tti is None:
+        empty_prune(table, cell)
+    else:
+        apply_pruning(table, cell, tti)
 
 
 def run_otcd(g: TemporalGraph, k: int, window, *, debug: bool = False) -> CoreCatalog:
     """Optimized enumeration: identical catalog to `run_tcd`, but cells whose
     cores are implied by an already-induced core are skipped via the three
     TTI rules plus the empty-triangle rule."""
-    return _run_pruned(g, k, window, algorithm="otcd", debug=debug)
+    return walk_schedule(g, k, window, algorithm="otcd", on_cell=otcd_rules, debug=debug)
 
 
-def _run_pruned(
-    g: TemporalGraph,
-    k: int,
-    window,
-    *,
-    algorithm: str,
-    debug: bool = False,
-    on_nonempty=None,
+def walk_schedule(
+    g: TemporalGraph, k: int, window, *, algorithm: str, on_cell=None, debug: bool = False
 ) -> CoreCatalog:
-    """Shared schedule walker for the rule-based engines.
+    """The schedule walker of every engine.
 
     The walk runs over ranks: row r and column c stand for `times[r]` and
     `times[c]`, the distinct timestamps inside the clamped window, so a gap
@@ -297,16 +257,18 @@ def _run_pruned(
     before the next one (or the window's end); every raw cell in it
     induces the same core.
 
-    `on_nonempty(table, cell, tti, raw_cell, raw_tti)` is called for every
-    visited nonempty cell, with the rank cell and rank TTI to prune by and
-    the loosest raw cell and raw TTI to report; when None, the three TTI
-    rules apply (plain optimized enumeration).  `debug` records the visited
-    cells (raw) and checks that cores sharing a TTI share their edges.
+    `on_cell(table, cell, tti, raw_cell, raw_tti)` is called for every
+    visited cell, with the rank cell and rank TTI to prune by and the
+    loosest raw cell and raw TTI to report; both TTIs are None when the
+    core is empty.  It applies the engine's rules by marking cells of
+    `table`, which the walk then skips; with no callback every cell is
+    visited.  `debug` records the visited cells (raw) and checks that cores
+    sharing a TTI share their edges.
     """
     started = time.perf_counter()
     w = clamp_window(g, window)
     if w is None:
-        return _empty_catalog(algorithm)
+        return CoreCatalog(None, {}, EngineStats(algorithm=algorithm))
     stamps = g.timestamps
     times = stamps[bisect_left(stamps, w.ts) : bisect_right(stamps, w.te)]
     last = len(times) - 1
@@ -345,11 +307,11 @@ def _run_pruned(
                 stats.decompositions += 1
                 current = walker
             stats.cells_visited += 1
+            raw_cell = loosest(r, c)
             if debug:
-                stats.visit_trace.append(loosest(r, c))
-            if current.edge_count == 0:
-                empty_prune(table, cell)
-            else:
+                stats.visit_trace.append(raw_cell)
+            tti = raw_tti = None
+            if current.edge_count:
                 stats.nonempty_inductions += 1
                 raw_tti = current.tti()
                 if raw_tti not in cores:
@@ -357,10 +319,8 @@ def _run_pruned(
                 elif debug and cores[raw_tti].edges != tuple(current.iter_edges()):
                     raise AssertionError(f"two distinct cores share the key {raw_tti}")
                 tti = TimeInterval(bisect_left(times, raw_tti.ts), bisect_left(times, raw_tti.te))
-                if on_nonempty is not None:
-                    on_nonempty(table, cell, tti, loosest(r, c), raw_tti)
-                else:
-                    apply_pruning(table, cell, tti)
+            if on_cell is not None:
+                on_cell(table, cell, tti, raw_cell, raw_tti)
             c = table.next_unpruned(r, c - 1)
     stats.absorb_table(table)
     stats.distinct_cores = len(cores)

@@ -13,7 +13,11 @@ once per zone for insensitive measures (`ti_ls`), at each zone's tightest
 or loosest intervals for monotonic measures (`tmo_ls`), or along the
 decision boundary of the qualifying region for monotonic threshold queries
 (`tmc_ls`).  Measures with no usable structure fall back to `run_tcd_star`,
-which runs the exhaustive TCD walk and evaluates every subinterval.
+whose phase 1 runs the exhaustive TCD walk and whose phase 2 (`all_ls`)
+evaluates every member subinterval; it refuses a window of more than
+MAX_TCD_STAR_CELLS raw cells, since a gap of G raw stamps alone holds
+O(G^2) of them.  Both engines walk the one rank schedule of `tcq` and build
+their zones and answers with the same helpers.
 """
 
 from __future__ import annotations
@@ -23,11 +27,13 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from . import tcq
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
 from .measures import EvalContext, MeasureDescriptor, compare, evaluate, satisfies
-from .tcq import Cell, _run_pruned, rectangle_prune, run_tcd
+from .tcq import Cell, clamp_window, rectangle_prune, walk_schedule
 
 MODES = ("enumerate", "optimize", "constrain")
+MAX_TCD_STAR_CELLS = 10**6  # raw cells of the clamped window's triangle
 
 
 @dataclass(frozen=True)
@@ -166,18 +172,40 @@ def canonical_result(result: QueryResult, mode: str):
 # -- phase 1: zone location ------------------------------------------------
 
 
-def _otcd_star_impl(g: TemporalGraph, k: int, window):
-    visited: dict[TimeInterval, list[Cell]] = defaultdict(list)  # TTI -> its LTI cells
+def rectangle_rules(table, cell: Cell, tti, raw_cell: Cell, raw_tti) -> None:
+    """OTCD*'s per-cell rules: an empty core empties its triangle; a
+    nonempty one settles the rectangle between its cell and its TTI."""
+    if tti is None:
+        tcq.empty_prune(table, cell)  # looked up in tcq, where perfbench's tracer rebinds it
+    elif tti != cell:  # both in ranks
+        rectangle_prune(table, cell, tti)
 
-    def on_nonempty(table, cell, tti, raw_cell, raw_tti):
-        visited[raw_tti].append(raw_cell)
-        if tti != cell:  # both in ranks
-            rectangle_prune(table, cell, tti)
 
-    catalog = _run_pruned(g, k, window, algorithm="otcd-star", on_nonempty=on_nonempty)
+def _maximal(cells) -> tuple[TimeInterval, ...]:
+    """The cells no other cell contains, by descending te."""
+    out: list[TimeInterval] = []
+    for cell in sorted(cells, key=lambda c: (c.ts, -c.te)):
+        if not out or cell.te > out[-1].te:  # out[-1] reaches furthest of the earlier starts
+            out.append(cell)
+    return tuple(reversed(out))
+
+
+def _locate(g: TemporalGraph, k: int, window, algorithm: str, rules=None):
+    """Phase 1: walk the schedule under `rules`, recording every visited
+    nonempty cell's loosest raw cell under its core's TTI.  Each distinct
+    core becomes a zone whose LTIs are its maximal recorded cells."""
+    recorded: dict[TimeInterval, list[Cell]] = defaultdict(list)
+
+    def on_cell(table, cell, tti, raw_cell, raw_tti):
+        if raw_tti is not None:
+            recorded[raw_tti].append(raw_cell)
+        if rules is not None:
+            rules(table, cell, tti, raw_cell, raw_tti)
+
+    catalog = walk_schedule(g, k, window, algorithm=algorithm, on_cell=on_cell)
     zones = []
-    for tti in sorted(visited):
-        ltis = tuple(reversed(visited[tti]))  # visited ascending ts, so this is descending te
+    for tti in sorted(recorded):
+        ltis = _maximal(recorded[tti])
         for l in ltis:
             if not l.contains(tti):
                 raise AssertionError(f"visited cell {l} does not contain its core's span {tti}")
@@ -188,7 +216,7 @@ def _otcd_star_impl(g: TemporalGraph, k: int, window):
 def run_otcd_star(g: TemporalGraph, k: int, window) -> list[ZoneRecord]:
     """Locate every zone of the query window: one record per distinct
     nonempty core, with the complete LTI list."""
-    zones, _ = _otcd_star_impl(g, k, window)
+    zones, _ = _locate(g, k, window, "otcd-star", rectangle_rules)
     return zones
 
 
@@ -224,25 +252,43 @@ def ti_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[R
     ]
 
 
-def tmo_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
-    """Monotonic optimization: the optimum over a zone sits at its TTI when
-    the measure improves on shrinking, or at one of its LTIs when it
-    improves on expanding, so only those cells are evaluated."""
+def _scan(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, cells_of) -> list[ResultEntry]:
+    """Evaluate the measure on `cells_of(zone)` in every zone; keep per zone
+    the cells that reach the optimum (optimize) or the threshold (constrain)."""
     measure = spec.measure
     per_zone = []
     for zone in zones:
         zctx = ctx.with_zone(zone)
-        cells = [zone.tti] if measure.improves_on == "shrink" else list(zone.ltis)
+        cells = cells_of(zone)
         per_zone.append([(cell, evaluate(measure, zone.core, cell, zctx)) for cell in cells])
         stats.zone_eval_counts[zone.tti] = len(cells)
         stats.x_evaluations += len(cells)
-    best = _best(measure, (val for cells in per_zone for _, val in cells))
+    if spec.mode == "optimize":
+        best = _best(measure, (val for cells in per_zone for _, val in cells))
+        kept = lambda val: val == best
+    else:
+        best = None
+        kept = lambda val: satisfies(measure, val, spec.sigma)
     entries = []
     for zone, cells in zip(zones, per_zone):
-        winning = tuple(sorted(cell for cell, val in cells if val == best))
+        winning = tuple(sorted(cell for cell, val in cells if kept(val)))
         if winning:
             entries.append(ResultEntry(zone, winning, best))
     return entries
+
+
+def tmo_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
+    """Monotonic optimization: the optimum over a zone sits at its TTI when
+    the measure improves on shrinking, or at one of its LTIs when it
+    improves on expanding, so only those cells are evaluated."""
+    shrink = spec.measure.improves_on == "shrink"
+    return _scan(zones, spec, ctx, stats, lambda zone: [zone.tti] if shrink else zone.ltis)
+
+
+def all_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
+    """Exhaustive search: every member of every zone is evaluated, so it is
+    exact for any measure, nonmonotonic ones included."""
+    return _scan(zones, spec, ctx, stats, zone_member_intervals)
 
 
 def _tmc_walk(zone: ZoneRecord, measure, sigma, ctx: EvalContext):
@@ -324,95 +370,52 @@ def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     measure = spec.measure
     if spec.mode != "enumerate" and measure.sensitivity == "nonmonotonic":
         return run_tcd_star(g, spec)
-
-    zones, phase1 = _otcd_star_impl(g, spec.k, spec.window)
-    stats = QueryStats(
-        algorithm="otcd-star",
-        phase1_ms=phase1.wall_ms,
-        cells_visited=phase1.cells_visited,
-        prune_counters=phase1.to_dict(),
-    )
     if spec.mode == "enumerate":
-        entries = tuple(ResultEntry(z, None, None) for z in zones)
-        return QueryResult(entries, stats)
-
-    ctx = EvalContext(graph=g, all_zones=tuple(zones), params=dict(measure.params))
-    started = time.perf_counter()
-    if measure.sensitivity == "insensitive":
+        search = None
+    elif measure.sensitivity == "insensitive":
         search = ti_ls
     elif spec.mode == "optimize":
         search = tmo_ls
     else:
         search = tmc_ls
-    entries = search(zones, spec, ctx, stats)
-    entries.sort(key=lambda e: e.zone.tti)
-    stats.phase2_ms = (time.perf_counter() - started) * 1000.0
-    return QueryResult(tuple(entries), stats)
-
-
-# -- exhaustive fallback -----------------------------------------------------
+    return _answer(g, spec, "otcd-star", rectangle_rules, search)
 
 
 def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     """Evaluate the measure on every subinterval.  The exhaustive TCD walk
-    decomposes every cell; the cells sharing a core become one zone, whose
-    LTIs are its maximal members.  Exact for any measure, including
-    nonmonotonic ones."""
+    decomposes every rank cell; the cells sharing a core become one zone,
+    and `all_ls` evaluates each of its members.  Exact for any measure,
+    including nonmonotonic ones.  A window of more than
+    MAX_TCD_STAR_CELLS raw cells is refused before the walk."""
     if spec.measure is None:
         raise ContractViolation("run_tcd_star needs a measure; use run_otcd_star to enumerate")
-    members: dict[TimeInterval, list[Cell]] = defaultdict(list)
-
-    def on_visit(cell, tti):
-        if tti is not None:
-            members[tti].append(cell)
-
-    catalog = run_tcd(g, spec.k, spec.window, on_visit=on_visit)
-    stats = QueryStats(
-        algorithm="tcd-star",
-        phase1_ms=catalog.stats.wall_ms,
-        cells_visited=catalog.stats.cells_visited,
-        prune_counters=catalog.stats.to_dict(),
-        exhaustive=True,
-    )
-
-    zone_by_tti: dict[TimeInterval, ZoneRecord] = {}
-    for tti in sorted(members):
-        mems = members[tti]
-        maximal = [c for c in mems if not any(o != c and o.contains(c) for o in mems)]
-        zone_by_tti[tti] = ZoneRecord(
-            core=catalog.cores[tti],
-            tti=tti,
-            ltis=tuple(sorted(maximal, key=lambda iv: iv.te, reverse=True)),
-        )
-    zones = tuple(zone_by_tti.values())
-
-    phase2_start = time.perf_counter()
-    measure = spec.measure
-    base_ctx = EvalContext(graph=g, all_zones=zones, params=dict(measure.params))
-    values: dict[Cell, object] = {}
-    owner: dict[Cell, TimeInterval] = {}
-    for tti, mems in members.items():
-        zctx = base_ctx.with_zone(zone_by_tti[tti])
-        for cell in mems:
-            values[cell] = evaluate(measure, catalog.cores[tti], cell, zctx)
-            owner[cell] = tti
-            stats.x_evaluations += 1
-
-    def grouped(cells, value):
-        by_zone: dict[TimeInterval, list[Cell]] = defaultdict(list)
-        for c in cells:
-            by_zone[owner[c]].append(c)
-        return tuple(
-            ResultEntry(zone_by_tti[tti], tuple(sorted(by_zone[tti])), value)
-            for tti in sorted(by_zone)
-        )
-
-    if spec.mode == "optimize":
-        best = _best(measure, values.values())
-        entries = grouped([c for c, val in values.items() if val == best], best)
-    elif spec.mode == "constrain":
-        entries = grouped([c for c, val in values.items() if satisfies(measure, val, spec.sigma)], None)
-    else:
+    if spec.mode == "enumerate":
         raise ContractViolation("run_tcd_star answers optimize or constrain queries")
-    stats.phase2_ms = (time.perf_counter() - phase2_start) * 1000.0
-    return QueryResult(entries, stats)
+    w = clamp_window(g, spec.window)
+    cells = w.duration * (w.duration + 1) // 2 if w else 0
+    if cells > MAX_TCD_STAR_CELLS:
+        raise ContractViolation(
+            f"tcd-star refuses {cells} subintervals > {MAX_TCD_STAR_CELLS}; shrink the window"
+        )
+    return _answer(g, spec, "tcd-star", None, all_ls)
+
+
+def _answer(g: TemporalGraph, spec: QuerySpec, algorithm: str, rules, search) -> QueryResult:
+    """Locate the zones (phase 1), then answer with `search` (phase 2);
+    an enumerate query (`search` None) reports the zones."""
+    zones, phase1 = _locate(g, spec.k, spec.window, algorithm, rules)
+    stats = QueryStats(
+        algorithm=algorithm,
+        phase1_ms=phase1.wall_ms,
+        cells_visited=phase1.cells_visited,
+        prune_counters=phase1.to_dict(),
+        exhaustive=search is all_ls,
+    )
+    if search is None:
+        return QueryResult(tuple(ResultEntry(z, None, None) for z in zones), stats)
+    ctx = EvalContext(graph=g, all_zones=tuple(zones), params=dict(spec.measure.params))
+    started = time.perf_counter()
+    entries = search(zones, spec, ctx, stats)
+    entries.sort(key=lambda e: e.zone.tti)
+    stats.phase2_ms = (time.perf_counter() - started) * 1000.0
+    return QueryResult(tuple(entries), stats)

@@ -363,7 +363,13 @@ def test_exhaustive_fallback_reports_the_zones_of_otcd_star(seed):
         assert list(e.qualifying) == zone_member_intervals(e.zone)
 
 
-# -- gapped timestamps: the pruned walk runs over ranks, answers stay raw ----
+# -- gapped timestamps: every walk runs over ranks, answers stay raw -------
+
+
+# a measure with no declared structure: it rises and falls as the window grows
+WOBBLE = MeasureDescriptor(
+    "wobble", "nonmonotonic", "higher", lambda core, w, ctx: (w.duration + core.edge_count) % 3
+)
 
 
 def gapped_instance(rng, seed):
@@ -416,10 +422,12 @@ def test_gapped_stamps_match_the_oracle(kind, seed):
         assert not any(window[0] <= t <= window[1] for t in stamps)
     k = rng.choice((2, 3))
 
-    pruned = run_otcd(g, k, window)
-    assert dict(pruned.items()) == dict(run_tcd(g, k, window).items())
+    pruned, exhaustive = run_otcd(g, k, window), run_tcd(g, k, window)
+    assert dict(pruned.items()) == dict(exhaustive.items())
     s = pruned.stats
     assert s.cells_visited + s.cells_pruned == s.cells_total
+    held = sum(window[0] <= t <= window[1] for t in stamps)  # the rank triangle's side
+    assert exhaustive.stats.cells_visited == exhaustive.stats.cells_total == held * (held + 1) // 2
 
     def geometry(z):
         return (z.tti, z.ltis, z.core.vertices, z.core.edge_count)
@@ -442,6 +450,19 @@ def test_gapped_stamps_match_the_oracle(kind, seed):
         c = res.stats.prune_counters
         if c:
             assert c["cells_visited"] + c["cells_pruned"] == c["cells_total"]
+
+    # the exhaustive engine evaluates every raw subinterval, gaps included
+    for measure, mode, sigma in (
+        (get_measure("burstiness"), "optimize", None),
+        (get_measure("burstiness"), "constrain", rng.choice((Fraction(1, 2), 1, 2, 4))),
+        (WOBBLE, "optimize", None),
+        (WOBBLE, "constrain", rng.choice((1, 2))),
+    ):
+        spec = QuerySpec(k, window, measure, mode, sigma)
+        want = canon(brute_force_txcq(g, spec), mode)
+        assert canon(run_tcd_star(g, spec), mode) == want, (measure.name, mode)
+        if measure is WOBBLE:  # routed to run_tcd_star
+            assert canon(run_txcq(g, spec), mode) == want, (measure.name, mode)
 
 
 def test_unix_scale_gap_costs_what_its_ranks_cost():
@@ -488,3 +509,9 @@ def test_unix_scale_gap_costs_what_its_ranks_cost():
         (TimeInterval(big, big), (TimeInterval(2, big),)),
     ]
     assert run_otcd(g, 2, (1, big)).stats.cells_total == 3
+    assert run_tcd(g, 2, (1, big)).stats.cells_total == 3
+    # a measure evaluated on every raw subinterval is refused before the walk
+    with pytest.raises(ContractViolation):
+        run_tcd_star(g, QuerySpec(2, (1, big), get_measure("burstiness"), "optimize"))
+    with pytest.raises(ContractViolation):
+        run_txcq(g, QuerySpec(2, (1, big), WOBBLE, "constrain", 1))
