@@ -7,7 +7,7 @@ you can see which cells the pruned engine actually had to touch.
 Usage: python3 demos/enumerate_cores.py
 """
 
-from tkcore import clamp_window, generate_synthetic, run_otcd, run_otcd_star, run_tcd, zone_contains
+from tkcore import clamp_window, generate_synthetic, run_otcd, run_otcd_star, run_tcd
 
 K = 3
 WINDOW = (1, 12)
@@ -28,7 +28,7 @@ def draw_schedule_table(window, zones, visited):
             cell = (ts, te)
             mark = "."
             for idx, zone in enumerate(zones):
-                if zone_contains(zone, cell):
+                if cell in zone.members:
                     mark = str(idx + 1)
                     break
             if cell in visited:

@@ -21,7 +21,6 @@ from tkcore import (
     parse_edge_list,
     run_otcd_star,
     run_txcq,
-    zone_member_intervals,
 )
 
 LOG = """
@@ -87,9 +86,9 @@ def main():
     print(f"\nuser-defined team_reach: best {best} "
           f"(everyone in the core) first at {full[0]}")
 
-    stair = next(z for z in zones if len(zone_member_intervals(z)) > 1)
+    stair = next(z for z in zones if len(z.members) > 1)
     print(f"\nzone with tightest {tuple(stair.tti)} is also induced by "
-          f"{[tuple(m) for m in zone_member_intervals(stair)]}: the measure is "
+          f"{[tuple(m) for m in stair.members]}: the measure is "
           f"evaluated once per zone, never once per subinterval")
 
 

@@ -55,6 +55,7 @@ from .tcq import (
 from .tel import TEL
 from .txcq import (
     MAX_TCD_STAR_CELLS,
+    MemberSet,
     QueryResult,
     QuerySpec,
     QueryStats,
@@ -64,8 +65,6 @@ from .txcq import (
     run_otcd_star,
     run_tcd_star,
     run_txcq,
-    zone_contains,
-    zone_member_intervals,
 )
 
 __version__ = "0.1.0"
@@ -82,6 +81,7 @@ __all__ = [
     "MAX_TCD_STAR_CELLS",
     "MeasureDescriptor",
     "MeasureValueError",
+    "MemberSet",
     "OracleCatalog",
     "OracleClass",
     "ParseError",
@@ -119,6 +119,4 @@ __all__ = [
     "run_tcd_star",
     "run_txcq",
     "satisfies",
-    "zone_contains",
-    "zone_member_intervals",
 ]

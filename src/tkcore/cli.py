@@ -34,9 +34,10 @@ from .graph import (
 )
 from .measures import get_measure
 from .oracle import MAX_ORACLE_EDGES, MAX_ORACLE_SPAN, brute_force_txcq
-from .tcq import run_otcd, run_tcd
+from .tcq import clamp_window, run_otcd, run_tcd
 from .txcq import (
     MODES,
+    MemberSet,
     QueryResult,
     QuerySpec,
     QueryStats,
@@ -229,8 +230,8 @@ def _resolve_spec(args, g: TemporalGraph) -> QuerySpec:
 
 
 def _check_oracle_caps(g: TemporalGraph, spec: QuerySpec) -> None:
-    w = spec.window
-    if w.span > MAX_ORACLE_SPAN:
+    w = clamp_window(g, spec.window)  # the oracle walks the clamped window
+    if w is not None and w.span > MAX_ORACLE_SPAN:
         raise UsageError(
             f"oracle refuses window span {w.span} > {MAX_ORACLE_SPAN}; shrink the window"
         )
@@ -408,7 +409,7 @@ def _inject_fault(result: QueryResult) -> QueryResult:
         tti=TimeInterval(0, 0),
         ltis=(TimeInterval(0, 0),),
     )
-    return QueryResult((ResultEntry(ghost, (TimeInterval(0, 0),), 0),), result.stats)
+    return QueryResult((ResultEntry(ghost, MemberSet(((0, 0, 0, 0),)), 0),), result.stats)
 
 
 def _describe_diff(eng, ora, mode: str) -> list[str]:

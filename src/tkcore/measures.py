@@ -197,21 +197,25 @@ def check_measure_sensitivity(
     samples: int = 200,
 ) -> list[str]:
     """Sample nested same-zone window pairs and report any observation that
-    contradicts the measure's declared sensitivity."""
-    from .txcq import zone_member_intervals
+    contradicts the measure's declared sensitivity.
 
+    A sample draws a zone, one of its member boxes and an outer member in
+    that box; the inner member is any other interval between the zone's
+    TTI and the outer one, so it induces the same core."""
     violations = []
-    candidates = [(z, m) for z in zones if len(m := zone_member_intervals(z)) >= 2]
+    candidates = [z for z in zones if len(z.members) >= 2]
     if not candidates:
         return violations
     base = EvalContext(graph=graph, all_zones=tuple(zones), params=dict(measure.params))
     for _ in range(samples):
-        zone, members = rng.choice(candidates)
-        outer = rng.choice(members)
-        inner_options = [m for m in members if m != outer and outer.contains(m)]
-        if not inner_options:
+        zone = rng.choice(candidates)
+        ts_lo, ts_hi, te_lo, te_hi = rng.choice(zone.members.boxes)
+        outer = TimeInterval(rng.randint(ts_lo, ts_hi), rng.randint(te_lo, te_hi))
+        if outer == zone.tti:
             continue
-        inner = rng.choice(inner_options)
+        inner = outer
+        while inner == outer:
+            inner = TimeInterval(rng.randint(outer.ts, zone.tti.ts), rng.randint(zone.tti.te, outer.te))
         ctx = base.with_zone(zone)
         inner_val = evaluate(measure, zone.core, inner, ctx)
         outer_val = evaluate(measure, zone.core, outer, ctx)

@@ -18,6 +18,10 @@ evaluates every member subinterval; it refuses a window of more than
 MAX_TCD_STAR_CELLS raw cells, since a gap of G raw stamps alone holds
 O(G^2) of them.  Both engines walk the one rank schedule of `tcq` and build
 their zones and answers with the same helpers.
+
+Member sets are never listed: `ZoneRecord.members` and every answer's
+`qualifying` are `MemberSet`s, disjoint boxes of intervals that list their
+members only when iterated (a zone is one box per LTI).
 """
 
 from __future__ import annotations
@@ -34,6 +38,30 @@ from .tcq import Cell, clamp_window, rectangle_prune, walk_schedule
 
 MODES = ("enumerate", "optimize", "constrain")
 MAX_TCD_STAR_CELLS = 10**6  # raw cells of the clamped window's triangle
+
+
+@dataclass(frozen=True, eq=False)
+class MemberSet:
+    """A set of intervals held as disjoint boxes (ts_lo, ts_hi, te_lo, te_hi),
+    each box every [ts, te] with ts in [ts_lo, ts_hi] and te in [te_lo, te_hi].
+    Iteration yields the intervals ascending by (ts, te)."""
+
+    boxes: tuple[tuple[int, int, int, int], ...]
+
+    def __len__(self) -> int:
+        return sum((b - a + 1) * (d - c + 1) for a, b, c, d in self.boxes)
+
+    def __contains__(self, window) -> bool:
+        ts, te = window
+        return any(a <= ts <= b and c <= te <= d for a, b, c, d in self.boxes)
+
+    def __iter__(self):
+        return iter(sorted(
+            TimeInterval(ts, te)
+            for a, b, c, d in self.boxes
+            for ts in range(a, b + 1)
+            for te in range(c, d + 1)
+        ))
 
 
 @dataclass(frozen=True)
@@ -62,24 +90,14 @@ class ZoneRecord:
     def sum_rect_dims(self) -> int:
         return sum(self.rect_width(l) + self.rect_height(l) for l in self.ltis)
 
-
-def zone_contains(zone: ZoneRecord, window) -> bool:
-    """True when `window` induces exactly this zone's core, i.e. it falls in
-    one of the zone's LTI/TTI rectangles."""
-    w = TimeInterval(*window)
-    s, e = zone.tti
-    return any(l.ts <= w.ts <= s and e <= w.te <= l.te for l in zone.ltis)
-
-
-def zone_member_intervals(zone: ZoneRecord) -> list[TimeInterval]:
-    """Every member subinterval of the zone, ascending."""
-    out = set()
-    s, e = zone.tti
-    for l in zone.ltis:
-        for ts in range(l.ts, s + 1):
-            for te in range(e, l.te + 1):
-                out.add(TimeInterval(ts, te))
-    return sorted(out)
+    @property
+    def members(self) -> MemberSet:
+        """Every interval inducing this zone's core: one box per LTI, which
+        covers the ends past the next LTI's end and every start from its own
+        start to the TTI's."""
+        s, e = self.tti
+        ends = [l.te for l in self.ltis[1:]] + [e - 1]
+        return MemberSet(tuple((l.ts, s, after + 1, l.te) for l, after in zip(self.ltis, ends)))
 
 
 def _is_finite(x) -> bool:
@@ -114,7 +132,7 @@ class QuerySpec:
 @dataclass(frozen=True)
 class ResultEntry:
     zone: ZoneRecord
-    qualifying: tuple[TimeInterval, ...] | None
+    qualifying: MemberSet | None
     x_value: object
 
 
@@ -233,48 +251,47 @@ def _best(measure: MeasureDescriptor, values):
 
 
 def ti_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
-    """Time-insensitive search: one evaluation per zone, at the TTI."""
+    """Time-insensitive search: one evaluation per zone, at the TTI; a kept
+    zone qualifies whole."""
     measure = spec.measure
-    values = []
-    for zone in zones:
-        values.append(evaluate(measure, zone.core, zone.tti, ctx.with_zone(zone)))
-        stats.zone_eval_counts[zone.tti] = 1
+    values = [evaluate(measure, zone.core, zone.tti, ctx.with_zone(zone)) for zone in zones]
+    stats.zone_eval_counts.update((zone.tti, 1) for zone in zones)
     stats.x_evaluations += len(values)
     if spec.mode == "optimize":
         best = _best(measure, values)
         keep = [val == best for val in values]
     else:
         keep = [satisfies(measure, val, spec.sigma) for val in values]
-    return [
-        ResultEntry(zone, tuple(zone_member_intervals(zone)), val)
-        for zone, val, kept in zip(zones, values, keep)
-        if kept
-    ]
+    return [ResultEntry(zone, zone.members, val) for zone, val, kept in zip(zones, values, keep) if kept]
 
 
 def _scan(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, cells_of) -> list[ResultEntry]:
     """Evaluate the measure on `cells_of(zone)` in every zone; keep per zone
-    the cells that reach the optimum (optimize) or the threshold (constrain)."""
+    the cells that reach the optimum (optimize) or the threshold (constrain).
+    Zones are taken one at a time, and an optimize holds only the winners
+    of the best value so far."""
     measure = spec.measure
-    per_zone = []
+    best, kept = None, []
     for zone in zones:
         zctx = ctx.with_zone(zone)
-        cells = cells_of(zone)
-        per_zone.append([(cell, evaluate(measure, zone.core, cell, zctx)) for cell in cells])
-        stats.zone_eval_counts[zone.tti] = len(cells)
-        stats.x_evaluations += len(cells)
-    if spec.mode == "optimize":
-        best = _best(measure, (val for cells in per_zone for _, val in cells))
-        kept = lambda val: val == best
-    else:
-        best = None
-        kept = lambda val: satisfies(measure, val, spec.sigma)
-    entries = []
-    for zone, cells in zip(zones, per_zone):
-        winning = tuple(sorted(cell for cell, val in cells if kept(val)))
+        winning, evals = [], 0
+        for cell in cells_of(zone):
+            val = evaluate(measure, zone.core, cell, zctx)
+            evals += 1
+            if spec.mode == "constrain":
+                if satisfies(measure, val, spec.sigma):
+                    winning.append(cell)
+            elif best is None or compare(measure, val, best) == "better":
+                best, winning = val, [cell]
+                kept.clear()
+            elif val == best:
+                winning.append(cell)
+        stats.zone_eval_counts[zone.tti] = evals
+        stats.x_evaluations += evals
         if winning:
-            entries.append(ResultEntry(zone, winning, best))
-    return entries
+            boxes = tuple((c.ts, c.ts, c.te, c.te) for c in winning)
+            kept.append(ResultEntry(zone, MemberSet(boxes), best))
+    return kept
 
 
 def tmo_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
@@ -288,64 +305,40 @@ def tmo_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[
 def all_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
     """Exhaustive search: every member of every zone is evaluated, so it is
     exact for any measure, nonmonotonic ones included."""
-    return _scan(zones, spec, ctx, stats, zone_member_intervals)
+    return _scan(zones, spec, ctx, stats, lambda zone: zone.members)
 
 
-def _tmc_walk(zone: ZoneRecord, measure, sigma, ctx: EvalContext):
+def _tmc_walk(zone: ZoneRecord, measure, sigma, ctx: EvalContext) -> tuple[MemberSet, int]:
     """Walk the decision boundary of the qualifying region inside one zone.
 
-    Qualification is monotone along both axes inside a zone, so a single
-    staircase walk settles every member: each success settles the rest of
-    its column by inference, each failure settles the opposite side, and
-    out-of-zone positions jump to the next rectangle.  Returns the
-    qualifying intervals and how many evaluations the walk spent.
+    Qualification is monotone along both axes inside a zone.  The walk takes
+    the zone's boxes and their columns (one end each) from the best end to
+    the worst, and steps each column's start from its worst toward its best.
+    The first success settles the rest of the column.  A start that failed
+    fails in every worse column too, so the next column resumes there, and
+    a column that fails throughout settles the rest of its box.  Returns the
+    qualifying members, one box per settled column, and how many
+    evaluations the walk spent.
     """
-    s, e = zone.tti
-    out: list[TimeInterval] = []
+    expand = measure.improves_on == "expand"
+    step = -1 if expand else 1  # from a column's worst start toward its best
+    better = min if expand else max  # of two starts, the one nearer the best
+    found = []
     evals = 0
-    if measure.improves_on == "expand":
-        te_order = [l.te for l in zone.ltis]  # descending
-        min_ts = min(l.ts for l in zone.ltis)
-        ts2, te2 = s, te_order[0]
-        while ts2 >= min_ts and te2 >= e:
-            if not zone_contains(zone, (ts2, te2)):
-                nxt = next((t for t in te_order if t < te2), None)
-                if nxt is None:
+    ts = None
+    for ts_lo, ts_hi, te_lo, te_hi in sorted(zone.members.boxes, key=lambda b: b[2], reverse=expand):
+        worst = ts_hi if expand else ts_lo
+        for te in range(te_hi, te_lo - 1, -1) if expand else range(te_lo, te_hi + 1):
+            ts = worst if ts is None else better(ts, worst)
+            while ts_lo <= ts <= ts_hi:
+                evals += 1
+                if satisfies(measure, evaluate(measure, zone.core, TimeInterval(ts, te), ctx), sigma):
+                    found.append((ts_lo, ts, te, te) if expand else (ts, ts_hi, te, te))
                     break
-                te2 = nxt
-                continue
-            val = evaluate(measure, zone.core, TimeInterval(ts2, te2), ctx)
-            evals += 1
-            if satisfies(measure, val, sigma):
-                row = ts2  # everything above in this column only expands further
-                while row >= min_ts and zone_contains(zone, (row, te2)):
-                    out.append(TimeInterval(row, te2))
-                    row -= 1
-                te2 -= 1
+                ts += step
             else:
-                ts2 -= 1
-    else:  # improves on shrink: mirrored walk
-        ts_order = sorted(l.ts for l in zone.ltis)  # ascending
-        max_te = max(l.te for l in zone.ltis)
-        ts2, te2 = ts_order[0], e
-        while ts2 <= s and te2 <= max_te:
-            if not zone_contains(zone, (ts2, te2)):
-                nxt = next((t for t in ts_order if t > ts2), None)
-                if nxt is None:
-                    break
-                ts2 = nxt
-                continue
-            val = evaluate(measure, zone.core, TimeInterval(ts2, te2), ctx)
-            evals += 1
-            if satisfies(measure, val, sigma):
-                row = ts2  # everything below in this column only shrinks further
-                while row <= s and zone_contains(zone, (row, te2)):
-                    out.append(TimeInterval(row, te2))
-                    row += 1
-                te2 += 1
-            else:
-                ts2 += 1
-    return sorted(out), evals
+                break  # this column failed throughout, so does every later one of the box
+    return MemberSet(tuple(found)), evals
 
 
 def tmc_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
@@ -353,11 +346,11 @@ def tmc_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[
     satisfies the threshold, found zone by zone by the boundary walk."""
     entries = []
     for zone in zones:
-        intervals, evals = _tmc_walk(zone, spec.measure, spec.sigma, ctx.with_zone(zone))
+        members, evals = _tmc_walk(zone, spec.measure, spec.sigma, ctx.with_zone(zone))
         stats.x_evaluations += evals
         stats.zone_eval_counts[zone.tti] = evals
-        if intervals:
-            entries.append(ResultEntry(zone, tuple(intervals), None))
+        if members:
+            entries.append(ResultEntry(zone, members, None))
     return entries
 
 

@@ -22,8 +22,6 @@ from tkcore.txcq import (
     run_otcd_star,
     run_tcd_star,
     run_txcq,
-    zone_contains,
-    zone_member_intervals,
 )
 
 MODELS = ("uniform", "preferential", "planted-community")
@@ -90,7 +88,7 @@ def test_criterion_02_zone_records_match_oracle(enumeration_corpus):
         for ts in range(w.ts, w.te + 1):
             for te in range(ts, w.te + 1):
                 cell = TimeInterval(ts, te)
-                containing = [z.tti for z in zones if zone_contains(z, cell)]
+                containing = [z.tti for z in zones if cell in z.members]
                 assert len(containing) <= 1, (idx, k, cell)
                 expected = [member_tti[cell]] if cell in member_tti else []
                 assert containing == expected, (idx, k, cell)
@@ -285,7 +283,7 @@ def test_criterion_09_sensitivity_contracts_hold():
             continue
         ctx = EvalContext(graph=g, all_zones=tuple(zones))
         for zone_idx, zone in enumerate(zones):
-            members = zone_member_intervals(zone)
+            members = list(zone.members)
             nested = [
                 (outer, inner)
                 for outer in members

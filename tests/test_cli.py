@@ -139,7 +139,7 @@ def test_usage_errors_exit_2(g0_file, capsys):
         ("query", "--input", g0_file, "--k", "2", "--ts", "5", "--te", "1"),
         ("query", "--input", "synthetic:20,60", "--k", "2"),
         ("query", "--input", g0_file, "--k", "2", "--granularity", "weekly"),
-        ("query", "--input", g0_file, "--k", "2", "--algorithm", "oracle", "--ts", "1", "--te", "60"),
+        ("query", "--input", "synthetic:10,100,60,uniform", "--k", "2", "--algorithm", "oracle"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
@@ -216,6 +216,22 @@ def test_verify_refuses_oversized_inputs(capsys):
     )
     assert code == 2
     assert "2000" in err
+
+
+def test_oracle_caps_check_the_clamped_window(capsys):
+    # stamps 1..10: the window (1, 100) clamps to span 9, which the oracle walks
+    graph = "synthetic:12,120,10,uniform"
+    code, out, err = run_cli(capsys, "verify", "--input", graph, "--k", "2", "--ts", "1", "--te", "100")
+    assert code == 0, err
+    assert json.loads(out)["verified"] is True
+    code, out, err = run_cli(
+        capsys, "query", "--input", graph, "--k", "2", "--algorithm", "oracle", "--ts", "1", "--te", "100"
+    )
+    assert code == 0, err
+    assert json.loads(out)["query"]["window"] == [1, 100]
+    code, _, err = run_cli(capsys, "verify", "--input", "synthetic:10,100,60,uniform", "--k", "2")
+    assert code == 2
+    assert "oracle refuses window span" in err
 
 
 # -- bench ---------------------------------------------------------------------

@@ -23,7 +23,6 @@ from tkcore import (
     register_udf,
     run_otcd_star,
     satisfies,
-    zone_member_intervals,
 )
 
 from conftest import random_instance
@@ -97,7 +96,7 @@ def test_degree_based_values_match_the_edge_scans():
         zones = tuple(run_otcd_star(g, rng.choice((2, 3)), (1, 14)))
         for zone in zones:
             core = zone.core
-            for w in zone_member_intervals(zone):
+            for w in zone.members:
                 ctx = ctx_for(g, zones, get_measure("engagement"), zone)
                 ambient = {v: set() for v in core.vertices}
                 for u, v, t in g.edges:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tkcore import (
     ContractViolation,
     MeasureDescriptor,
+    MemberSet,
     QuerySpec,
     TEL,
     TemporalGraph,
@@ -25,8 +26,6 @@ from tkcore import (
     run_tcd,
     run_tcd_star,
     run_txcq,
-    zone_contains,
-    zone_member_intervals,
 )
 
 from conftest import random_instance
@@ -62,21 +61,51 @@ def test_zone_rectangle_dimensions(staircase_zone):
 
 def test_zone_membership_is_the_rectangle_union(staircase_zone):
     z = staircase_zone
-    assert zone_contains(z, (4, 5))  # the tight corner itself
-    assert zone_contains(z, (1, 6))
-    assert zone_contains(z, (2, 6))
-    assert not zone_contains(z, (1, 7))  # outside every rectangle
-    assert not zone_contains(z, (5, 5))  # does not contain the tight corner
-    assert not zone_contains(z, (4, 4))
-    members = zone_member_intervals(z)
-    assert len(members) == 13
-    assert members == sorted(members)
-    assert all(zone_contains(z, m) for m in members)
+    members = z.members
+    assert members.boxes == ((3, 4, 8, 8), (2, 4, 7, 7), (1, 4, 5, 6))  # one box per LTI
+    assert (4, 5) in members  # the tight corner itself
+    assert (1, 6) in members
+    assert (2, 6) in members
+    assert (1, 7) not in members  # outside every rectangle
+    assert (5, 5) not in members  # does not contain the tight corner
+    assert (4, 4) not in members
+    listed = list(members)
+    assert len(members) == len(listed) == len(set(listed)) == 13  # the boxes are disjoint
+    assert listed == sorted(listed)
+    union = {
+        TimeInterval(ts, te) for l in z.ltis for ts in range(l.ts, 5) for te in range(5, l.te + 1)
+    }
+    assert set(listed) == union
+    grid = [(ts, te) for ts in range(0, 7) for te in range(3, 10)]
+    assert [w for w in grid if w in members] == [w for w in grid if TimeInterval(*w) in union]
+
+
+@given(
+    boxes=st.lists(
+        st.tuples(*[st.integers(min_value=0, max_value=6)] * 4).map(
+            lambda b: (min(b[0], b[1]), max(b[0], b[1]), min(b[2], b[3]), max(b[2], b[3]))
+        ),
+        max_size=6,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_member_set_iterates_disjoint_boxes_ascending(boxes):
+    kept = []  # drop each box that overlaps an earlier one
+    for a, b, c, d in boxes:
+        if not any(a <= q and p <= b and c <= s and r <= d for p, q, r, s in kept):
+            kept.append((a, b, c, d))
+    members = MemberSet(tuple(kept))
+    listed = list(members)
+    assert len(members) == len(listed) == len(set(listed))
+    assert listed == sorted(listed)
+    assert bool(members) == bool(listed)
+    grid = [(ts, te) for ts in range(-1, 8) for te in range(-1, 8)]
+    assert {w for w in grid if w in members} == set(listed)
 
 
 def test_member_list_of_a_single_rectangle_zone(g0):
     zones = {z.tti: z for z in run_otcd_star(g0, 2, (1, 5))}
-    assert zone_member_intervals(zones[TimeInterval(1, 3)]) == [
+    assert list(zones[TimeInterval(1, 3)].members) == [
         TimeInterval(1, 3),
         TimeInterval(1, 4),
     ]
@@ -182,7 +211,7 @@ def test_insensitive_optimize_evaluates_once_per_zone(g0):
     )
     # winners report their full membership
     by_tti = {e.zone.tti: e for e in res.entries}
-    assert by_tti[TimeInterval(1, 3)].qualifying == (TimeInterval(1, 3), TimeInterval(1, 4))
+    assert tuple(by_tti[TimeInterval(1, 3)].qualifying) == (TimeInterval(1, 3), TimeInterval(1, 4))
 
 
 def test_insensitive_single_winner_cases(g0):
@@ -210,7 +239,7 @@ def test_shrink_improving_optimum_sits_at_the_tight_corner(g0):
     assert res.stats.x_evaluations == 3  # one tight corner per zone
     assert canon(res, "optimize") == (frozenset({TimeInterval(1, 3)}), Fraction(2))
     (entry,) = res.entries
-    assert entry.qualifying == (TimeInterval(1, 3),)
+    assert tuple(entry.qualifying) == (TimeInterval(1, 3),)
     assert entry.x_value == Fraction(2)
 
 
@@ -323,8 +352,8 @@ def test_zone_records_match_the_oracle_classes(seed):
     assert canon(eng, "enumerate") == canon(ora, "enumerate")
     # membership agrees with the rectangle union cell by cell
     for e in ora.entries:
-        for member in zone_member_intervals(e.zone):
-            assert any(zone_contains(z, member) for z in zones)
+        for member in e.zone.members:
+            assert any(member in z.members for z in zones)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -360,7 +389,7 @@ def test_exhaustive_fallback_reports_the_zones_of_otcd_star(seed):
 
     assert [geometry(e.zone) for e in entries] == [geometry(z) for z in run_otcd_star(g, k, (1, 14))]
     for e in entries:
-        assert list(e.qualifying) == zone_member_intervals(e.zone)
+        assert list(e.qualifying) == list(e.zone.members)
 
 
 # -- gapped timestamps: every walk runs over ranks, answers stay raw -------
@@ -435,18 +464,27 @@ def test_gapped_stamps_match_the_oracle(kind, seed):
     oracle = brute_force_tcq(g, k, window)
     assert [geometry(z) for z in run_otcd_star(g, k, window)] == [geometry(c) for c in oracle.classes]
 
-    for name, mode, sigma in (
+    def members(res):
+        return {e.zone.tti: list(e.qualifying) for e in res.entries}
+
+    insensitive = ("size", "frequency", "time_span", "persistence", "periodicity")
+    queries = [
         (None, "enumerate", None),
         ("burstiness", "optimize", None),
-        ("burstiness", "constrain", rng.choice((Fraction(1, 2), 1, 2, 4))),
         ("growth_rate", "optimize", None),
+        ("burstiness", "constrain", rng.choice((Fraction(1, 2), 1, 2, 4))),
         ("growth_rate", "constrain", rng.choice((Fraction(1, 8), Fraction(1, 3), 1))),
-        ("size", "optimize", None),
-        ("persistence", "optimize", None),
-    ):
+        ("engagement", "constrain", rng.choice((Fraction(1, 3), Fraction(1, 2), 1))),
+    ]
+    queries += [(name, "optimize", None) for name in insensitive]
+    queries += [(name, "constrain", rng.choice((1, 2, 3))) for name in insensitive]
+    for name, mode, sigma in queries:
         spec = QuerySpec(k, window, name and get_measure(name), mode, sigma)
-        res = run_txcq(g, spec)
-        assert canon(res, mode) == canon(brute_force_txcq(g, spec), mode), (name, mode)
+        res, want = run_txcq(g, spec), brute_force_txcq(g, spec)
+        assert canon(res, mode) == canon(want, mode), (name, mode)
+        if mode == "constrain" or name in insensitive:
+            # every qualifying member, expanded from its boxes, in order
+            assert members(res) == members(want), (name, mode)
         c = res.stats.prune_counters
         if c:
             assert c["cells_visited"] + c["cells_pruned"] == c["cells_total"]
@@ -510,6 +548,22 @@ def test_unix_scale_gap_costs_what_its_ranks_cost():
     ]
     assert run_otcd(g, 2, (1, big)).stats.cells_total == 3
     assert run_tcd(g, 2, (1, big)).stats.cells_total == 3
+    # members are boxes, so a gap's O(big**2) of them cost nothing to report:
+    # every member ties on `size`, big - 1 + 1 + big - 1 of them
+    res = run_txcq(g, QuerySpec(2, (1, big), get_measure("size"), "optimize"))
+    assert sum(len(e.qualifying) for e in res.entries) == 2 * big - 1
+    assert all(len(e.qualifying.boxes) <= len(e.zone.ltis) for e in res.entries)
+    # one zone, a column of big - 1 starts whose worst qualifies: one evaluation
+    spec = QuerySpec(2, (2, big), get_measure("growth_rate"), "constrain", Fraction(3, big - 1))
+    res = run_txcq(g, spec)
+    (entry,) = res.entries
+    assert len(entry.qualifying) == big - 1
+    assert len(entry.qualifying.boxes) <= len(entry.zone.ltis)
+    assert res.stats.x_evaluations == 1
+    # a column that fails throughout settles the other big - 2 of its box
+    spec = QuerySpec(2, (1, big - 1), get_measure("growth_rate"), "constrain", 4)
+    res = run_txcq(g, spec)
+    assert not res.entries and res.stats.x_evaluations == 1
     # a measure evaluated on every raw subinterval is refused before the walk
     with pytest.raises(ContractViolation):
         run_tcd_star(g, QuerySpec(2, (1, big), get_measure("burstiness"), "optimize"))
