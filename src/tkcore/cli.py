@@ -37,7 +37,6 @@ from .oracle import MAX_ORACLE_EDGES, MAX_ORACLE_SPAN, brute_force_txcq
 from .tcq import clamp_window, run_otcd, run_tcd
 from .txcq import (
     MODES,
-    MemberSet,
     QueryResult,
     QuerySpec,
     QueryStats,
@@ -409,7 +408,7 @@ def _inject_fault(result: QueryResult) -> QueryResult:
         tti=TimeInterval(0, 0),
         ltis=(TimeInterval(0, 0),),
     )
-    return QueryResult((ResultEntry(ghost, MemberSet(((0, 0, 0, 0),)), 0),), result.stats)
+    return QueryResult((ResultEntry(ghost, ghost.members, 0),), result.stats)
 
 
 def _describe_diff(eng, ora, mode: str) -> list[str]:

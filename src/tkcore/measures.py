@@ -196,12 +196,9 @@ def check_measure_sensitivity(
     rng: random.Random,
     samples: int = 200,
 ) -> list[str]:
-    """Sample nested same-zone window pairs and report any observation that
-    contradicts the measure's declared sensitivity.
-
-    A sample draws a zone, one of its member boxes and an outer member in
-    that box; the inner member is any other interval between the zone's
-    TTI and the outer one, so it induces the same core."""
+    """Sample nested same-zone window pairs (an outer member drawn from a
+    member box, an inner one between it and the zone's TTI) and report any
+    observation that contradicts the measure's declared sensitivity."""
     violations = []
     candidates = [z for z in zones if len(z.members) >= 2]
     if not candidates:

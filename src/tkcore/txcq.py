@@ -6,7 +6,8 @@ interval (TTI) and its loosest time intervals (LTIs): its members are
 exactly the union of rectangles spanned by each LTI (top-left corner) and
 the TTI (bottom-right corner) in the triangular schedule.  `run_otcd_star`
 finds every zone by visiting only LTI cells plus whatever empties it takes
-to get there, pruning each discovered rectangle wholesale.
+to get there, pruning each discovered rectangle wholesale.  Zones and
+answers hold their members as `MemberSet` boxes and never list them.
 
 Phase 2 evaluates the measure only where its declared sensitivity requires:
 once per zone for insensitive measures (`ti_ls`), at each zone's tightest
@@ -18,10 +19,6 @@ evaluates every member subinterval; it refuses a window of more than
 MAX_TCD_STAR_CELLS raw cells, since a gap of G raw stamps alone holds
 O(G^2) of them.  Both engines walk the one rank schedule of `tcq` and build
 their zones and answers with the same helpers.
-
-Member sets are never listed: `ZoneRecord.members` and every answer's
-`qualifying` are `MemberSet`s, disjoint boxes of intervals that list their
-members only when iterated (a zone is one box per LTI).
 """
 
 from __future__ import annotations
@@ -44,7 +41,8 @@ MAX_TCD_STAR_CELLS = 10**6  # raw cells of the clamped window's triangle
 class MemberSet:
     """A set of intervals held as disjoint boxes (ts_lo, ts_hi, te_lo, te_hi),
     each box every [ts, te] with ts in [ts_lo, ts_hi] and te in [te_lo, te_hi].
-    Iteration yields the intervals ascending by (ts, te)."""
+    Iteration yields the intervals ascending by (ts, te).  Two sets are equal
+    when they hold the same intervals, however they are cut into boxes."""
 
     boxes: tuple[tuple[int, int, int, int], ...]
 
@@ -54,6 +52,14 @@ class MemberSet:
     def __contains__(self, window) -> bool:
         ts, te = window
         return any(a <= ts <= b and c <= te <= d for a, b, c, d in self.boxes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MemberSet):
+            return NotImplemented
+        return self.boxes == other.boxes or (len(self) == len(other) and list(self) == list(other))
+
+    def __hash__(self) -> int:
+        return hash(len(self))
 
     def __iter__(self):
         return iter(sorted(
@@ -251,25 +257,29 @@ def _best(measure: MeasureDescriptor, values):
 
 
 def ti_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
-    """Time-insensitive search: one evaluation per zone, at the TTI; a kept
-    zone qualifies whole."""
+    """Time-insensitive search: one evaluation per zone, at the TTI."""
     measure = spec.measure
-    values = [evaluate(measure, zone.core, zone.tti, ctx.with_zone(zone)) for zone in zones]
-    stats.zone_eval_counts.update((zone.tti, 1) for zone in zones)
+    values = []
+    for zone in zones:
+        values.append(evaluate(measure, zone.core, zone.tti, ctx.with_zone(zone)))
+        stats.zone_eval_counts[zone.tti] = 1
     stats.x_evaluations += len(values)
     if spec.mode == "optimize":
         best = _best(measure, values)
         keep = [val == best for val in values]
     else:
         keep = [satisfies(measure, val, spec.sigma) for val in values]
-    return [ResultEntry(zone, zone.members, val) for zone, val, kept in zip(zones, values, keep) if kept]
+    return [
+        ResultEntry(zone, zone.members, val)
+        for zone, val, kept in zip(zones, values, keep)
+        if kept
+    ]
 
 
 def _scan(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, cells_of) -> list[ResultEntry]:
     """Evaluate the measure on `cells_of(zone)` in every zone; keep per zone
     the cells that reach the optimum (optimize) or the threshold (constrain).
-    Zones are taken one at a time, and an optimize holds only the winners
-    of the best value so far."""
+    An optimize holds only the winners of the best value so far."""
     measure = spec.measure
     best, kept = None, []
     for zone in zones:
@@ -312,24 +322,21 @@ def _tmc_walk(zone: ZoneRecord, measure, sigma, ctx: EvalContext) -> tuple[Membe
     """Walk the decision boundary of the qualifying region inside one zone.
 
     Qualification is monotone along both axes inside a zone.  The walk takes
-    the zone's boxes and their columns (one end each) from the best end to
-    the worst, and steps each column's start from its worst toward its best.
-    The first success settles the rest of the column.  A start that failed
-    fails in every worse column too, so the next column resumes there, and
-    a column that fails throughout settles the rest of its box.  Returns the
-    qualifying members, one box per settled column, and how many
-    evaluations the walk spent.
+    the zone's columns (one end each) from the best end to the worst and
+    steps each column's start from its worst toward its best; the first
+    success settles the rest of the column.  A failed start fails in every
+    later column, so the next column resumes there.  Returns the qualifying
+    members, one box per settled column, and the evaluations spent.
     """
     expand = measure.improves_on == "expand"
     step = -1 if expand else 1  # from a column's worst start toward its best
     better = min if expand else max  # of two starts, the one nearer the best
     found = []
     evals = 0
-    ts = None
+    ts = math.inf if expand else -math.inf  # no start tried yet
     for ts_lo, ts_hi, te_lo, te_hi in sorted(zone.members.boxes, key=lambda b: b[2], reverse=expand):
-        worst = ts_hi if expand else ts_lo
         for te in range(te_hi, te_lo - 1, -1) if expand else range(te_lo, te_hi + 1):
-            ts = worst if ts is None else better(ts, worst)
+            ts = better(ts, ts_hi if expand else ts_lo)  # the failed start, or the column's worst
             while ts_lo <= ts <= ts_hi:
                 evals += 1
                 if satisfies(measure, evaluate(measure, zone.core, TimeInterval(ts, te), ctx), sigma):

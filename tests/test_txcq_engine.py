@@ -103,6 +103,14 @@ def test_member_set_iterates_disjoint_boxes_ascending(boxes):
     assert {w for w in grid if w in members} == set(listed)
 
 
+def test_member_sets_compare_by_their_intervals(g0):
+    assert MemberSet(((1, 2, 3, 3),)) == MemberSet(((2, 2, 3, 3), (1, 1, 3, 3)))
+    assert MemberSet(((1, 2, 3, 3),)) != MemberSet(((1, 1, 3, 4),))
+    for measure, mode, sigma in (("size", "optimize", None), ("growth_rate", "constrain", 0)):
+        spec = QuerySpec(k=2, window=(1, 5), measure=get_measure(measure), mode=mode, sigma=sigma)
+        assert run_txcq(g0, spec).entries == run_txcq(g0, spec).entries != ()
+
+
 def test_member_list_of_a_single_rectangle_zone(g0):
     zones = {z.tti: z for z in run_otcd_star(g0, 2, (1, 5))}
     assert list(zones[TimeInterval(1, 3)].members) == [

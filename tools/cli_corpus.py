@@ -1,6 +1,6 @@
 """Print one digest per command of the CLI byte-identity corpus.
 
-Usage: python3 tools/cli_corpus.py [--src DIR] [--only SUBSTRING]
+Usage: python3 tools/cli_corpus.py [--src DIR]
 
 DIR is the directory holding the `tkcore` package to run (default: this
 checkout's `src`).  Each command runs in-process through `tkcore.cli.main`
@@ -73,16 +73,13 @@ def run(main, argv) -> tuple[int, str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--only", default="", help="run only commands containing this text")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     from tkcore.cli import main as cli_main
 
     for argv in commands():
-        line = " ".join(argv)
-        if args.only in line:
-            code, digest = run(cli_main, argv)
-            print(digest, code, line, flush=True)
+        code, digest = run(cli_main, argv)
+        print(digest, code, " ".join(argv), flush=True)
     return 0
 
 
