@@ -17,17 +17,14 @@ import csv
 import gzip
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
 from .graph import (
     ContractViolation,
-    CoreSnapshot,
     ParseError,
     TemporalGraph,
-    TimeInterval,
     generate_synthetic,
     load_edge_list,
     normalize_timestamps,
@@ -240,18 +237,12 @@ def _check_oracle_caps(g: TemporalGraph, spec: QuerySpec) -> None:
         )
 
 
-def _catalog_result(catalog, algorithm: str) -> QueryResult:
+def _catalog_result(catalog) -> QueryResult:
     entries = tuple(
         ResultEntry(ZoneRecord(core=snap, tti=tti, ltis=()), None, None)
         for tti, snap in catalog.items()
     )
-    stats = QueryStats(
-        algorithm=algorithm,
-        phase1_ms=catalog.stats.wall_ms,
-        cells_visited=catalog.stats.cells_visited,
-        prune_counters=catalog.stats.to_dict(),
-    )
-    return QueryResult(entries, stats)
+    return QueryResult(entries, QueryStats.from_walk(catalog.stats))
 
 
 def _execute(g: TemporalGraph, spec: QuerySpec, algorithm: str) -> tuple[QueryResult, bool]:
@@ -260,7 +251,7 @@ def _execute(g: TemporalGraph, spec: QuerySpec, algorithm: str) -> tuple[QueryRe
         if spec.mode != "enumerate":
             raise UsageError(f"algorithm {algorithm} only enumerates; pick otcd-star or tcd-star")
         run = run_tcd if algorithm == "tcd" else run_otcd
-        return _catalog_result(run(g, spec.k, spec.window), algorithm), False
+        return _catalog_result(run(g, spec.k, spec.window)), False
     if algorithm == "otcd-star":
         return run_txcq(g, spec), True
     if algorithm == "tcd-star":
@@ -399,18 +390,6 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _inject_fault(result: QueryResult) -> QueryResult:
-    """Deliberately corrupt an engine result (test hook for the diff path)."""
-    if result.entries:
-        return QueryResult(result.entries[1:], result.stats)
-    ghost = ZoneRecord(
-        core=CoreSnapshot(frozenset({0}), (), TimeInterval(0, 0)),
-        tti=TimeInterval(0, 0),
-        ltis=(TimeInterval(0, 0),),
-    )
-    return QueryResult((ResultEntry(ghost, ghost.members, 0),), result.stats)
-
-
 def _describe_diff(eng, ora, mode: str) -> list[str]:
     diffs = []
     if mode == "enumerate":
@@ -440,8 +419,6 @@ def cmd_verify(args) -> int:
     _check_oracle_caps(g, spec)
     engine_result, has_ltis = _execute(g, spec, args.algorithm)
     oracle_result = brute_force_txcq(g, spec)
-    if os.environ.get("TXC_INJECT_FAULT"):
-        engine_result = _inject_fault(engine_result)
     if spec.mode == "enumerate" and not has_ltis:
         # these engines report cores without zone geometry
         def cores_key(result):
@@ -550,16 +527,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ContractViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
+    except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

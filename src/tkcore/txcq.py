@@ -9,13 +9,15 @@ finds every zone by visiting only LTI cells plus whatever empties it takes
 to get there, pruning each discovered rectangle wholesale.  Zones and
 answers hold their members as `MemberSet` boxes and never list them.
 
-Phase 2 evaluates the measure only where its declared sensitivity requires:
-once per zone for insensitive measures (`ti_ls`), at each zone's tightest
-or loosest intervals for monotonic measures (`tmo_ls`), or along the
-decision boundary of the qualifying region for monotonic threshold queries
-(`tmc_ls`).  Measures with no usable structure fall back to `run_tcd_star`,
-whose phase 1 runs the exhaustive TCD walk and whose phase 2 (`all_ls`)
-evaluates every member subinterval; it refuses a window of more than
+Phase 2 runs a local search inside each zone, evaluating the measure only
+where its declared sensitivity requires: once per zone for insensitive
+measures (`ti_ls`), at the zone's tightest or loosest intervals for
+monotonic measures (`tmo_ls`), or along the decision boundary of the
+zone's qualifying region for monotonic threshold queries (`tmc_ls`).  One
+loop runs the search zone by zone, counts its evaluations and keeps the
+optimum across zones.  Measures with no usable structure fall back to
+`run_tcd_star`, whose phase 1 runs the exhaustive TCD walk and whose local
+search (`all_ls`) evaluates every member; it refuses a window of more than
 MAX_TCD_STAR_CELLS raw cells, since a gap of G raw stamps alone holds
 O(G^2) of them.  Both engines walk the one rank schedule of `tcq` and build
 their zones and answers with the same helpers.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from . import tcq
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
 from .measures import EvalContext, MeasureDescriptor, compare, evaluate, satisfies
-from .tcq import Cell, clamp_window, rectangle_prune, walk_schedule
+from .tcq import Cell, EngineStats, clamp_window, rectangle_prune, walk_schedule
 
 MODES = ("enumerate", "optimize", "constrain")
 MAX_TCD_STAR_CELLS = 10**6  # raw cells of the clamped window's triangle
@@ -153,6 +155,17 @@ class QueryStats:
     zone_eval_counts: dict = field(default_factory=dict)
     exhaustive: bool = False
 
+    @classmethod
+    def from_walk(cls, walk: EngineStats, **fields) -> "QueryStats":
+        """Phase 1's counters, read from the schedule walk's stats."""
+        return cls(
+            algorithm=walk.algorithm,
+            phase1_ms=walk.wall_ms,
+            cells_visited=walk.cells_visited,
+            prune_counters=walk.to_dict(),
+            **fields,
+        )
+
 
 @dataclass(frozen=True)
 class QueryResult:
@@ -244,90 +257,60 @@ def run_otcd_star(g: TemporalGraph, k: int, window) -> list[ZoneRecord]:
     return zones
 
 
-# -- phase 2: local searches ------------------------------------------------
+# -- phase 2: local searches, one zone each ----------------------------------
 
 
-def _best(measure: MeasureDescriptor, values):
-    """The best of `values` under the measure's orientation; None when empty."""
-    best = None
-    for val in values:
-        if best is None or compare(measure, val, best) == "better":
-            best = val
-    return best
+def ti_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
+    """Time-insensitive search: one evaluation, at the TTI, whose value
+    every member of the zone shares."""
+    value = evaluate(spec.measure, zone.core, zone.tti, ctx)
+    qualifies = spec.mode == "optimize" or satisfies(spec.measure, value, spec.sigma)
+    return zone.members if qualifies else MemberSet(()), value, 1
 
 
-def ti_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
-    """Time-insensitive search: one evaluation per zone, at the TTI."""
+def _scan(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext, cells):
+    """Evaluate the measure on each of the zone's `cells`; keep those that
+    reach the zone's optimum (optimize) or the threshold (constrain)."""
     measure = spec.measure
-    values = []
-    for zone in zones:
-        values.append(evaluate(measure, zone.core, zone.tti, ctx.with_zone(zone)))
-        stats.zone_eval_counts[zone.tti] = 1
-    stats.x_evaluations += len(values)
-    if spec.mode == "optimize":
-        best = _best(measure, values)
-        keep = [val == best for val in values]
-    else:
-        keep = [satisfies(measure, val, spec.sigma) for val in values]
-    return [
-        ResultEntry(zone, zone.members, val)
-        for zone, val, kept in zip(zones, values, keep)
-        if kept
-    ]
-
-
-def _scan(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, cells_of) -> list[ResultEntry]:
-    """Evaluate the measure on `cells_of(zone)` in every zone; keep per zone
-    the cells that reach the optimum (optimize) or the threshold (constrain).
-    An optimize holds only the winners of the best value so far."""
-    measure = spec.measure
-    best, kept = None, []
-    for zone in zones:
-        zctx = ctx.with_zone(zone)
-        winning, evals = [], 0
-        for cell in cells_of(zone):
-            val = evaluate(measure, zone.core, cell, zctx)
-            evals += 1
-            if spec.mode == "constrain":
-                if satisfies(measure, val, spec.sigma):
-                    winning.append(cell)
-            elif best is None or compare(measure, val, best) == "better":
-                best, winning = val, [cell]
-                kept.clear()
-            elif val == best:
+    best, winning = None, []
+    for cell in cells:
+        val = evaluate(measure, zone.core, cell, ctx)
+        if spec.mode == "constrain":
+            if satisfies(measure, val, spec.sigma):
                 winning.append(cell)
-        stats.zone_eval_counts[zone.tti] = evals
-        stats.x_evaluations += evals
-        if winning:
-            boxes = tuple((c.ts, c.ts, c.te, c.te) for c in winning)
-            kept.append(ResultEntry(zone, MemberSet(boxes), best))
-    return kept
+        elif best is None or compare(measure, val, best) == "better":
+            best, winning = val, [cell]
+        elif val == best:
+            winning.append(cell)
+    return MemberSet(tuple((c.ts, c.ts, c.te, c.te) for c in winning)), best, len(cells)
 
 
-def tmo_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
+def tmo_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     """Monotonic optimization: the optimum over a zone sits at its TTI when
     the measure improves on shrinking, or at one of its LTIs when it
     improves on expanding, so only those cells are evaluated."""
-    shrink = spec.measure.improves_on == "shrink"
-    return _scan(zones, spec, ctx, stats, lambda zone: [zone.tti] if shrink else zone.ltis)
+    return _scan(zone, spec, ctx, [zone.tti] if spec.measure.improves_on == "shrink" else zone.ltis)
 
 
-def all_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
-    """Exhaustive search: every member of every zone is evaluated, so it is
+def all_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
+    """Exhaustive search: every member of the zone is evaluated, so it is
     exact for any measure, nonmonotonic ones included."""
-    return _scan(zones, spec, ctx, stats, lambda zone: zone.members)
+    return _scan(zone, spec, ctx, zone.members)
 
 
-def _tmc_walk(zone: ZoneRecord, measure, sigma, ctx: EvalContext) -> tuple[MemberSet, int]:
-    """Walk the decision boundary of the qualifying region inside one zone.
+def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
+    """Monotonic threshold search: walk the decision boundary of the
+    qualifying region inside the zone.
 
     Qualification is monotone along both axes inside a zone.  The walk takes
     the zone's columns (one end each) from the best end to the worst and
     steps each column's start from its worst toward its best; the first
     success settles the rest of the column.  A failed start fails in every
-    later column, so the next column resumes there.  Returns the qualifying
-    members, one box per settled column, and the evaluations spent.
+    later column, so the next column resumes there.  Columns settle in
+    adjacent order, and a column whose starts match the previous box's
+    widens that box.
     """
+    measure = spec.measure
     expand = measure.improves_on == "expand"
     step = -1 if expand else 1  # from a column's worst start toward its best
     better = min if expand else max  # of two starts, the one nearer the best
@@ -339,25 +322,36 @@ def _tmc_walk(zone: ZoneRecord, measure, sigma, ctx: EvalContext) -> tuple[Membe
             ts = better(ts, ts_hi if expand else ts_lo)  # the failed start, or the column's worst
             while ts_lo <= ts <= ts_hi:
                 evals += 1
-                if satisfies(measure, evaluate(measure, zone.core, TimeInterval(ts, te), ctx), sigma):
-                    found.append((ts_lo, ts, te, te) if expand else (ts, ts_hi, te, te))
+                if satisfies(measure, evaluate(measure, zone.core, TimeInterval(ts, te), ctx), spec.sigma):
+                    rows = (ts_lo, ts) if expand else (ts, ts_hi)
+                    if found and found[-1][:2] == rows:
+                        found[-1] = (*rows, min(found[-1][2], te), max(found[-1][3], te))
+                    else:
+                        found.append((*rows, te, te))
                     break
                 ts += step
             else:
                 break  # this column failed throughout, so does every later one of the box
-    return MemberSet(tuple(found)), evals
+    return MemberSet(tuple(found)), None, evals
 
 
-def tmc_ls(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats) -> list[ResultEntry]:
-    """Monotonic threshold search: every member interval whose value
-    satisfies the threshold, found zone by zone by the boundary walk."""
-    entries = []
+def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search) -> list[ResultEntry]:
+    """Run the local `search` in every zone; it returns the zone's members,
+    value and evaluations.  Count the evaluations, and in an optimize hold
+    only the zones that reach the best value so far."""
+    best, entries = None, []
     for zone in zones:
-        members, evals = _tmc_walk(zone, spec.measure, spec.sigma, ctx.with_zone(zone))
-        stats.x_evaluations += evals
+        members, value, evals = search(zone, spec, ctx.with_zone(zone))
         stats.zone_eval_counts[zone.tti] = evals
+        stats.x_evaluations += evals
+        if spec.mode == "optimize":
+            if best is None or compare(spec.measure, value, best) == "better":
+                best = value
+                entries.clear()
+            elif value != best:
+                continue
         if members:
-            entries.append(ResultEntry(zone, members, None))
+            entries.append(ResultEntry(zone, members, value))
     return entries
 
 
@@ -404,18 +398,11 @@ def _answer(g: TemporalGraph, spec: QuerySpec, algorithm: str, rules, search) ->
     """Locate the zones (phase 1), then answer with `search` (phase 2);
     an enumerate query (`search` None) reports the zones."""
     zones, phase1 = _locate(g, spec.k, spec.window, algorithm, rules)
-    stats = QueryStats(
-        algorithm=algorithm,
-        phase1_ms=phase1.wall_ms,
-        cells_visited=phase1.cells_visited,
-        prune_counters=phase1.to_dict(),
-        exhaustive=search is all_ls,
-    )
+    stats = QueryStats.from_walk(phase1, exhaustive=search is all_ls)
     if search is None:
         return QueryResult(tuple(ResultEntry(z, None, None) for z in zones), stats)
     ctx = EvalContext(graph=g, all_zones=tuple(zones), params=dict(spec.measure.params))
     started = time.perf_counter()
-    entries = search(zones, spec, ctx, stats)
-    entries.sort(key=lambda e: e.zone.tti)
+    entries = _search(zones, spec, ctx, stats, search)  # zones come ascending by TTI
     stats.phase2_ms = (time.perf_counter() - started) * 1000.0
     return QueryResult(tuple(entries), stats)

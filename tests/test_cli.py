@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from tkcore import generate_synthetic, load_edge_list
+from tkcore import QueryResult, cli, generate_synthetic, load_edge_list
 from tkcore.cli import main
 
 G0_TEXT = "a b 1\nb c 2\na c 3\nc d 4\na b 5\n"
@@ -202,7 +202,13 @@ def test_verify_measured_modes(g0_file, capsys):
 
 
 def test_verify_reports_injected_fault(g0_file, capsys, monkeypatch):
-    monkeypatch.setenv("TXC_INJECT_FAULT", "1")
+    execute = cli._execute
+
+    def drop_first_entry(g, spec, algorithm):
+        result, has_ltis = execute(g, spec, algorithm)
+        return QueryResult(result.entries[1:], result.stats), has_ltis
+
+    monkeypatch.setattr(cli, "_execute", drop_first_entry)
     code, out, _ = run_cli(capsys, "verify", "--input", g0_file, "--k", "2")
     assert code == 1
     payload = json.loads(out)

@@ -235,6 +235,7 @@ def test_insensitive_constrain_keeps_qualifying_zones_whole(g0):
     assert canon(res, "constrain") == frozenset(
         {TimeInterval(1, 3), TimeInterval(1, 4), TimeInterval(1, 5), TimeInterval(2, 5)}
     )
+    assert res.entries and all(e.x_value == 3 for e in res.entries)  # each zone's own value
 
 
 # -- phase 2: monotonic optimization ---------------------------------------
@@ -289,6 +290,7 @@ def test_boundary_walk_counts_and_results(g0):
         TimeInterval(2, 5): 1,
     }
     assert res.stats.x_evaluations == 4
+    assert all(e.x_value is None for e in res.entries)
     zones = {z.tti: z for z in run_otcd_star(g0, 2, (1, 5))}
     for tti, evals in res.stats.zone_eval_counts.items():
         assert evals <= zones[tti].sum_rect_dims
@@ -572,6 +574,16 @@ def test_unix_scale_gap_costs_what_its_ranks_cost():
     spec = QuerySpec(2, (1, big - 1), get_measure("growth_rate"), "constrain", 4)
     res = run_txcq(g, spec)
     assert not res.entries and res.stats.x_evaluations == 1
+    # adjacent settled columns with equal starts share one box: on triangles
+    # 1,000 seconds apart, the zone at t=1 is one row and the zone at t=1001
+    # one column
+    small = TemporalGraph.from_edges(
+        3, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 1, 1001), (1, 2, 1001), (0, 2, 1001)]
+    )
+    spec = QuerySpec(2, (1, 1001), get_measure("growth_rate"), "constrain", Fraction(3, 1000))
+    res = run_txcq(small, spec)
+    assert [(len(e.qualifying), len(e.qualifying.boxes)) for e in res.entries] == [(1000, 1), (1000, 1)]
+    assert res.stats.x_evaluations == 1002
     # a measure evaluated on every raw subinterval is refused before the walk
     with pytest.raises(ContractViolation):
         run_tcd_star(g, QuerySpec(2, (1, big), get_measure("burstiness"), "optimize"))

@@ -14,7 +14,10 @@ The corpus:
   and 3, eight queries, JSON and CSV (160 commands).  The graph exceeds
   MAX_ORACLE_EDGES, so its oracle rows check the refusal;
 - planted-community 60/600/20, seed 1: otcd-star, tcd-star and the
-  oracle on the same queries, which the oracle answers (96 commands).
+  oracle on the same queries, which the oracle answers (96 commands), and
+  `verify` of otcd-star and tcd-star against the oracle (32 commands).
+
+288 commands in all.
 """
 
 from __future__ import annotations
@@ -55,6 +58,13 @@ def commands():
                             "query", "--input", instance, "--seed", "1", "--k", k,
                             "--algorithm", algorithm, *query, "--format", fmt,
                         ]
+    for algorithm in ("otcd-star", "tcd-star"):
+        for k in ("2", "3"):
+            for query in QUERIES:
+                yield [
+                    "verify", "--input", INSTANCES[1], "--seed", "1", "--k", k,
+                    "--algorithm", algorithm, *query,
+                ]
 
 
 def run(main, argv) -> tuple[int, str]:
