@@ -14,6 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
@@ -136,10 +137,19 @@ class TemporalGraph:
         return tuple(dict.fromkeys(map(_edge_time, self.edges)))
 
     @cached_property
+    def pair_runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """One plain tuple `(u, v, t, n)` per distinct timestamped pair,
+        where n is the number of parallel edges (u, v, t); sorted by
+        (t, u, v) like `edges`, so the runs expand back to `edges` in order.
+        Built on first use, in C: each distinct edge plus `(n,)`."""
+        runs = Counter(self.edges)
+        return tuple(map(add, runs, zip(runs.values())))
+
+    @cached_property
     def _neighbor_stamps(self) -> dict:
-        """vertex -> neighbor -> ascending timestamps of their edges."""
+        """vertex -> neighbor -> ascending distinct timestamps of their edges."""
         out: dict = {}
-        for u, v, t in self.edges:
+        for u, v, t, _ in self.pair_runs:
             out.setdefault(u, {}).setdefault(v, []).append(t)
             out.setdefault(v, {}).setdefault(u, []).append(t)
         return out
@@ -156,15 +166,15 @@ class TemporalGraph:
         return count
 
 
-def _edge_time(e: TemporalEdge) -> int:
-    return e.t
+_edge_time = itemgetter(2)  # the t of an edge or a pair run
 
 
-def _window_bounds(edges: tuple[TemporalEdge, ...], ts: int, te: int, lo=0, hi=None) -> tuple[int, int]:
-    """Index bounds [lo, hi) of the edges with ts <= t <= te in a time-sorted
-    edge tuple, by bisection; `lo` and `hi` limit the search to a slice."""
-    lo = bisect_left(edges, ts, lo, hi, key=_edge_time)
-    return lo, bisect_right(edges, te, lo, hi, key=_edge_time)
+def _window_bounds(records: tuple, ts: int, te: int, lo=0, hi=None) -> tuple[int, int]:
+    """Index bounds [lo, hi) of the records with ts <= t <= te in a
+    time-sorted tuple of edges or pair runs, by bisection; `lo` and `hi`
+    limit the search to a slice."""
+    lo = bisect_left(records, ts, lo, hi, key=_edge_time)
+    return lo, bisect_right(records, te, lo, hi, key=_edge_time)
 
 
 class CoreSnapshot:

@@ -1,28 +1,29 @@
 """Temporal edge list: the mutable working representation of temporal cores.
 
 A TEL holds no edges of its own.  It keeps a window `_lo:_hi` over the
-graph's canonical edge tuple, which is sorted by (t, u, v), and for each
-surviving vertex the number of parallel edges to each surviving neighbor
-inside that window (`neighbor_mult`).  A vertex survives while it has an
-entry.  The content is, by invariant, the window's edges whose two endpoints
-both survive: truncating and peeling always leave exactly the subgraph that
-the surviving vertices induce inside the window, so nothing else is stored.
+graph's pair runs (`TemporalGraph.pair_runs`: one record (u, v, t, n) per
+distinct timestamped pair, n its parallel edges, sorted by (t, u, v)), and
+for each surviving vertex the number of parallel edges to each surviving
+neighbor inside that window (`neighbor_mult`).  A vertex survives while it
+has an entry.  The content is, by invariant, the window's edges whose two
+endpoints both survive: truncating and peeling always leave exactly the
+subgraph that the surviving vertices induce inside the window, so nothing
+else is stored.
 
-Truncating bisects the window's new ends and subtracts the pair counts of
-the edges cut off, which are tallied in C, so its Python work is the distinct
-pairs cut off.  Peeling pops a vertex's neighbor map, so it costs the
-vertex's distinct neighbors, not its edges.  A clone copies the pair counts
-and no edges.  The surviving [min, max]
-timestamp pair reads off the window ends once they are stepped past dead
-edges, which never come back.  Degree is the number of distinct surviving
-neighbors, so parallel edges never inflate it.
+The unit of work is a pair run, so n parallel edges at one timestamp cost
+one step.  Building adds each run's n to its pair's count; truncating
+bisects the window's new ends and subtracts the n of each run cut off.
+Peeling pops a vertex's neighbor map, so it costs the vertex's distinct
+neighbors, not its edges.  A clone copies the pair counts and no runs.  The
+surviving [min, max] timestamp pair reads off the window ends once they are
+stepped past dead runs, which never come back.  Degree is the number of
+distinct surviving neighbors, so parallel edges never inflate it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
 
 from .graph import (
     ContractViolation,
@@ -33,11 +34,9 @@ from .graph import (
     _window_bounds,
 )
 
-_endpoints = itemgetter(0, 1)
-
 
 class TEL:
-    """A window over a graph's sorted edges plus per-vertex neighbor counts.
+    """A window over a graph's pair runs plus per-vertex neighbor counts.
 
     `represents` is the window this structure was last narrowed to; the
     invariant is that the content lies within that window's projection and
@@ -45,9 +44,10 @@ class TEL:
     induced from it.  `decompose` tightens the content to exactly the core.
     """
 
-    def __init__(self, graph_edges, lo, hi, neighbor_mult, edge_count, represents, k_applied=None):
-        # the source graph's edge tuple, which captured cores read lazily
-        self.graph_edges: tuple[TemporalEdge, ...] = graph_edges
+    def __init__(self, graph, lo, hi, neighbor_mult, edge_count, represents, k_applied=None):
+        self.graph: TemporalGraph = graph
+        # the graph's pair runs, which the window `_lo:_hi` indexes
+        self.runs = graph.pair_runs
         self._lo = lo
         self._hi = hi
         self.neighbor_mult: dict = neighbor_mult
@@ -60,25 +60,32 @@ class TEL:
     @classmethod
     def from_graph(cls, g: TemporalGraph, window=None) -> "TEL":
         """The graph's edges, or with `window` only the edges inside it,
-        found by bisecting the time-sorted edge tuple."""
-        edges = g.edges
+        found by bisecting the time-sorted pair runs."""
+        runs = g.pair_runs
         if window is None:
             represents = g.time_range()
-            lo, hi = 0, len(edges)
+            lo, hi = 0, len(runs)
         else:
             represents = TimeInterval(*window)
-            lo, hi = _window_bounds(edges, *represents)
+            lo, hi = _window_bounds(runs, *represents)
         mult: dict = {}
-        for (u, v), count in Counter(map(_endpoints, edges[lo:hi])).items():
-            mult.setdefault(u, {})[v] = count
-            mult.setdefault(v, {})[u] = count
-        return cls(edges, lo, hi, mult, hi - lo, represents)
+        edge_count = 0
+        for u, v, _, n in runs[lo:hi]:
+            edge_count += n
+            mu = mult.get(u)  # not setdefault, which builds a dict every call
+            if mu is None:
+                mu = mult[u] = {}
+            mv = mult.get(v)
+            if mv is None:
+                mv = mult[v] = {}
+            mu[v] = mv[u] = mu.get(v, 0) + n
+        return cls(g, lo, hi, mult, edge_count, represents)
 
     def clone(self, window=None) -> "TEL":
         """Independent copy of the pair counts; mutations never cross over.
         With `window`, the copy is then truncated to it."""
         other = TEL(
-            self.graph_edges,
+            self.graph,
             self._lo,
             self._hi,
             {a: dict(m) for a, m in self.neighbor_mult.items()},
@@ -94,21 +101,20 @@ class TEL:
 
     def truncate(self, window) -> None:
         """Remove every edge with a timestamp outside `window` by bisecting
-        the window's new ends and subtracting the pair counts of the edges
-        cut off.  Content that lost edges is no longer a core, so
-        `k_applied` is cleared."""
+        the window's new ends and subtracting the n of each pair run cut
+        off.  Content that lost edges is no longer a core, so `k_applied` is
+        cleared."""
         w = TimeInterval(*window)
-        edges, lo, hi = self.graph_edges, self._lo, self._hi
-        self._lo, self._hi = _window_bounds(edges, w.ts, w.te, lo, hi)
+        runs, lo, hi = self.runs, self._lo, self._hi
+        self._lo, self._hi = _window_bounds(runs, w.ts, w.te, lo, hi)
         mult = self.neighbor_mult
-        cut = Counter(map(_endpoints, chain(edges[lo : self._lo], edges[self._hi : hi])))
         before = self.edge_count
-        for (u, v), count in cut.items():
+        for u, v, _, n in chain(runs[lo : self._lo], runs[self._hi : hi]):
             mu, mv = mult.get(u), mult.get(v)
             if mu is None or mv is None:
                 continue  # already dead
-            self.edge_count -= count
-            left = mu[v] - count
+            self.edge_count -= n
+            left = mu[v] - n
             if left:
                 mu[v] = mv[u] = left
                 continue
@@ -161,17 +167,17 @@ class TEL:
 
     def tti(self) -> TimeInterval | None:
         """[min, max] surviving timestamp pair, read from the window ends
-        after stepping them past dead edges."""
+        after stepping them past dead pair runs."""
         if not self.edge_count:
             return None
-        edges, mult = self.graph_edges, self.neighbor_mult
+        runs, mult = self.runs, self.neighbor_mult  # a run is (u, v, t, n)
         lo, hi = self._lo, self._hi - 1
-        while edges[lo].u not in mult or edges[lo].v not in mult:
+        while runs[lo][0] not in mult or runs[lo][1] not in mult:
             lo += 1
-        while edges[hi].u not in mult or edges[hi].v not in mult:
+        while runs[hi][0] not in mult or runs[hi][1] not in mult:
             hi -= 1
         self._lo, self._hi = lo, hi + 1
-        return TimeInterval(edges[lo].t, edges[hi].t)
+        return TimeInterval(runs[lo][2], runs[hi][2])
 
     @property
     def degree(self) -> dict:
@@ -181,9 +187,9 @@ class TEL:
     def iter_edges(self):
         """The content, in the graph's (t, u, v) order."""
         mult = self.neighbor_mult
-        for e in self.graph_edges[self._lo : self._hi]:
-            if e.u in mult and e.v in mult:
-                yield e
+        for u, v, t, n in self.runs[self._lo : self._hi]:
+            if u in mult and v in mult:
+                yield from repeat(TemporalEdge(u, v, t), n)
 
     def snapshot(self) -> CoreSnapshot:
         """Capture the content in O(|V|): vertex set, TTI and degrees.
@@ -196,7 +202,7 @@ class TEL:
             return CoreSnapshot(frozenset(), (), None, self.k_applied)
         degrees = self.degree
         return CoreSnapshot.captured(
-            frozenset(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph_edges
+            frozenset(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph.edges
         )
 
     def dump(self) -> str:
@@ -206,27 +212,27 @@ class TEL:
     # -- test support ---------------------------------------------------
 
     def validate(self) -> None:
-        """Recompute the counts from `graph_edges` and compare, and check
-        that every edge between survivors inside `represents` is content."""
-        edges, lo, hi = self.graph_edges, self._lo, self._hi
-        if not 0 <= lo <= hi <= len(edges):
+        """Recount the pair runs and compare, and check that every run
+        between survivors inside `represents` is content."""
+        runs, lo, hi = self.runs, self._lo, self._hi
+        if not 0 <= lo <= hi <= len(runs):
             raise AssertionError("window out of range")
         alive = self.neighbor_mult
         mult: dict = {}
         seen = 0
-        for u, v, _ in edges[lo:hi]:
+        for u, v, _, n in runs[lo:hi]:
             if u in alive and v in alive:
-                mult.setdefault(u, Counter())[v] += 1
-                mult.setdefault(v, Counter())[u] += 1
-                seen += 1
+                mult.setdefault(u, Counter())[v] += n
+                mult.setdefault(v, Counter())[u] += n
+                seen += n
         if seen != self.edge_count:
             raise AssertionError("edge count out of sync")
         if mult != alive:
             raise AssertionError("neighbor counts out of sync")
         if self.represents is not None:
-            a, b = _window_bounds(edges, *self.represents)
+            a, b = _window_bounds(runs, *self.represents)
             if lo < hi and (lo < a or hi > b):
                 raise AssertionError(f"window reaches outside {self.represents}")
-            for u, v, _ in chain(edges[a:lo], edges[hi:b]):
+            for u, v, _, _ in chain(runs[a:lo], runs[hi:b]):
                 if u in alive and v in alive:
                     raise AssertionError(f"edge {u}-{v} between survivors is missing")

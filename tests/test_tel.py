@@ -1,5 +1,5 @@
-"""The temporal edge list: a window over the graph's edges plus per-vertex
-neighbor counts."""
+"""The temporal edge list: a window over the graph's pair runs plus
+per-vertex neighbor counts."""
 
 import time
 
@@ -10,6 +10,7 @@ from tkcore import (
     ContractViolation,
     CoreSnapshot,
     TEL,
+    TemporalEdge,
     TemporalGraph,
     TimeInterval,
     clamp_window,
@@ -143,7 +144,9 @@ def test_dump_lists_edges_in_time_order(tel_fixture_graph):
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, max_repeat=1):
+    """Random small graphs; each drawn (t, u, v) triple is repeated 1 to
+    `max_repeat` times, so that pair runs of several parallel edges occur."""
     n = draw(st.integers(min_value=2, max_value=8))
     m = draw(st.integers(min_value=1, max_value=30))
     edges = []
@@ -153,18 +156,42 @@ def small_graphs(draw):
         if u == v:
             continue
         t = draw(st.integers(min_value=1, max_value=8))
-        edges.append((u, v, t))
+        edges += [(u, v, t)] * draw(st.integers(min_value=1, max_value=max_repeat))
     return TemporalGraph.from_edges(n, edges)
 
 
+graphs = st.one_of(small_graphs(), small_graphs(max_repeat=6))
+
+
+@given(g=graphs)
+@settings(max_examples=150, deadline=None)
+def test_pair_runs_expand_back_to_the_edges(g):
+    runs = g.pair_runs
+    keys = [(t, u, v) for u, v, t, _ in runs]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(n >= 1 for *_, n in runs)
+    assert sum(n for *_, n in runs) == g.edge_count
+    assert tuple(TemporalEdge(u, v, t) for u, v, t, n in runs for _ in range(n)) == g.edges
+
+
+def test_truncating_a_run_of_parallel_edges_subtracts_all_of_them():
+    # three parallel edges 0-1 at t=1, one more at t=2
+    g = TemporalGraph.from_edges(3, [(0, 1, 1)] * 3 + [(0, 1, 2), (1, 2, 2), (0, 2, 2)])
+    tel = TEL.from_graph(g)
+    assert (tel.edge_count, tel.neighbor_mult[0][1]) == (6, 4)
+    tel.truncate((2, 2))
+    assert (tel.edge_count, tel.neighbor_mult[0][1], tel.neighbor_mult[1][0]) == (3, 1, 1)
+    tel.validate()
+
+
 @given(
-    g=small_graphs(),
+    g=graphs,
     k=st.integers(min_value=1, max_value=4),
     a=st.integers(min_value=1, max_value=8),
     b=st.integers(min_value=1, max_value=8),
     cuts=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=2),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_tcd_agrees_with_reference_peeling(g, k, a, b, cuts):
     # one TEL narrowed through nested windows; tti() moves the window ends
     # past dead edges, and the next truncate and peel start from there
@@ -182,12 +209,12 @@ def test_tcd_agrees_with_reference_peeling(g, k, a, b, cuts):
 
 
 @given(
-    g=small_graphs(),
+    g=graphs,
     k=st.integers(min_value=1, max_value=4),
     a=st.integers(min_value=1, max_value=8),
     b=st.integers(min_value=1, max_value=8),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_captured_edges_equal_the_content(g, k, a, b):
     # a capture keeps only vertices and TTI; its lazily read edges must be
     # exactly what the TEL held, whichever operation shaped the content
