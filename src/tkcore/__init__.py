@@ -7,6 +7,7 @@ optimization or threshold queries over interval-sensitive quality measures
 without evaluating the measure on every subinterval.
 """
 
+from .coreindex import MAX_CORE_INDEX_SIZE, CoreIndex
 from .graph import (
     ContractViolation,
     CoreSnapshot,
@@ -65,6 +66,7 @@ from .txcq import (
     run_otcd_star,
     run_tcd_star,
     run_txcq,
+    run_txcq_walk,
 )
 
 __version__ = "0.1.0"
@@ -73,9 +75,11 @@ __all__ = [
     "BUILTIN_MEASURES",
     "ContractViolation",
     "CoreCatalog",
+    "CoreIndex",
     "CoreSnapshot",
     "EngineStats",
     "EvalContext",
+    "MAX_CORE_INDEX_SIZE",
     "MAX_ORACLE_EDGES",
     "MAX_ORACLE_SPAN",
     "MAX_TCD_STAR_CELLS",
@@ -118,5 +122,6 @@ __all__ = [
     "run_tcd",
     "run_tcd_star",
     "run_txcq",
+    "run_txcq_walk",
     "satisfies",
 ]

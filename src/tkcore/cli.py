@@ -41,7 +41,7 @@ from .txcq import (
     ZoneRecord,
     canonical_result,
     run_tcd_star,
-    run_txcq,
+    run_txcq_walk,
 )
 
 ALGORITHMS = ("tcd", "otcd", "otcd-star", "tcd-star", "oracle")
@@ -253,7 +253,7 @@ def _execute(g: TemporalGraph, spec: QuerySpec, algorithm: str) -> tuple[QueryRe
         run = run_tcd if algorithm == "tcd" else run_otcd
         return _catalog_result(run(g, spec.k, spec.window)), False
     if algorithm == "otcd-star":
-        return run_txcq(g, spec), True
+        return run_txcq_walk(g, spec), True
     if algorithm == "tcd-star":
         try:
             return run_tcd_star(g, spec), True

@@ -1,0 +1,220 @@
+"""Core-time index: every row of a graph's rank schedule at one k, swept once.
+
+Fix k and a start rank s.  As the end rank c grows, core([s, c]) only grows,
+and it changes only at the row's breakpoints: the columns b where
+core([s, b]) holds an edge stamped b.  Between two breakpoints the core
+stays that of the lower one.  A breakpoint's core is a distinct core with
+tightest time interval (TTI) (s, b) exactly when it also holds an edge
+stamped s; otherwise it is the same core as in a later row.  Every core is
+determined by the graph, k and its cell, never by a query window, so one
+index per (graph, k) answers every window (after the PHC index of Yu et al.,
+*On Querying Historical K-Cores*, PVLDB 2021).
+
+Build: the row head core([s, last]) is induced decrementally, row by row.
+When its TTI starts at t > s, rows s..t hold the same cores (PoU), so they
+share one row.  A row is swept from its head down: each step reads the
+content's TTI end b (a breakpoint) and records the edge count, the
+vertices and their degrees, then cuts column b off and peels only from the
+endpoints that cut touched.  The sweep stops at the first core with no
+edge stamped s: its TTI (t, b) says that row s equals row t from column b
+down, and row t, swept later, supplies that tail.  So the build steps over
+at most ranks x pair runs runs, and records each distinct core's vertices
+and degrees once.
+
+Lookup: the zones of a window are the distinct cores whose TTI lies inside
+it.  For r <= s and c >= b, core([r, c]) contains core([s, b]) and equals
+it exactly when their edge counts match, so a zone's members in row r are
+the columns from b up to the next breakpoint of row r past b, while row
+r's edge count at b still equals the zone's.  Walking rows upward from s
+and bisecting each row's breakpoints gives the zone's loosest time
+intervals (LTIs).
+"""
+
+from __future__ import annotations
+
+from array import array
+from bisect import bisect_left, bisect_right
+from functools import cached_property
+from types import MappingProxyType
+
+from .graph import CoreSnapshot, TemporalGraph, TimeInterval
+from .tcq import EngineStats, clamp_window, loosest_cell
+from .tel import TEL
+
+# a graph gets an index only if its ranks x pair runs are at most this, and
+# keeps it only if its distinct cores hold at most this many vertices in all:
+# a build then steps over at most that many runs and records at most that
+# many degrees
+MAX_CORE_INDEX_SIZE = 300_000
+
+
+class IndexedCore(CoreSnapshot):
+    """A core read off a `CoreIndex`, which recorded its vertices and their
+    degrees; the degrees become a mapping on first use, and the edges are
+    never needed for them."""
+
+    @cached_property
+    def degrees(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self._order, self._counts)))
+
+
+class _TooLarge(Exception):
+    """The distinct cores hold more vertices than the build may record."""
+
+
+class CoreIndex:
+    """The breakpoints of every row of graph `g`'s schedule at `k`, in ranks.
+
+    `cols[r]` lists row r's breakpoints ascending and `edges[r]` the edge
+    count of the core at each; rows with the same cores share both lists.
+    `cores[r]` holds `(b, edge_count, vertices, degrees)` for each distinct
+    core with TTI (r, b), ascending by b: a tuple of its vertices and an
+    array of their distinct-neighbor counts, in the same order.
+    """
+
+    def __init__(self, g: TemporalGraph, k: int):
+        self.graph = g
+        self.k = k
+        stamps = g.timestamps
+        last = len(stamps) - 1
+        self.cols: list = [()] * len(stamps)
+        self.edges: list = [()] * len(stamps)
+        self.cores: list = [()] * len(stamps)
+        self._room = MAX_CORE_INDEX_SIZE  # degree entries still allowed
+        head = TEL.from_graph(g)
+        head.decompose(k)
+        swept = []  # (s, t, cols, edges, tail) per sweep, by ascending t
+        s = 0
+        while s <= last and head.edge_count:
+            t = bisect_left(stamps, head.tti().ts, s)  # rows s..t hold the same cores
+            cols, edges, self.cores[t], tail = self._sweep(head.clone(), t)
+            swept.append((s, t, cols, edges, tail))
+            s = t + 1
+            if s <= last:
+                head.tcd(k, (stamps[s], stamps[last]))
+        for s, t, cols, edges, tail in reversed(swept):  # a tail's row is complete
+            if tail is not None:
+                row, b = tail
+                i = bisect_right(self.cols[row], b)
+                cols = self.cols[row][:i] + cols
+                edges = self.edges[row][:i] + edges
+            self.cols[s : t + 1] = [cols] * (t + 1 - s)
+            self.edges[s : t + 1] = [edges] * (t + 1 - s)
+
+    def _sweep(self, walker: TEL, s: int):
+        """Row s's breakpoints, their edge counts and its distinct cores,
+        read off `walker`, which holds core([s, last]) and is consumed.
+
+        The sweep stops at the first core with no edge stamped s: if its TTI
+        is (t, b), row s equals row t from column b down, so the row's tail
+        is returned as (t, b), else None."""
+        stamps, k = self.graph.timestamps, self.k
+        cols, edges, cores = [], [], []
+        tail = None
+        while walker.edge_count:
+            tti = walker.tti()
+            b = bisect_left(stamps, tti.te, s)
+            if tti.ts != stamps[s]:
+                tail = bisect_left(stamps, tti.ts, s), b
+                break
+            cols.append(b)
+            edges.append(walker.edge_count)
+            mult = walker.neighbor_mult
+            self._room -= len(mult)
+            if self._room < 0:
+                raise _TooLarge
+            cores.append((b, walker.edge_count, tuple(mult), array("I", map(len, mult.values()))))
+            if b == s:
+                break
+            walker.tcd(k, (stamps[s], stamps[b - 1]))
+        cols.reverse()
+        edges.reverse()
+        cores.reverse()
+        return cols, edges, cores, tail
+
+    @classmethod
+    def of(cls, g: TemporalGraph, k: int) -> "CoreIndex | None":
+        """The graph's index at k, built on first use and cached on the
+        graph; None when the graph gets none.  That is when its ranks x
+        pair runs exceed MAX_CORE_INDEX_SIZE, or when its distinct cores
+        hold more vertices in all than MAX_CORE_INDEX_SIZE, which the build
+        finds out before recording more: on a sparse graph over a long
+        timeline the cores of all windows are many and large, while a walk
+        over a narrow window is cheap."""
+        cache = g.core_indexes
+        if k not in cache:
+            index = None
+            if len(g.timestamps) * len(g.pair_runs) <= MAX_CORE_INDEX_SIZE:
+                try:
+                    index = cls(g, k)
+                except _TooLarge:
+                    pass
+            cache[k] = index
+        return cache[k]
+
+    def capture(self, s: int, b: int, edge_count: int, vertices: tuple, degrees) -> IndexedCore:
+        """The snapshot of the distinct core with rank TTI (s, b)."""
+        g = self.graph
+        tti = TimeInterval(g.timestamps[s], g.timestamps[b])
+        snap = IndexedCore.captured(frozenset(vertices), tti, self.k, edge_count, None, g.edges)
+        snap._order, snap._counts = vertices, degrees
+        return snap
+
+    def locate(self, window) -> tuple[list, EngineStats]:
+        """Every distinct nonempty core of `window` with its LTIs (raw,
+        descending), ascending by TTI, and the read's counters.
+
+        The counters account the read as a walk would: of each row's rank
+        cells inside the window, the empty prefix and the span from each
+        breakpoint to the next are one visited cell each; the rest of an
+        empty prefix counts as pruned by `Empty`, the rest of a span by
+        `PoR`.  Nothing is decomposed, and no rule fires.
+        """
+        stats = EngineStats(algorithm="core-index")
+        w = clamp_window(self.graph, window)
+        if w is None:
+            return [], stats
+        stamps = self.graph.timestamps
+        lo, hi = bisect_left(stamps, w.ts), bisect_right(stamps, w.te) - 1
+        found = []
+        visited = empties = empty_cells = 0
+        for s in range(lo, hi + 1):
+            cols = self.cols[s]
+            reached = bisect_right(cols, hi)
+            empty = (cols[0] if reached else hi + 1) - s  # columns before the first breakpoint
+            visited += reached + (empty > 0)
+            empties += empty > 0
+            empty_cells += empty
+            for b, edge_count, vertices, degrees in self.cores[s]:
+                if b > hi:
+                    break
+                ltis = self._ltis(s, b, edge_count, lo, hi)
+                found.append((
+                    self.capture(s, b, edge_count, vertices, degrees),
+                    tuple(loosest_cell(stamps, w, lo, hi, r, c) for r, c in ltis),
+                ))
+        n = hi - lo + 1
+        stats.cells_total = n * (n + 1) // 2
+        stats.cells_visited = visited
+        stats.pruned_by_rule["Empty"] = empty_cells - empties
+        stats.pruned_by_rule["PoR"] = stats.cells_total - visited - empty_cells + empties
+        stats.distinct_cores = len(found)
+        return found, stats
+
+    def _ltis(self, s: int, b: int, edge_count: int, lo: int, hi: int) -> list:
+        """The loosest rank cells of the zone with TTI (s, b) inside rows
+        lo..hi and columns up to hi, by descending row."""
+        last = len(self.cols) - 1
+        out: list = []
+        for r in range(s, lo - 1, -1):
+            cols = self.cols[r]
+            i = bisect_right(cols, b) - 1
+            if i < 0 or self.edges[r][i] != edge_count:
+                break  # row r's core at b is larger, and so is every row's above it
+            c = min(cols[i + 1] - 1 if i + 1 < len(cols) else last, hi)
+            if out and out[-1][1] == c:
+                out[-1] = (r, c)  # row r's loosest cell contains row r + 1's
+            else:
+                out.append((r, c))
+        return out
+

@@ -146,6 +146,12 @@ class TemporalGraph:
         return tuple(map(add, runs, zip(runs.values())))
 
     @cached_property
+    def core_indexes(self) -> dict:
+        """k -> the graph's core-time index at k (`coreindex.CoreIndex`),
+        each built on first use by the queries that read it."""
+        return {}
+
+    @cached_property
     def _neighbor_stamps(self) -> dict:
         """vertex -> neighbor -> ascending distinct timestamps of their edges."""
         out: dict = {}
@@ -209,13 +215,15 @@ class CoreSnapshot:
     @classmethod
     def captured(cls, vertices, tti, k, edge_count, degrees, graph_edges) -> "CoreSnapshot":
         """A core whose edges stay in `graph_edges`, the canonical (t, u, v)
-        sorted edge tuple of the graph it was induced from."""
+        sorted edge tuple of the graph it was induced from.  With `degrees`
+        None, they are left to the first use."""
         snap = cls.__new__(cls)
         snap.vertices = vertices
         snap.tti = tti
         snap.k = k
         snap.edge_count = edge_count
-        snap.__dict__["degrees"] = MappingProxyType(degrees)
+        if degrees is not None:
+            snap.__dict__["degrees"] = MappingProxyType(degrees)
         snap._graph_edges = graph_edges
         return snap
 

@@ -220,6 +220,14 @@ def clamp_window(g: TemporalGraph, window) -> TimeInterval | None:
     return TimeInterval(lo, hi) if lo <= hi else None
 
 
+def loosest_cell(stamps, w: TimeInterval, lo: int, hi: int, r: int, c: int) -> Cell:
+    """The loosest raw cell of rank cell (r, c) of window `w`, whose stamps
+    are stamps[lo..hi]: it reaches from just past the previous stamp (or the
+    window's start) to just before the next one (or the window's end), and
+    every raw cell in it induces the same core."""
+    return Cell(w.ts if r == lo else stamps[r - 1] + 1, w.te if c == hi else stamps[c + 1] - 1)
+
+
 def run_tcd(g: TemporalGraph, k: int, window) -> CoreCatalog:
     """Exhaustive decremental enumeration: every rank cell of the triangular
     schedule is visited and decomposed."""
@@ -252,10 +260,7 @@ def walk_schedule(
     between two stamps costs nothing.  The prune table, the rules and the
     counters see rank cells and rank TTIs.  Everything else stays raw: the
     TEL is truncated to the raw stamps, the catalog is keyed by the raw TTI,
-    and a visited cell is reported as its loosest raw cell, which reaches
-    from just past the previous stamp (or the window's start) to just
-    before the next one (or the window's end); every raw cell in it
-    induces the same core.
+    and a visited cell is reported as its loosest raw cell (`loosest_cell`).
 
     `on_cell(table, cell, tti, raw_cell, raw_tti)` is called for every
     visited cell, with the rank cell and rank TTI to prune by and the
@@ -278,10 +283,6 @@ def walk_schedule(
     if not times:  # the window lies inside a gap: every core is empty
         return CoreCatalog(w, cores, stats)
     table = PruneTable(TimeInterval(0, last))
-
-    def loosest(r: int, c: int) -> Cell:
-        return Cell(w.ts if r == 0 else times[r - 1] + 1, w.te if c == last else times[c + 1] - 1)
-
     row_head = TEL.from_graph(g, w)
     row_head.decompose(k)
     stats.decompositions += 1
@@ -302,12 +303,12 @@ def walk_schedule(
                 current = row_head
             else:
                 if walker is None:
-                    walker = row_head.clone(window=span)
+                    walker = row_head.clone()  # a k-core, so its tcd peels only from what it cuts
                 walker.tcd(k, span)
                 stats.decompositions += 1
                 current = walker
             stats.cells_visited += 1
-            raw_cell = loosest(r, c)
+            raw_cell = loosest_cell(times, w, 0, last, r, c)
             if debug:
                 stats.visit_trace.append(raw_cell)
             tti = raw_tti = None

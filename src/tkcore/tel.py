@@ -14,10 +14,12 @@ The unit of work is a pair run, so n parallel edges at one timestamp cost
 one step.  Building adds each run's n to its pair's count; truncating
 bisects the window's new ends and subtracts the n of each run cut off.
 Peeling pops a vertex's neighbor map, so it costs the vertex's distinct
-neighbors, not its edges.  A clone copies the pair counts and no runs.  The
-surviving [min, max] timestamp pair reads off the window ends once they are
-stepped past dead runs, which never come back.  Degree is the number of
-distinct surviving neighbors, so parallel edges never inflate it.
+neighbors, not its edges; when a truncation cuts a k-core, the peel starts
+from the endpoints the cut touched instead of scanning every vertex.  A
+clone copies the pair counts and no runs.  The surviving [min, max]
+timestamp pair reads off the window ends once they are stepped past dead
+runs, which never come back.  Degree is the number of distinct surviving
+neighbors, so parallel edges never inflate it.
 """
 
 from __future__ import annotations
@@ -99,16 +101,18 @@ class TEL:
 
     # -- removal --------------------------------------------------------
 
-    def truncate(self, window) -> None:
+    def truncate(self, window) -> list:
         """Remove every edge with a timestamp outside `window` by bisecting
         the window's new ends and subtracting the n of each pair run cut
         off.  Content that lost edges is no longer a core, so `k_applied` is
-        cleared."""
+        cleared.  Returns the endpoints whose distinct-neighbor count fell,
+        the only vertices that can have fallen below a degree bound."""
         w = TimeInterval(*window)
         runs, lo, hi = self.runs, self._lo, self._hi
         self._lo, self._hi = _window_bounds(runs, w.ts, w.te, lo, hi)
         mult = self.neighbor_mult
         before = self.edge_count
+        touched = []
         for u, v, _, n in chain(runs[lo : self._lo], runs[self._hi : hi]):
             mu, mv = mult.get(u), mult.get(v)
             if mu is None or mv is None:
@@ -119,6 +123,7 @@ class TEL:
                 mu[v] = mv[u] = left
                 continue
             del mu[v], mv[u]
+            touched += (u, v)
             if not mu:
                 del mult[u]
             if not mv:
@@ -131,14 +136,21 @@ class TEL:
             s = max(self.represents.ts, w.ts)
             e = min(self.represents.te, w.te)
             self.represents = TimeInterval(s, e) if s <= e else w
+        return touched
 
-    def decompose(self, k: int) -> None:
+    def decompose(self, k: int, touched=None) -> None:
         """Peel vertices with fewer than k distinct neighbors until the
-        content is exactly the k-core of what remained."""
+        content is exactly the k-core of what remained.  When the content
+        was a k-core before a truncation, the endpoints that truncation
+        returned (`touched`) are the only vertices that can start the peel,
+        so no other vertex is scanned."""
         if k < 1:
             raise ValueError("k must be at least 1")
         mult = self.neighbor_mult
-        doomed = [v for v, m in mult.items() if len(m) < k]
+        if touched is None:
+            doomed = [v for v, m in mult.items() if len(m) < k]
+        else:
+            doomed = list({v for v in touched if v in mult and len(mult[v]) < k})
         dropped = 0
         while doomed:
             v = doomed.pop()
@@ -153,14 +165,17 @@ class TEL:
 
     def tcd(self, k: int, window) -> None:
         """Truncate to `window` then decompose: induces the temporal k-core
-        of any sub-window of what this structure currently holds."""
+        of any sub-window of what this structure currently holds.  When the
+        content is already a k-core, the peel starts only from the vertices
+        the truncation touched."""
         w = TimeInterval(*window)
         if self.edge_count and self.represents is not None and not self.represents.contains(w):
             raise ContractViolation(
                 f"window {w} is not inside the represented window {self.represents}"
             )
-        self.truncate(w)
-        self.decompose(k)
+        was_core = self.k_applied == k
+        touched = self.truncate(w)
+        self.decompose(k, touched if was_core else None)
         self.represents = w
 
     # -- inspection -----------------------------------------------------

@@ -4,10 +4,19 @@ Phase 1 locates "time zones": maximal families of subintervals that all
 induce the same core.  A zone is fully described by its tightest time
 interval (TTI) and its loosest time intervals (LTIs): its members are
 exactly the union of rectangles spanned by each LTI (top-left corner) and
-the TTI (bottom-right corner) in the triangular schedule.  `run_otcd_star`
-finds every zone by visiting only LTI cells plus whatever empties it takes
-to get there, pruning each discovered rectangle wholesale.  Zones and
+the TTI (bottom-right corner) in the triangular schedule.  Zones and
 answers hold their members as `MemberSet` boxes and never list them.
+
+Phase 1 has two routes.  `run_txcq` reads the zones off the graph's
+core-time index at k (`coreindex.CoreIndex`), built on the first query of
+that (graph, k) and cached on the graph.  A graph whose ranks x pair runs
+exceed `coreindex.MAX_CORE_INDEX_SIZE`, or whose distinct cores hold more
+vertices in all than that, gets no index, and `run_txcq` walks.  The walk
+is `run_otcd_star`, which visits only LTI cells plus whatever empties it
+takes to get there, pruning each discovered rectangle wholesale.  It stays
+the paper's engine and the index's reference: `run_otcd_star` and
+`run_txcq_walk` always walk, and so does the CLI, which answers one query
+per process and would never earn back a build.
 
 Phase 2 runs a local search inside each zone, evaluating the measure only
 where its declared sensitivity requires: once per zone for insensitive
@@ -19,8 +28,8 @@ optimum across zones.  Measures with no usable structure fall back to
 `run_tcd_star`, whose phase 1 runs the exhaustive TCD walk and whose local
 search (`all_ls`) evaluates every member; it refuses a window of more than
 MAX_TCD_STAR_CELLS raw cells, since a gap of G raw stamps alone holds
-O(G^2) of them.  Both engines walk the one rank schedule of `tcq` and build
-their zones and answers with the same helpers.
+O(G^2) of them.  Every route builds its zones and answers with the same
+helpers.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import tcq
+from .coreindex import CoreIndex
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
 from .measures import EvalContext, MeasureDescriptor, compare, evaluate, satisfies
 from .tcq import Cell, EngineStats, clamp_window, rectangle_prune, walk_schedule
@@ -358,9 +368,34 @@ def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search)
 # -- dispatch ---------------------------------------------------------------
 
 
+def _read_index(g: TemporalGraph, k: int, window):
+    """Phase 1 off the graph's core-time index at k, built on first use;
+    None when the graph gets no index."""
+    started = time.perf_counter()
+    index = CoreIndex.of(g, k)
+    if index is None:
+        return None
+    found, stats = index.locate(window)
+    stats.wall_ms = (time.perf_counter() - started) * 1000.0
+    return [ZoneRecord(core=core, tti=core.tti, ltis=ltis) for core, ltis in found], stats
+
+
 def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     """Answer a measured temporal k-core query with the cheapest strategy
-    the measure's declared sensitivity allows."""
+    the measure's declared sensitivity allows.  Phase 1 reads the graph's
+    core-time index when the graph gets one (`CoreIndex.of`), and walks
+    OTCD* otherwise."""
+    return _run(g, spec, True)
+
+
+def run_txcq_walk(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
+    """`run_txcq` with phase 1 always on the OTCD* walk, whose counters
+    are the paper's.  The CLI answers one query per process, which never
+    earns back an index build, so it takes this route."""
+    return _run(g, spec, False)
+
+
+def _run(g: TemporalGraph, spec: QuerySpec, use_index: bool) -> QueryResult:
     measure = spec.measure
     if spec.mode != "enumerate" and measure.sensitivity == "nonmonotonic":
         return run_tcd_star(g, spec)
@@ -372,7 +407,10 @@ def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
         search = tmo_ls
     else:
         search = tmc_ls
-    return _answer(g, spec, "otcd-star", rectangle_rules, search)
+    located = _read_index(g, spec.k, spec.window) if use_index else None
+    if located is None:
+        located = _locate(g, spec.k, spec.window, "otcd-star", rectangle_rules)
+    return _answer(g, spec, *located, search)
 
 
 def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
@@ -391,13 +429,13 @@ def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
         raise ContractViolation(
             f"tcd-star refuses {cells} subintervals > {MAX_TCD_STAR_CELLS}; shrink the window"
         )
-    return _answer(g, spec, "tcd-star", None, all_ls)
+    zones, phase1 = _locate(g, spec.k, spec.window, "tcd-star")
+    return _answer(g, spec, zones, phase1, all_ls)
 
 
-def _answer(g: TemporalGraph, spec: QuerySpec, algorithm: str, rules, search) -> QueryResult:
-    """Locate the zones (phase 1), then answer with `search` (phase 2);
+def _answer(g: TemporalGraph, spec: QuerySpec, zones, phase1: EngineStats, search) -> QueryResult:
+    """Phase 2: answer with `search` from the zones that phase 1 located;
     an enumerate query (`search` None) reports the zones."""
-    zones, phase1 = _locate(g, spec.k, spec.window, algorithm, rules)
     stats = QueryStats.from_walk(phase1, exhaustive=search is all_ls)
     if search is None:
         return QueryResult(tuple(ResultEntry(z, None, None) for z in zones), stats)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from tkcore import TemporalGraph, generate_synthetic
 
@@ -54,3 +55,20 @@ def random_instance(rng: random.Random, seed: int, *, max_vertices=12, max_edges
         model=model,
         seed=seed,
     )
+
+
+@st.composite
+def small_graphs(draw, max_repeat=1):
+    """Random small graphs; each drawn (t, u, v) triple is repeated 1 to
+    `max_repeat` times, so that pair runs of several parallel edges occur."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=30))
+    edges = []
+    for _ in range(m):
+        u = draw(st.integers(min_value=0, max_value=n - 1))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if u == v:
+            continue
+        t = draw(st.integers(min_value=1, max_value=8))
+        edges += [(u, v, t)] * draw(st.integers(min_value=1, max_value=max_repeat))
+    return TemporalGraph.from_edges(n, edges)

@@ -1,0 +1,142 @@
+"""The core-time index: run_txcq's zones read off one sweep per (graph, k)."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tkcore import (
+    MAX_CORE_INDEX_SIZE,
+    CoreIndex,
+    QuerySpec,
+    TemporalGraph,
+    brute_force_tcq,
+    generate_synthetic,
+    get_measure,
+    run_otcd_star,
+    run_txcq,
+)
+from tkcore import coreindex
+
+from conftest import small_graphs
+
+
+def spread(g: TemporalGraph, gaps) -> TemporalGraph:
+    """`g` with its i-th gap between distinct stamps widened to gaps[i]."""
+    raw, t = {}, 0
+    for stamp, gap in zip(g.timestamps, gaps):
+        t += gap
+        raw[stamp] = t
+    return TemporalGraph.from_edges(g.vertex_count, [(e.u, e.v, raw[e.t]) for e in g.edges])
+
+
+@st.composite
+def staircases(draw, max_repeat=1):
+    """A clique stamped 4 or 5 plus vertices that each join it by one edge
+    stamped before and one after, so that at k=2 its zones step down in
+    several loosest intervals; with or without small random noise."""
+    size = draw(st.integers(3, 4))
+    edges = []
+    for u in range(size):
+        for v in range(u + 1, size):
+            edges += [(u, v, draw(st.integers(4, 5)))] * draw(st.integers(1, max_repeat))
+    steps = draw(st.integers(1, 4))
+    for w in range(size, size + steps):
+        a, b = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        edges += [(w, a, draw(st.integers(1, 4))), (w, b, draw(st.integers(5, 8)))]
+    noise = draw(st.one_of(st.just(TemporalGraph.from_edges(2, [])), small_graphs(max_repeat)))
+    n = max(size + steps, noise.vertex_count)
+    return TemporalGraph.from_edges(n, edges + list(noise.edges))
+
+
+def geometry(zone):
+    return (zone.tti, zone.ltis, zone.core.vertices, zone.core.edge_count, dict(zone.core.degrees))
+
+
+@given(
+    g=st.one_of(small_graphs(), small_graphs(max_repeat=5), staircases(), staircases(max_repeat=5)),
+    k=st.sampled_from((1, 2, 2, 3)),
+    gaps=st.one_of(st.just([1] * 8), st.lists(st.integers(1, 5), min_size=8, max_size=8)),
+    ends=st.tuples(st.integers(-2, 44), st.integers(-2, 44)),
+)
+@settings(max_examples=300, deadline=None)
+def test_index_zones_match_the_walk_and_the_oracle(g, k, gaps, ends):
+    # dense stamps, or stamps spread by gaps that a window's ends fall into
+    g = spread(g, gaps)
+    window = (min(ends), max(ends))
+    res = run_txcq(g, QuerySpec(k, window))
+    assert res.stats.algorithm == "core-index"
+    got = [geometry(e.zone) for e in res.entries]
+    assert got == [geometry(z) for z in run_otcd_star(g, k, window)]
+    assert got == [
+        (c.tti, c.ltis, c.core.vertices, c.core.edge_count, dict(c.core.degrees))
+        for c in brute_force_tcq(g, k, window).classes
+    ]
+    c = res.stats.prune_counters
+    held = sum(window[0] <= t <= window[1] for t in g.timestamps)
+    assert c["cells_total"] == held * (held + 1) // 2
+    assert c["cells_visited"] + c["cells_pruned"] == c["cells_total"]
+    assert c["decompositions"] == 0 and c["distinct_cores"] == len(got)
+
+
+def test_the_size_rule_routes_by_ranks_times_pair_runs(monkeypatch):
+    g = generate_synthetic(60, 600, 20, "planted-community", 1)
+    size = len(g.timestamps) * len(g.pair_runs)
+    assert size <= MAX_CORE_INDEX_SIZE
+    queries = [
+        QuerySpec(2, (1, 20)),
+        QuerySpec(2, (1, 20), get_measure("burstiness"), "optimize"),
+        QuerySpec(2, (1, 20), get_measure("growth_rate"), "constrain", Fraction(1, 2)),
+    ]
+    answers = []
+    for cap, route in ((size, "core-index"), (size - 1, "otcd-star")):
+        monkeypatch.setattr(coreindex, "MAX_CORE_INDEX_SIZE", cap)
+        g.core_indexes.clear()
+        results = [run_txcq(g, spec) for spec in queries]
+        assert [res.stats.algorithm for res in results] == [route] * len(queries)
+        assert (g.core_indexes[2] is None) == (route == "otcd-star")
+        answers.append([
+            [(e.zone.tti, e.zone.ltis, e.zone.core, e.qualifying, e.x_value) for e in res.entries]
+            for res in results
+        ])
+    assert answers[0] == answers[1]
+
+
+def test_a_graph_whose_cores_outgrow_the_size_rule_walks(monkeypatch):
+    # sparse over a long timeline: the cores of all its windows hold more
+    # vertices in all than its ranks x pair runs
+    g = generate_synthetic(40, 100, 40, "uniform", 1)
+    size = len(g.timestamps) * len(g.pair_runs)
+    monkeypatch.setattr(coreindex, "MAX_CORE_INDEX_SIZE", size)
+    spec = QuerySpec(2, (1, 40), get_measure("burstiness"), "optimize")
+    res = run_txcq(g, spec)
+    assert res.stats.algorithm == "otcd-star" and g.core_indexes[2] is None
+    monkeypatch.setattr(coreindex, "MAX_CORE_INDEX_SIZE", 10 * size)
+    g.core_indexes.clear()
+    assert run_txcq(g, spec).stats.algorithm == "core-index"
+    assert sum(len(d) for row in g.core_indexes[2].cores for *_, d in row) > size
+
+
+def test_the_index_is_built_once_per_graph_and_k():
+    g = generate_synthetic(60, 600, 20, "planted-community", 1)
+    run_txcq(g, QuerySpec(2, (1, 20)))
+    index = g.core_indexes[2]
+    run_txcq(g, QuerySpec(2, (3, 9), get_measure("size"), "optimize"))
+    run_txcq(g, QuerySpec(3, (1, 20)))
+    assert g.core_indexes[2] is index and set(g.core_indexes) == {2, 3}
+    assert CoreIndex.of(g, 2) is index
+
+
+@pytest.mark.parametrize("name, mode, sigma", [
+    ("burstiness", "optimize", None),
+    ("burstiness", "constrain", 2),
+    ("engagement", "optimize", None),
+    ("engagement", "constrain", Fraction(3, 4)),
+])
+def test_index_route_degrees_come_from_the_index(name, mode, sigma):
+    # the degree-reading measures never make a core list its edges
+    g = generate_synthetic(300, 4000, 40, "planted-community", 3)
+    res = run_txcq(g, QuerySpec(3, (1, 40), get_measure(name), mode, sigma))
+    assert res.stats.algorithm == "core-index" and res.entries
+    for entry in res.entries:
+        assert "edges" not in vars(entry.zone.core)

@@ -17,6 +17,8 @@ from tkcore import (
     reference_core,
 )
 
+from conftest import small_graphs
+
 
 def core_labels(graph, snapshot):
     return sorted(graph.label_of(v) for v in snapshot.vertices)
@@ -141,23 +143,6 @@ def test_dump_lists_edges_in_time_order(tel_fixture_graph):
     lines = tel.dump().splitlines()
     assert len(lines) == 7
     assert lines[0].startswith("5 ") and lines[-1].startswith("6 ")
-
-
-@st.composite
-def small_graphs(draw, max_repeat=1):
-    """Random small graphs; each drawn (t, u, v) triple is repeated 1 to
-    `max_repeat` times, so that pair runs of several parallel edges occur."""
-    n = draw(st.integers(min_value=2, max_value=8))
-    m = draw(st.integers(min_value=1, max_value=30))
-    edges = []
-    for _ in range(m):
-        u = draw(st.integers(min_value=0, max_value=n - 1))
-        v = draw(st.integers(min_value=0, max_value=n - 1))
-        if u == v:
-            continue
-        t = draw(st.integers(min_value=1, max_value=8))
-        edges += [(u, v, t)] * draw(st.integers(min_value=1, max_value=max_repeat))
-    return TemporalGraph.from_edges(n, edges)
 
 
 graphs = st.one_of(small_graphs(), small_graphs(max_repeat=6))

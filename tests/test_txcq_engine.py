@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tkcore import (
     ContractViolation,
+    CoreIndex,
     MeasureDescriptor,
     MemberSet,
     QuerySpec,
@@ -26,6 +27,7 @@ from tkcore import (
     run_tcd,
     run_tcd_star,
     run_txcq,
+    run_txcq_walk,
 )
 
 from conftest import random_instance
@@ -161,7 +163,7 @@ def test_zone_location_on_the_worked_example(g0):
 
 
 def test_enumerate_query_reports_rectangle_prune_stats(g0):
-    res = run_txcq(g0, QuerySpec(k=2, window=(1, 5)))
+    res = run_txcq_walk(g0, QuerySpec(k=2, window=(1, 5)))  # OTCD*'s counters
     assert [e.zone.tti for e in res.entries] == [
         TimeInterval(1, 3),
         TimeInterval(1, 5),
@@ -181,14 +183,21 @@ def test_empty_window_yields_no_zones(g0):
 
 
 def test_each_core_is_captured_once_per_zone(monkeypatch):
+    # the walk captures from its TEL, the index route where it reads a core
     captures = []
-    capture = TEL.snapshot
+    capture, read = TEL.snapshot, CoreIndex.capture
 
     def counted(tel):
         captures.append(tel.tti())
         return capture(tel)
 
+    def counted_read(index, *args):
+        snap = read(index, *args)
+        captures.append(snap.tti)
+        return snap
+
     monkeypatch.setattr(TEL, "snapshot", counted)
+    monkeypatch.setattr(CoreIndex, "capture", counted_read)
     rng = random.Random(4242)
     for trial in range(20):
         g = random_instance(rng, 7000 + trial)
