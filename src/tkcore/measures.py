@@ -42,7 +42,7 @@ class EvalContext:
     params: Mapping = field(default_factory=dict)
 
     def with_zone(self, zone) -> "EvalContext":
-        return replace(self, zone=zone)
+        return EvalContext(self.graph, zone, self.all_zones, self.params)
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,17 @@ def _burstiness(core, w, ctx):
 def _engagement(core, w, ctx):
     if ctx.graph is None:
         raise ContractViolation("engagement needs the source graph in the context")
-    return min(
-        Fraction(core.degrees[v], ctx.graph.degree_in(v, w)) for v in core.vertices
-    )
+    # the least ratio is kept as an integer pair and compared by
+    # cross-multiplication, so only the result becomes a Fraction
+    degree_in = ctx.graph.degree_in
+    n, d = None, 1
+    for v, inner in core.degrees.items():
+        outer = degree_in(v, w)
+        if not outer:
+            raise ZeroDivisionError(f"engagement: vertex {v} has no neighbor in {tuple(w)}")
+        if n is None or inner * d < n * outer:
+            n, d = inner, outer
+    return Fraction(n, d)
 
 
 BUILTIN_MEASURES = (

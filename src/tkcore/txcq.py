@@ -24,11 +24,13 @@ measures (`ti_ls`), at the zone's tightest or loosest intervals for
 monotonic measures (`tmo_ls`), or along the decision boundary of the
 zone's qualifying region for monotonic threshold queries (`tmc_ls`).  One
 loop runs the search zone by zone, counts its evaluations and keeps the
-optimum across zones.  Measures with no usable structure fall back to
-`run_tcd_star`, whose phase 1 runs the exhaustive TCD walk and whose local
-search (`all_ls`) evaluates every member; it refuses a window of more than
-MAX_TCD_STAR_CELLS raw cells, since a gap of G raw stamps alone holds
-O(G^2) of them.  Every route builds its zones and answers with the same
+optimum across zones.  Nonmonotonic measures, which have no usable
+structure, take the same phase 1 and `all_ls`, which evaluates every member
+of every zone.  Such a query refuses a window of more than
+MAX_TCD_STAR_CELLS raw cells before phase 1, since a gap of G raw stamps
+alone holds O(G^2) of them.  `run_tcd_star`, the paper's exhaustive
+baseline, runs `all_ls` on the zones of the exhaustive TCD walk under the
+same refusal.  Every route builds its zones and answers with the same
 helpers.
 """
 
@@ -397,10 +399,11 @@ def run_txcq_walk(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
 
 def _run(g: TemporalGraph, spec: QuerySpec, use_index: bool) -> QueryResult:
     measure = spec.measure
-    if spec.mode != "enumerate" and measure.sensitivity == "nonmonotonic":
-        return run_tcd_star(g, spec)
     if spec.mode == "enumerate":
         search = None
+    elif measure.sensitivity == "nonmonotonic":
+        _refuse_large_triangle(g, spec.window, "an exhaustive search")
+        search = all_ls
     elif measure.sensitivity == "insensitive":
         search = ti_ls
     elif spec.mode == "optimize":
@@ -423,14 +426,21 @@ def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
         raise ContractViolation("run_tcd_star needs a measure; use run_otcd_star to enumerate")
     if spec.mode == "enumerate":
         raise ContractViolation("run_tcd_star answers optimize or constrain queries")
-    w = clamp_window(g, spec.window)
+    _refuse_large_triangle(g, spec.window, "tcd-star")
+    zones, phase1 = _locate(g, spec.k, spec.window, "tcd-star")
+    return _answer(g, spec, zones, phase1, all_ls)
+
+
+def _refuse_large_triangle(g: TemporalGraph, window, who: str) -> None:
+    """Refuse, before phase 1, a window whose raw triangle holds more than
+    MAX_TCD_STAR_CELLS subintervals: `all_ls` evaluates every raw member,
+    and a gap of G raw stamps alone holds O(G^2) of them."""
+    w = clamp_window(g, window)
     cells = w.duration * (w.duration + 1) // 2 if w else 0
     if cells > MAX_TCD_STAR_CELLS:
         raise ContractViolation(
-            f"tcd-star refuses {cells} subintervals > {MAX_TCD_STAR_CELLS}; shrink the window"
+            f"{who} refuses {cells} subintervals > {MAX_TCD_STAR_CELLS}; shrink the window"
         )
-    zones, phase1 = _locate(g, spec.k, spec.window, "tcd-star")
-    return _answer(g, spec, zones, phase1, all_ls)
 
 
 def _answer(g: TemporalGraph, spec: QuerySpec, zones, phase1: EngineStats, search) -> QueryResult:

@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import tkcore.graph
 
 from tkcore import (
     ContractViolation,
@@ -25,7 +29,7 @@ from tkcore import (
     satisfies,
 )
 
-from conftest import random_instance
+from conftest import random_instance, small_graphs
 
 BUILTINS = [
     "burstiness",
@@ -110,6 +114,73 @@ def test_degree_based_values_match_the_edge_scans():
                 )
                 checked += 1
     assert checked > 100
+
+
+@st.composite
+def degree_cases(draw):
+    """(graph, core, window): a dense graph with parallel edges, the same
+    with its stamps spread by gaps of up to 30, or a graph of few vertices
+    whose pairs carry up to 40 stamps each; the core of one window of it at
+    k in 1..3; and an arbitrary window, which may hold no stamp, lie inside
+    a gap or reach past the last stamp."""
+    kind = draw(st.sampled_from(("dense", "gapped", "many-stamps")))
+    if kind == "many-stamps":
+        n = draw(st.integers(min_value=2, max_value=4))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        stamps = st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=40)
+        g = TemporalGraph.from_edges(n, [(u, v, t) for u, v in pairs for t in draw(stamps)])
+    else:
+        g = draw(small_graphs(max_repeat=3))
+        if kind == "gapped":
+            raw, t = {}, draw(st.integers(min_value=-5, max_value=5))
+            for stamp in g.timestamps:
+                t += draw(st.integers(min_value=1, max_value=30))
+                raw[stamp] = t
+            g = TemporalGraph.from_edges(g.vertex_count, [(u, v, raw[t]) for u, v, t in g.edges])
+    lo, hi = (g.min_t - 3, g.max_t + 3) if g.edges else (-3, 3)
+
+    def window():
+        ts = draw(st.integers(min_value=lo, max_value=hi))
+        return TimeInterval(ts, draw(st.integers(min_value=ts, max_value=hi)))
+
+    core = reference_core(g, draw(st.integers(min_value=1, max_value=3)), window())
+    return g, core, window()
+
+
+@pytest.mark.parametrize("slice_per_neighbor", [0, tkcore.graph.SLICE_PER_NEIGHBOR, 10**9])
+@given(case=degree_cases())
+@settings(max_examples=150, deadline=None)
+def test_degree_in_and_engagement_match_an_edge_scan(slice_per_neighbor, case):
+    # `degree_in` slices the vertex's timeline for short windows and bisects
+    # per neighbor for long ones; a constant of 0 takes the second path for
+    # every window holding an edge and 10**9 the first for every window
+    g, core, w = case
+    ambient = {v: set() for v in range(g.vertex_count)}
+    for u, v, t in g.edges:
+        if w.ts <= t <= w.te:
+            ambient[u].add(v)
+            ambient[v].add(u)
+    with mock.patch.object(tkcore.graph, "SLICE_PER_NEIGHBOR", slice_per_neighbor):
+        assert {v: g.degree_in(v, w) for v in ambient} == {v: len(s) for v, s in ambient.items()}
+        if core.is_empty:
+            return
+        m = get_measure("engagement")
+        ctx = EvalContext(graph=g)
+        if any(not ambient[v] for v in core.vertices):
+            with pytest.raises(ZeroDivisionError):
+                evaluate(m, core, w, ctx)
+        else:
+            want = min(Fraction(len(core.neighbors(v)), len(ambient[v])) for v in core.vertices)
+            assert evaluate(m, core, w, ctx) == want
+
+
+def test_engagement_has_no_value_where_a_core_vertex_has_no_neighbor(g0):
+    # the triangle at [1, 3]: in window [4, 4] only c has a neighbor
+    core = reference_core(g0, 2, (1, 3))
+    with pytest.raises(ZeroDivisionError):
+        evaluate(get_measure("engagement"), core, (4, 4), EvalContext(graph=g0))
+    assert g0.degree_in(0, (4, 4)) == 0 and g0.degree_in(2, (4, 4)) == 1
+    assert g0.degree_in(3, (5, 9)) == 0 and g0.degree_in(0, (5, 9)) == 1  # past the last stamp
 
 
 def test_frequency_counts_the_weakest_pair():

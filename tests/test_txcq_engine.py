@@ -326,11 +326,13 @@ def test_nonmonotonic_measures_fall_back_to_full_evaluation(g0):
         "odd_window", "nonmonotonic", "higher", lambda core, w, ctx: w.duration % 2
     )
     spec = QuerySpec(k=2, window=(1, 5), measure=odd_window, mode="optimize")
-    res = run_txcq(g0, spec)
-    assert res.stats.algorithm == "tcd-star"
-    assert res.stats.exhaustive
     want = (frozenset({TimeInterval(1, 3), TimeInterval(1, 5)}), 1)
-    assert canon(res, "optimize") == want
+    # phase 1 is the query's usual route; every member is then evaluated
+    for run, route in ((run_txcq, "core-index"), (run_txcq_walk, "otcd-star")):
+        res = run(g0, spec)
+        assert res.stats.algorithm == route
+        assert res.stats.exhaustive
+        assert canon(res, "optimize") == want
     assert canon(brute_force_txcq(g0, spec), "optimize") == want
 
 
@@ -517,9 +519,14 @@ def test_gapped_stamps_match_the_oracle(kind, seed):
     ):
         spec = QuerySpec(k, window, measure, mode, sigma)
         want = canon(brute_force_txcq(g, spec), mode)
-        assert canon(run_tcd_star(g, spec), mode) == want, (measure.name, mode)
-        if measure is WOBBLE:  # routed to run_tcd_star
-            assert canon(run_txcq(g, spec), mode) == want, (measure.name, mode)
+        exhaustive = run_tcd_star(g, spec)
+        assert canon(exhaustive, mode) == want, (measure.name, mode)
+        if measure is WOBBLE:  # answered by all_ls on either phase-1 route
+            for run in (run_txcq, run_txcq_walk):
+                res = run(g, spec)
+                assert res.stats.exhaustive
+                assert canon(res, mode) == want, (measure.name, mode, run.__name__)
+                assert res.stats.zone_eval_counts == exhaustive.stats.zone_eval_counts
 
 
 def test_unix_scale_gap_costs_what_its_ranks_cost():
