@@ -25,9 +25,13 @@ Lookup: the zones of a window are the distinct cores whose TTI lies inside
 it.  For r <= s and c >= b, core([r, c]) contains core([s, b]) and equals
 it exactly when their edge counts match, so a zone's members in row r are
 the columns from b up to the next breakpoint of row r past b, while row
-r's edge count at b still equals the zone's.  Walking rows upward from s
-and bisecting each row's breakpoints gives the zone's loosest time
-intervals (LTIs).
+r's edge count at b still equals the zone's.  On a core's first read its
+rows are walked upward from s once, bisecting each row's breakpoints: that
+gives the zone's loosest time intervals (LTIs) over the whole schedule, in
+ranks.  Neither they nor the core's snapshot depend on a window, so both
+are kept for every later query of the (graph, k).  A window's rows lo..hi
+then keep the LTIs whose rows reach lo, cut them at row lo and column hi,
+and merge those the cut leaves in one column.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .graph import CoreSnapshot, TemporalGraph, TimeInterval
-from .tcq import EngineStats, clamp_window, loosest_cell
+from .tcq import EngineStats, loosest_cell
 from .tel import TEL
 
 # a graph gets an index only if its ranks x pair runs are at most this, and
@@ -48,10 +52,17 @@ from .tel import TEL
 MAX_CORE_INDEX_SIZE = 300_000
 
 
+def admits(g: TemporalGraph) -> bool:
+    """The size rule: a graph gets an index only if its ranks x pair runs
+    are at most MAX_CORE_INDEX_SIZE."""
+    return len(g.timestamps) * len(g.pair_runs) <= MAX_CORE_INDEX_SIZE
+
+
 class IndexedCore(CoreSnapshot):
     """A core read off a `CoreIndex`, which recorded its vertices and their
     degrees; the degrees become a mapping on first use, and the edges are
-    never needed for them."""
+    never needed for them.  The index keeps the snapshot and hands it to
+    every query that reads the core."""
 
     @cached_property
     def degrees(self) -> MappingProxyType:
@@ -70,6 +81,8 @@ class CoreIndex:
     `cores[r]` holds `(b, edge_count, vertices, degrees)` for each distinct
     core with TTI (r, b), ascending by b: a tuple of its vertices and an
     array of their distinct-neighbor counts, in the same order.
+    `read[(s, b)]` holds `(snapshot, ltis)` for each core read so far: its
+    `IndexedCore` and its loosest rank cells over the whole schedule.
     """
 
     def __init__(self, g: TemporalGraph, k: int):
@@ -80,6 +93,7 @@ class CoreIndex:
         self.cols: list = [()] * len(stamps)
         self.edges: list = [()] * len(stamps)
         self.cores: list = [()] * len(stamps)
+        self.read: dict = {}
         self._room = MAX_CORE_INDEX_SIZE  # degree entries still allowed
         head = TEL.from_graph(g)
         head.decompose(k)
@@ -144,7 +158,7 @@ class CoreIndex:
         cache = g.core_indexes
         if k not in cache:
             index = None
-            if len(g.timestamps) * len(g.pair_runs) <= MAX_CORE_INDEX_SIZE:
+            if admits(g):
                 try:
                     index = cls(g, k)
                 except _TooLarge:
@@ -171,11 +185,13 @@ class CoreIndex:
         `PoR`.  Nothing is decomposed, and no rule fires.
         """
         stats = EngineStats(algorithm="core-index")
-        w = clamp_window(self.graph, window)
-        if w is None:
-            return [], stats
         stamps = self.graph.timestamps
-        lo, hi = bisect_left(stamps, w.ts), bisect_right(stamps, w.te) - 1
+        ts, te = window
+        lo, hi = bisect_left(stamps, ts), bisect_right(stamps, te) - 1
+        if lo > hi:
+            return [], stats
+        w = TimeInterval(max(ts, stamps[0]), min(te, stamps[-1]))
+        read = self.read
         found = []
         visited = empties = empty_cells = 0
         for s in range(lo, hi + 1):
@@ -185,14 +201,12 @@ class CoreIndex:
             visited += reached + (empty > 0)
             empties += empty > 0
             empty_cells += empty
-            for b, edge_count, vertices, degrees in self.cores[s]:
+            for core in self.cores[s]:
+                b = core[0]
                 if b > hi:
                     break
-                ltis = self._ltis(s, b, edge_count, lo, hi)
-                found.append((
-                    self.capture(s, b, edge_count, vertices, degrees),
-                    tuple(loosest_cell(stamps, w, lo, hi, r, c) for r, c in ltis),
-                ))
+                snap, ltis = read.get((s, b)) or self._first_read(s, *core)
+                found.append((snap, _window_ltis(ltis, stamps, w, lo, hi)))
         n = hi - lo + 1
         stats.cells_total = n * (n + 1) // 2
         stats.cells_visited = visited
@@ -201,20 +215,37 @@ class CoreIndex:
         stats.distinct_cores = len(found)
         return found, stats
 
-    def _ltis(self, s: int, b: int, edge_count: int, lo: int, hi: int) -> list:
-        """The loosest rank cells of the zone with TTI (s, b) inside rows
-        lo..hi and columns up to hi, by descending row."""
+    def _first_read(self, s: int, b: int, edge_count: int, vertices: tuple, degrees) -> tuple:
+        """Capture the core with rank TTI (s, b), walk its LTIs, and keep both."""
         last = len(self.cols) - 1
-        out: list = []
-        for r in range(s, lo - 1, -1):
+        ltis: list = []
+        for r in range(s, -1, -1):
             cols = self.cols[r]
             i = bisect_right(cols, b) - 1
             if i < 0 or self.edges[r][i] != edge_count:
                 break  # row r's core at b is larger, and so is every row's above it
-            c = min(cols[i + 1] - 1 if i + 1 < len(cols) else last, hi)
-            if out and out[-1][1] == c:
-                out[-1] = (r, c)  # row r's loosest cell contains row r + 1's
+            c = cols[i + 1] - 1 if i + 1 < len(cols) else last
+            if ltis and ltis[-1][1] == c:
+                ltis[-1] = (r, c)  # row r's loosest cell contains row r + 1's
             else:
-                out.append((r, c))
-        return out
+                ltis.append((r, c))
+        entry = self.read[s, b] = self.capture(s, b, edge_count, vertices, degrees), tuple(ltis)
+        return entry
 
+
+def _window_ltis(ltis, stamps, w: TimeInterval, lo: int, hi: int) -> tuple:
+    """A zone's LTIs inside window `w`, raw, whose stamps are stamps[lo..hi],
+    read off `ltis`: its loosest rank cells over the whole schedule, by
+    descending row and column, each the topmost of the rows that end in its
+    column.  The cells are cut at row lo and column hi; those cut at hi come
+    first, and the topmost of them contains the rest."""
+    out: list = []
+    for r, c in ltis:
+        cell = loosest_cell(stamps, w, lo, hi, max(r, lo), min(c, hi))
+        if c >= hi and out:
+            out[-1] = cell
+        else:
+            out.append(cell)
+        if r <= lo:
+            break
+    return tuple(out)

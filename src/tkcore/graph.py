@@ -232,7 +232,8 @@ class CoreSnapshot:
     per vertex, a read-only mapping) never touch it.
     `CoreSnapshot(vertices, edges, tti, k)` takes an explicit edge tuple
     instead.  A snapshot is shared by every evaluation of its core and must
-    not be modified.
+    not be modified; one read off a core-time index (`coreindex`) is also
+    shared by every later query of its graph and k that reads the core.
 
     Cores compare and hash by `(vertices, tti, edge_count)`: the first two
     determine the core, and `edge_count`, which a capture reads from the TEL,

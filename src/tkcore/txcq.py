@@ -9,7 +9,8 @@ answers hold their members as `MemberSet` boxes and never list them.
 
 Phase 1 has two routes.  `run_txcq` reads the zones off the graph's
 core-time index at k (`coreindex.CoreIndex`), built on the first query of
-that (graph, k) and cached on the graph.  A graph whose ranks x pair runs
+that (graph, k) and cached on the graph; it keeps each core it has read,
+snapshot and LTIs, for the later queries.  A graph whose ranks x pair runs
 exceed `coreindex.MAX_CORE_INDEX_SIZE`, or whose distinct cores hold more
 vertices in all than that, gets no index, and `run_txcq` walks.  The walk
 is `run_otcd_star`, which visits only LTI cells plus whatever empties it
@@ -40,8 +41,9 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from . import tcq
+from . import coreindex, tcq
 from .coreindex import CoreIndex
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
 from .measures import EvalContext, MeasureDescriptor, compare, evaluate, satisfies
@@ -158,14 +160,22 @@ class ResultEntry:
 
 @dataclass
 class QueryStats:
+    """One query's counters.  `index` says how phase 1 got the graph's
+    core-time index: "built" by this query, "reused" from an earlier one,
+    or none, because the size rule "refused" the graph or the build
+    "abandoned" it at the vertex budget; None when phase 1 walked without
+    asking.  `index_build_ms` is the time this query spent building it."""
+
     algorithm: str
     phase1_ms: float = 0.0
     phase2_ms: float = 0.0
     cells_visited: int = 0
     x_evaluations: int = 0
-    prune_counters: dict = field(default_factory=dict)
     zone_eval_counts: dict = field(default_factory=dict)
     exhaustive: bool = False
+    index: str | None = None
+    index_build_ms: float = 0.0
+    walk: EngineStats | None = field(default=None, repr=False)  # phase 1's own counters
 
     @classmethod
     def from_walk(cls, walk: EngineStats, **fields) -> "QueryStats":
@@ -174,9 +184,14 @@ class QueryStats:
             algorithm=walk.algorithm,
             phase1_ms=walk.wall_ms,
             cells_visited=walk.cells_visited,
-            prune_counters=walk.to_dict(),
+            walk=walk,
             **fields,
         )
+
+    @cached_property
+    def prune_counters(self) -> dict:
+        """The walk's counters (`EngineStats.to_dict`), built on first read."""
+        return {} if self.walk is None else self.walk.to_dict()
 
 
 @dataclass(frozen=True)
@@ -371,15 +386,24 @@ def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search)
 
 
 def _read_index(g: TemporalGraph, k: int, window):
-    """Phase 1 off the graph's core-time index at k, built on first use;
-    None when the graph gets no index."""
+    """Phase 1 off the graph's core-time index at k, built on first use,
+    or None when the graph gets no index; and the `QueryStats` fields
+    that say how phase 1 got the index."""
     started = time.perf_counter()
+    first = k not in g.core_indexes
     index = CoreIndex.of(g, k)
+    build_ms = (time.perf_counter() - started) * 1000.0
+    if index is not None:
+        fields = {"index": "built" if first else "reused"}
+    else:
+        fields = {"index": "abandoned" if coreindex.admits(g) else "refused"}
+    if first and fields["index"] != "refused":  # this query ran the build
+        fields["index_build_ms"] = build_ms
     if index is None:
-        return None
+        return None, fields
     found, stats = index.locate(window)
     stats.wall_ms = (time.perf_counter() - started) * 1000.0
-    return [ZoneRecord(core=core, tti=core.tti, ltis=ltis) for core, ltis in found], stats
+    return ([ZoneRecord(core=core, tti=core.tti, ltis=ltis) for core, ltis in found], stats), fields
 
 
 def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
@@ -410,10 +434,10 @@ def _run(g: TemporalGraph, spec: QuerySpec, use_index: bool) -> QueryResult:
         search = tmo_ls
     else:
         search = tmc_ls
-    located = _read_index(g, spec.k, spec.window) if use_index else None
+    located, fields = _read_index(g, spec.k, spec.window) if use_index else (None, {})
     if located is None:
         located = _locate(g, spec.k, spec.window, "otcd-star", rectangle_rules)
-    return _answer(g, spec, *located, search)
+    return _answer(g, spec, *located, search, **fields)
 
 
 def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
@@ -443,10 +467,11 @@ def _refuse_large_triangle(g: TemporalGraph, window, who: str) -> None:
         )
 
 
-def _answer(g: TemporalGraph, spec: QuerySpec, zones, phase1: EngineStats, search) -> QueryResult:
+def _answer(g: TemporalGraph, spec: QuerySpec, zones, phase1: EngineStats, search, **fields) -> QueryResult:
     """Phase 2: answer with `search` from the zones that phase 1 located;
-    an enumerate query (`search` None) reports the zones."""
-    stats = QueryStats.from_walk(phase1, exhaustive=search is all_ls)
+    an enumerate query (`search` None) reports the zones.  `fields` go to
+    the answer's `QueryStats`."""
+    stats = QueryStats.from_walk(phase1, exhaustive=search is all_ls, **fields)
     if search is None:
         return QueryResult(tuple(ResultEntry(z, None, None) for z in zones), stats)
     ctx = EvalContext(graph=g, all_zones=tuple(zones), params=dict(spec.measure.params))

@@ -1,5 +1,6 @@
 """The core-time index: run_txcq's zones read off one sweep per (graph, k)."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tkcore import (
     MAX_CORE_INDEX_SIZE,
     CoreIndex,
+    MeasureDescriptor,
     QuerySpec,
     TemporalGraph,
     brute_force_tcq,
@@ -15,6 +17,7 @@ from tkcore import (
     get_measure,
     run_otcd_star,
     run_txcq,
+    run_txcq_walk,
 )
 from tkcore import coreindex
 
@@ -89,12 +92,15 @@ def test_the_size_rule_routes_by_ranks_times_pair_runs(monkeypatch):
         QuerySpec(2, (1, 20), get_measure("growth_rate"), "constrain", Fraction(1, 2)),
     ]
     answers = []
-    for cap, route in ((size, "core-index"), (size - 1, "otcd-star")):
+    for cap, route, how in ((size, "core-index", "built"), (size - 1, "otcd-star", "refused")):
         monkeypatch.setattr(coreindex, "MAX_CORE_INDEX_SIZE", cap)
         g.core_indexes.clear()
         results = [run_txcq(g, spec) for spec in queries]
         assert [res.stats.algorithm for res in results] == [route] * len(queries)
         assert (g.core_indexes[2] is None) == (route == "otcd-star")
+        assert [res.stats.index for res in results] == [how] + [how.replace("built", "reused")] * 2
+        assert (results[0].stats.index_build_ms > 0) == (how == "built")
+        assert [res.stats.index_build_ms for res in results[1:]] == [0.0, 0.0]
         answers.append([
             [(e.zone.tti, e.zone.ltis, e.zone.core, e.qualifying, e.x_value) for e in res.entries]
             for res in results
@@ -111,6 +117,10 @@ def test_a_graph_whose_cores_outgrow_the_size_rule_walks(monkeypatch):
     spec = QuerySpec(2, (1, 40), get_measure("burstiness"), "optimize")
     res = run_txcq(g, spec)
     assert res.stats.algorithm == "otcd-star" and g.core_indexes[2] is None
+    assert res.stats.index == "abandoned" and res.stats.index_build_ms > 0
+    again = run_txcq(g, spec).stats
+    assert (again.index, again.index_build_ms) == ("abandoned", 0.0)
+    assert run_txcq_walk(g, spec).stats.index is None
     monkeypatch.setattr(coreindex, "MAX_CORE_INDEX_SIZE", 10 * size)
     g.core_indexes.clear()
     assert run_txcq(g, spec).stats.algorithm == "core-index"
@@ -140,3 +150,48 @@ def test_index_route_degrees_come_from_the_index(name, mode, sigma):
     assert res.stats.algorithm == "core-index" and res.entries
     for entry in res.entries:
         assert "edges" not in vars(entry.zone.core)
+
+
+UNIMODAL = MeasureDescriptor(
+    "unimodal", "nonmonotonic", "higher",
+    lambda core, w, ctx: Fraction(len(core.vertices), 1 + abs(w.duration - 4)),
+)
+MIXED = [
+    (get_measure("frequency"), "optimize", None),
+    (get_measure("frequency"), "constrain", 2),
+    (get_measure("persistence"), "optimize", None),
+    (get_measure("periodicity"), "constrain", 2),
+    (get_measure("burstiness"), "optimize", None),
+    (get_measure("burstiness"), "constrain", Fraction(3, 2)),
+    (get_measure("engagement"), "optimize", None),
+    (get_measure("engagement"), "constrain", Fraction(1, 2)),
+    (UNIMODAL, "optimize", None),
+    (UNIMODAL, "constrain", Fraction(2)),
+]
+
+
+def answer(res):
+    entries = [(e.zone.tti, e.zone.ltis, e.zone.core, e.qualifying, e.x_value) for e in res.entries]
+    return entries, res.stats.x_evaluations, res.stats.zone_eval_counts
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("gaps", ("dense", "gapped"))
+def test_the_index_carries_no_window_between_queries(k, gaps):
+    # one graph answers a seeded sequence of windows, whose ends fall inside
+    # gaps on the gapped stamps, as the walk and a fresh graph answer each
+    rng = random.Random(1212 + k)
+    g = generate_synthetic(40, 400, 16, "planted-community", k)
+    if gaps == "gapped":
+        g = spread(g, [rng.randint(1, 9) for _ in g.timestamps])
+    last = g.timestamps[-1]
+    for q in range(60):
+        window = tuple(sorted((rng.randint(-1, last + 1), rng.randint(-1, last + 1))))
+        res = run_txcq(g, QuerySpec(k, window))
+        assert res.stats.index == ("built" if q == 0 else "reused")
+        assert [geometry(e.zone) for e in res.entries] == [geometry(z) for z in run_otcd_star(g, k, window)]
+    for q in range(60):
+        window = tuple(sorted((rng.randint(-1, last + 1), rng.randint(-1, last + 1))))
+        spec = QuerySpec(k, window, *rng.choice(MIXED))
+        fresh = TemporalGraph.from_edges(g.vertex_count, g.edges)
+        assert answer(run_txcq(g, spec)) == answer(run_txcq(fresh, spec))

@@ -183,17 +183,19 @@ def test_empty_window_yields_no_zones(g0):
 
 
 def test_each_core_is_captured_once_per_zone(monkeypatch):
-    # the walk captures from its TEL, the index route where it reads a core
-    captures = []
+    # the walk captures from its TEL once per zone of every query; the
+    # index captures a core on its first read and hands that snapshot to
+    # every later query of the (graph, k)
+    walk_captures, index_captures = [], []
     capture, read = TEL.snapshot, CoreIndex.capture
 
     def counted(tel):
-        captures.append(tel.tti())
+        walk_captures.append(tel.tti())
         return capture(tel)
 
     def counted_read(index, *args):
         snap = read(index, *args)
-        captures.append(snap.tti)
+        index_captures.append(snap.tti)
         return snap
 
     monkeypatch.setattr(TEL, "snapshot", counted)
@@ -202,17 +204,27 @@ def test_each_core_is_captured_once_per_zone(monkeypatch):
     for trial in range(20):
         g = random_instance(rng, 7000 + trial)
         k = rng.choice((2, 3))
-        for measure, mode in ((None, "enumerate"), ("burstiness", "optimize"), ("engagement", "constrain")):
-            spec = QuerySpec(
-                k=k, window=(1, 14), measure=measure and get_measure(measure), mode=mode,
-                sigma=Fraction(1, 2) if mode == "constrain" else None,
-            )
-            captures.clear()
-            zones = run_otcd_star(g, k, (1, 14))
-            assert sorted(captures) == [z.tti for z in zones]
-            captures.clear()
-            run_txcq(g, spec)
-            assert sorted(captures) == [z.tti for z in zones]
+        index_captures.clear()
+        read_ttis, snapshots = set(), {}
+        for _ in range(4):
+            window = tuple(sorted((rng.randint(1, 14), rng.randint(1, 14))))
+            for measure, mode in ((None, "enumerate"), ("burstiness", "optimize"), ("engagement", "constrain")):
+                spec = QuerySpec(
+                    k=k, window=window, measure=measure and get_measure(measure), mode=mode,
+                    sigma=Fraction(1, 2) if mode == "constrain" else None,
+                )
+                walk_captures.clear()
+                zones = run_otcd_star(g, k, window)
+                assert sorted(walk_captures) == [z.tti for z in zones]
+                walk_captures.clear()
+                run_txcq_walk(g, spec)
+                assert sorted(walk_captures) == [z.tti for z in zones]
+                res = run_txcq(g, spec)
+                assert res.stats.algorithm == "core-index"
+                read_ttis.update(z.tti for z in zones)
+                for e in res.entries:
+                    assert snapshots.setdefault(e.zone.tti, e.zone.core) is e.zone.core
+        assert sorted(index_captures) == sorted(read_ttis)  # once per (graph, k), however often read
 
 
 # -- phase 2: one evaluation per zone for insensitive measures -------------
