@@ -31,7 +31,12 @@ gives the zone's loosest time intervals (LTIs) over the whole schedule, in
 ranks.  Neither they nor the core's snapshot depend on a window, so both
 are kept for every later query of the (graph, k).  A window's rows lo..hi
 then keep the LTIs whose rows reach lo, cut them at row lo and column hi,
-and merge those the cut leaves in one column.
+and merge those the cut leaves in one column.  Each row's least distinct
+core TTI end is kept with the index, so a lookup passes over a row with no
+zone in the window without reading its cores; a lookup reads nothing else
+of the rows.  The walk's counters of a window (cells visited, and pruned by
+`PoR` or `Empty`) are worked out from the rows' breakpoints only when a
+caller asks for them (`CoreIndex.counters`).
 """
 
 from __future__ import annotations
@@ -81,8 +86,10 @@ class CoreIndex:
     `cores[r]` holds `(b, edge_count, vertices, degrees)` for each distinct
     core with TTI (r, b), ascending by b: a tuple of its vertices and an
     array of their distinct-neighbor counts, in the same order.
-    `read[(s, b)]` holds `(snapshot, ltis)` for each core read so far: its
-    `IndexedCore` and its loosest rank cells over the whole schedule.
+    `least[r]` is the least b of row r's distinct cores, or the number of
+    ranks when the row has none.  `read[(s, b)]` holds `(snapshot, ltis)`
+    for each core read so far: its `IndexedCore` and its loosest rank cells
+    over the whole schedule.
     """
 
     def __init__(self, g: TemporalGraph, k: int):
@@ -114,6 +121,7 @@ class CoreIndex:
                 edges = self.edges[row][:i] + edges
             self.cols[s : t + 1] = [cols] * (t + 1 - s)
             self.edges[s : t + 1] = [edges] * (t + 1 - s)
+        self.least = [row[0][0] if row else last + 1 for row in self.cores]
 
     def _sweep(self, walker: TEL, s: int):
         """Row s's breakpoints, their edge counts and its distinct cores,
@@ -174,26 +182,45 @@ class CoreIndex:
         snap._order, snap._counts = vertices, degrees
         return snap
 
-    def locate(self, window) -> tuple[list, EngineStats]:
+    def locate(self, window) -> list:
         """Every distinct nonempty core of `window` with its LTIs (raw,
-        descending), ascending by TTI, and the read's counters.
-
-        The counters account the read as a walk would: of each row's rank
-        cells inside the window, the empty prefix and the span from each
-        breakpoint to the next are one visited cell each; the rest of an
-        empty prefix counts as pruned by `Empty`, the rest of a span by
-        `PoR`.  Nothing is decomposed, and no rule fires.
-        """
-        stats = EngineStats(algorithm="core-index")
+        descending), ascending by TTI.  These are the cores of the window's
+        rows lo..hi whose TTI ends by hi, so a row whose least TTI end is
+        past hi is passed over without reading its cores.  The read's
+        counters are not kept; `counters` works them out on request."""
         stamps = self.graph.timestamps
         ts, te = window
         lo, hi = bisect_left(stamps, ts), bisect_right(stamps, te) - 1
+        found: list = []
         if lo > hi:
-            return [], stats
+            return found
         w = TimeInterval(max(ts, stamps[0]), min(te, stamps[-1]))
-        read = self.read
-        found = []
-        visited = empties = empty_cells = 0
+        read, cores, least = self.read, self.cores, self.least
+        for s in range(lo, hi + 1):
+            if least[s] > hi:
+                continue
+            for core in cores[s]:
+                b = core[0]
+                if b > hi:
+                    break
+                snap, ltis = read.get((s, b)) or self._first_read(s, *core)
+                found.append((snap, _window_ltis(ltis, stamps, w, lo, hi)))
+        return found
+
+    def counters(self, window) -> EngineStats:
+        """The counters of `window`'s read, accounted as a walk would: of
+        each row's rank cells inside the window, the empty prefix and the
+        span from each breakpoint to the next are one visited cell each;
+        the rest of an empty prefix counts as pruned by `Empty`, the rest
+        of a span by `PoR`.  Nothing is decomposed, and no rule fires.
+        They depend on the window alone, so they are the same whenever
+        they are asked for."""
+        stats = EngineStats(algorithm="core-index")
+        stamps = self.graph.timestamps
+        lo, hi = bisect_left(stamps, window[0]), bisect_right(stamps, window[1]) - 1
+        if lo > hi:
+            return stats
+        visited = empties = empty_cells = zones = 0
         for s in range(lo, hi + 1):
             cols = self.cols[s]
             reached = bisect_right(cols, hi)
@@ -201,19 +228,14 @@ class CoreIndex:
             visited += reached + (empty > 0)
             empties += empty > 0
             empty_cells += empty
-            for core in self.cores[s]:
-                b = core[0]
-                if b > hi:
-                    break
-                snap, ltis = read.get((s, b)) or self._first_read(s, *core)
-                found.append((snap, _window_ltis(ltis, stamps, w, lo, hi)))
+            zones += sum(core[0] <= hi for core in self.cores[s])
         n = hi - lo + 1
         stats.cells_total = n * (n + 1) // 2
         stats.cells_visited = visited
         stats.pruned_by_rule["Empty"] = empty_cells - empties
         stats.pruned_by_rule["PoR"] = stats.cells_total - visited - empty_cells + empties
-        stats.distinct_cores = len(found)
-        return found, stats
+        stats.distinct_cores = zones
+        return stats
 
     def _first_read(self, s: int, b: int, edge_count: int, vertices: tuple, degrees) -> tuple:
         """Capture the core with rank TTI (s, b), walk its LTIs, and keep both."""

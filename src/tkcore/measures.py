@@ -74,20 +74,29 @@ class MeasureDescriptor:
 def evaluate(measure: MeasureDescriptor, core: CoreSnapshot, window, ctx: EvalContext):
     if core.is_empty:
         raise UndefinedMeasureValue(f"{measure.name} is undefined on an empty core")
-    return measure.evaluator(core, TimeInterval(*window), ctx)
+    if not isinstance(window, TimeInterval):
+        window = TimeInterval(*window)
+    return measure.evaluator(core, window, ctx)
 
 
 def compare(measure: MeasureDescriptor, a, b) -> str:
-    """Orient `a` against `b`: 'better', 'equal', or 'worse'."""
+    """Orient `a` against `b`: 'better', 'equal', or 'worse'.  A float NaN
+    has no order, so it is refused rather than called better or worse."""
     try:
         if a == b:
             return "equal"
         bigger = a > b
     except TypeError as exc:
         raise MeasureValueError(f"cannot compare {a!r} with {b!r}") from exc
+    if not bigger and (_is_nan(a) or _is_nan(b)):  # NaN is neither equal nor bigger
+        raise MeasureValueError(f"cannot order a NaN measure value: {a!r} against {b!r}")
     if measure.better == "higher":
         return "better" if bigger else "worse"
     return "worse" if bigger else "better"
+
+
+def _is_nan(x) -> bool:
+    return isinstance(x, float) and x != x
 
 
 def satisfies(measure: MeasureDescriptor, value, sigma) -> bool:

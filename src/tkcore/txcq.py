@@ -41,7 +41,8 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 from . import coreindex, tcq
 from .coreindex import CoreIndex
@@ -58,12 +59,16 @@ class MemberSet:
     """A set of intervals held as disjoint boxes (ts_lo, ts_hi, te_lo, te_hi),
     each box every [ts, te] with ts in [ts_lo, ts_hi] and te in [te_lo, te_hi].
     Iteration yields the intervals ascending by (ts, te).  Two sets are equal
-    when they hold the same intervals, however they are cut into boxes."""
+    when they hold the same intervals, however they are cut into boxes.  No
+    box is empty, so the set is empty exactly when it holds no box."""
 
     boxes: tuple[tuple[int, int, int, int], ...]
 
     def __len__(self) -> int:
         return sum((b - a + 1) * (d - c + 1) for a, b, c, d in self.boxes)
+
+    def __bool__(self) -> bool:
+        return bool(self.boxes)
 
     def __contains__(self, window) -> bool:
         ts, te = window
@@ -164,29 +169,42 @@ class QueryStats:
     core-time index: "built" by this query, "reused" from an earlier one,
     or none, because the size rule "refused" the graph or the build
     "abandoned" it at the vertex budget; None when phase 1 walked without
-    asking.  `index_build_ms` is the time this query spent building it."""
+    asking.  `index_build_ms` is the time this query spent building it.
+
+    Phase 1's own counters (`walk`, `cells_visited`, `prune_counters`) are
+    made on the first read of any of them, by calling `counters`.  A walk
+    hands over the `EngineStats` it kept anyway; an index read hands over
+    `CoreIndex.counters` for its window, which works them out then, so a
+    query whose counters nobody reads pays nothing for them."""
 
     algorithm: str
     phase1_ms: float = 0.0
     phase2_ms: float = 0.0
-    cells_visited: int = 0
     x_evaluations: int = 0
     zone_eval_counts: dict = field(default_factory=dict)
     exhaustive: bool = False
     index: str | None = None
     index_build_ms: float = 0.0
-    walk: EngineStats | None = field(default=None, repr=False)  # phase 1's own counters
+    counters: Callable[[], EngineStats] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_walk(cls, walk: EngineStats, **fields) -> "QueryStats":
         """Phase 1's counters, read from the schedule walk's stats."""
-        return cls(
-            algorithm=walk.algorithm,
-            phase1_ms=walk.wall_ms,
-            cells_visited=walk.cells_visited,
-            walk=walk,
-            **fields,
-        )
+        return cls(algorithm=walk.algorithm, phase1_ms=walk.wall_ms, counters=lambda: walk, **fields)
+
+    @cached_property
+    def walk(self) -> EngineStats | None:
+        """Phase 1's own counters, made on first read; their `wall_ms` is
+        `phase1_ms`."""
+        if self.counters is None:
+            return None
+        walk = self.counters()
+        walk.wall_ms = self.phase1_ms
+        return walk
+
+    @property
+    def cells_visited(self) -> int:
+        return 0 if self.walk is None else self.walk.cells_visited
 
     @cached_property
     def prune_counters(self) -> dict:
@@ -385,25 +403,32 @@ def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search)
 # -- dispatch ---------------------------------------------------------------
 
 
-def _read_index(g: TemporalGraph, k: int, window):
-    """Phase 1 off the graph's core-time index at k, built on first use,
-    or None when the graph gets no index; and the `QueryStats` fields
-    that say how phase 1 got the index."""
+def _phase1(g: TemporalGraph, k: int, window, use_index: bool) -> tuple[list, QueryStats]:
+    """Phase 1: the window's zones, ascending by TTI, and the query's stats.
+    With `use_index` the zones are read off the graph's core-time index at
+    k, built on first use; a graph that gets no index, like a query without
+    `use_index`, walks OTCD*."""
     started = time.perf_counter()
-    first = k not in g.core_indexes
-    index = CoreIndex.of(g, k)
-    build_ms = (time.perf_counter() - started) * 1000.0
-    if index is not None:
-        fields = {"index": "built" if first else "reused"}
-    else:
-        fields = {"index": "abandoned" if coreindex.admits(g) else "refused"}
-    if first and fields["index"] != "refused":  # this query ran the build
-        fields["index_build_ms"] = build_ms
+    index = how = None
+    build_ms = 0.0
+    if use_index:
+        try:
+            index, how = g.core_indexes[k], "reused"
+        except KeyError:  # this query asks for the build
+            index, how = CoreIndex.of(g, k), "built"
+            build_ms = (time.perf_counter() - started) * 1000.0
+        if index is None:  # the build gave up, or the size rule allowed none
+            how, build_ms = ("abandoned", build_ms) if coreindex.admits(g) else ("refused", 0.0)
     if index is None:
-        return None, fields
-    found, stats = index.locate(window)
-    stats.wall_ms = (time.perf_counter() - started) * 1000.0
-    return ([ZoneRecord(core=core, tti=core.tti, ltis=ltis) for core, ltis in found], stats), fields
+        zones, walk = _locate(g, k, window, "otcd-star", rectangle_rules)
+        return zones, QueryStats.from_walk(walk, index=how, index_build_ms=build_ms)
+    found = index.locate(window)
+    phase1_ms = (time.perf_counter() - started) * 1000.0
+    zones = [ZoneRecord(core=core, tti=core.tti, ltis=ltis) for core, ltis in found]
+    return zones, QueryStats(
+        "core-index", phase1_ms, index=how, index_build_ms=build_ms,
+        counters=partial(index.counters, window),
+    )
 
 
 def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
@@ -434,10 +459,7 @@ def _run(g: TemporalGraph, spec: QuerySpec, use_index: bool) -> QueryResult:
         search = tmo_ls
     else:
         search = tmc_ls
-    located, fields = _read_index(g, spec.k, spec.window) if use_index else (None, {})
-    if located is None:
-        located = _locate(g, spec.k, spec.window, "otcd-star", rectangle_rules)
-    return _answer(g, spec, *located, search, **fields)
+    return _answer(g, spec, *_phase1(g, spec.k, spec.window, use_index), search)
 
 
 def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
@@ -451,8 +473,8 @@ def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     if spec.mode == "enumerate":
         raise ContractViolation("run_tcd_star answers optimize or constrain queries")
     _refuse_large_triangle(g, spec.window, "tcd-star")
-    zones, phase1 = _locate(g, spec.k, spec.window, "tcd-star")
-    return _answer(g, spec, zones, phase1, all_ls)
+    zones, walk = _locate(g, spec.k, spec.window, "tcd-star")
+    return _answer(g, spec, zones, QueryStats.from_walk(walk), all_ls)
 
 
 def _refuse_large_triangle(g: TemporalGraph, window, who: str) -> None:
@@ -467,11 +489,11 @@ def _refuse_large_triangle(g: TemporalGraph, window, who: str) -> None:
         )
 
 
-def _answer(g: TemporalGraph, spec: QuerySpec, zones, phase1: EngineStats, search, **fields) -> QueryResult:
-    """Phase 2: answer with `search` from the zones that phase 1 located;
-    an enumerate query (`search` None) reports the zones.  `fields` go to
-    the answer's `QueryStats`."""
-    stats = QueryStats.from_walk(phase1, exhaustive=search is all_ls, **fields)
+def _answer(g: TemporalGraph, spec: QuerySpec, zones, stats: QueryStats, search) -> QueryResult:
+    """Phase 2: answer with `search` from the zones that phase 1 located,
+    counting into phase 1's `stats`; an enumerate query (`search` None)
+    reports the zones."""
+    stats.exhaustive = search is all_ls
     if search is None:
         return QueryResult(tuple(ResultEntry(z, None, None) for z in zones), stats)
     ctx = EvalContext(graph=g, all_zones=tuple(zones), params=dict(spec.measure.params))

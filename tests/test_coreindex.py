@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from tkcore import (
     MAX_CORE_INDEX_SIZE,
     CoreIndex,
+    EngineStats,
     MeasureDescriptor,
     QuerySpec,
     TemporalGraph,
@@ -195,3 +196,40 @@ def test_the_index_carries_no_window_between_queries(k, gaps):
         spec = QuerySpec(k, window, *rng.choice(MIXED))
         fresh = TemporalGraph.from_edges(g.vertex_count, g.edges)
         assert answer(run_txcq(g, spec)) == answer(run_txcq(fresh, spec))
+
+
+def test_index_counters_are_made_for_their_own_window_on_first_read(monkeypatch):
+    # an index-routed answer works its counters out when they are first
+    # read, here only after later queries on other windows of the graph;
+    # until then no query has built an EngineStats
+    built = []
+    init = EngineStats.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EngineStats, "__init__", counted)
+    rng = random.Random(14)
+    g = spread(generate_synthetic(40, 400, 16, "planted-community", 2), [rng.randint(1, 3) for _ in range(16)])
+    last = g.timestamps[-1]
+    specs = [
+        QuerySpec(2, tuple(sorted((rng.randint(-1, last + 1), rng.randint(-1, last + 1)))), *rng.choice(MIXED[:8]))
+        for _ in range(30)
+    ] + [QuerySpec(2, (1, last))]
+    results = [run_txcq(g, spec) for spec in specs]
+    assert built == [] and {res.stats.algorithm for res in results} == {"core-index"}
+    for q, (spec, res) in enumerate(zip(specs, results)):
+        first = ("walk", "cells_visited", "prune_counters")[q % 3]
+        getattr(res.stats, first)
+        fresh = run_txcq(TemporalGraph.from_edges(g.vertex_count, g.edges), spec).stats
+        walk = res.stats.walk
+        assert walk is not None and walk.wall_ms == res.stats.phase1_ms
+        assert vars(walk) | {"wall_ms": 0} == vars(fresh.walk) | {"wall_ms": 0}
+        assert res.stats.cells_visited == walk.cells_visited == fresh.cells_visited
+        c = res.stats.prune_counters
+        assert c == fresh.prune_counters == walk.to_dict()
+        held = sum(spec.window[0] <= t <= spec.window[1] for t in g.timestamps)
+        assert c["cells_total"] == held * (held + 1) // 2
+        assert c["cells_visited"] + c["cells_pruned"] == c["cells_total"]
+        assert c["distinct_cores"] == len(res.stats.zone_eval_counts or res.entries)

@@ -14,6 +14,7 @@ from tkcore import (
     EvalContext,
     MeasureDescriptor,
     MeasureValueError,
+    QuerySpec,
     TemporalGraph,
     TimeInterval,
     UndefinedMeasureValue,
@@ -26,6 +27,8 @@ from tkcore import (
     reference_core,
     register_udf,
     run_otcd_star,
+    run_txcq,
+    run_txcq_walk,
     satisfies,
 )
 
@@ -249,6 +252,21 @@ def test_compare_respects_measure_orientation():
     assert not satisfies(lower, 4, 3)
     with pytest.raises(MeasureValueError):
         compare(higher, 1, "fast")
+
+
+@pytest.mark.parametrize("run", [run_txcq, run_txcq_walk])
+@pytest.mark.parametrize("better", ["lower", "higher"])
+@pytest.mark.parametrize("mode, sigma", [("optimize", None), ("constrain", Fraction(1, 2))])
+def test_a_nan_measure_value_is_refused(g0, run, better, mode, sigma):
+    # NaN is neither equal to, above nor below anything, so no optimum or
+    # threshold can place it; g0's three zones make an optimize compare
+    nan = MeasureDescriptor("nan", "insensitive", better, lambda core, w, ctx: float("nan"))
+    with pytest.raises(MeasureValueError):
+        run(g0, QuerySpec(2, (1, 5), nan, mode, sigma))
+    with pytest.raises(MeasureValueError):
+        compare(nan, 1, float("nan"))
+    assert compare(nan, 1.5, 1) == ("better" if better == "higher" else "worse")
+    assert compare(nan, float("inf"), float("inf")) == "equal"
 
 
 def test_descriptor_declaration_is_validated():
