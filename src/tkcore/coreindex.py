@@ -13,13 +13,15 @@ index per (graph, k) answers every window (after the PHC index of Yu et al.,
 Build: the row head core([s, last]) is induced decrementally, row by row.
 When its TTI starts at t > s, rows s..t hold the same cores (PoU), so they
 share one row.  A row is swept from its head down: each step reads the
-content's TTI end b (a breakpoint) and records the edge count, the
-vertices and their degrees, then cuts column b off and peels only from the
-endpoints that cut touched.  The sweep stops at the first core with no
-edge stamped s: its TTI (t, b) says that row s equals row t from column b
-down, and row t, swept later, supplies that tail.  So the build steps over
-at most ranks x pair runs runs, and records each distinct core's vertices
-and degrees once.
+content's TTI end b (a breakpoint) and records the edge count and the
+vertex count, then cuts column b off and peels only from the endpoints
+that cut touched, noting the vertices that left.  The cores of one sweep
+nest, so the sweep keeps one vertex order, the last vertex to leave first,
+and each of its cores is a prefix of it.  The sweep stops at the first core
+with no edge stamped s: its TTI (t, b) says that row s equals row t from
+column b down, and row t, swept later, supplies that tail.  So the build
+steps over at most ranks x pair runs runs, and stores at most one vertex
+per sweep and vertex of the graph.
 
 Lookup: the zones of a window are the distinct cores whose TTI lies inside
 it.  For r <= s and c >= b, core([r, c]) contains core([s, b]) and equals
@@ -28,54 +30,29 @@ the columns from b up to the next breakpoint of row r past b, while row
 r's edge count at b still equals the zone's.  On a core's first read its
 rows are walked upward from s once, bisecting each row's breakpoints: that
 gives the zone's loosest time intervals (LTIs) over the whole schedule, in
-ranks.  Neither they nor the core's snapshot depend on a window, so both
-are kept for every later query of the (graph, k).  A window's rows lo..hi
-then keep the LTIs whose rows reach lo, cut them at row lo and column hi,
-and merge those the cut leaves in one column.  Each row's least distinct
-core TTI end is kept with the index, so a lookup passes over a row with no
-zone in the window without reading its cores; a lookup reads nothing else
-of the rows.  The walk's counters of a window (cells visited, and pruned by
+ranks.  The core's snapshot reads its edges and degrees off the graph's
+pair runs inside its TTI, on first use.  Neither they nor the snapshot
+depend on a window, so both are kept for every later query of the (graph,
+k).  A window's rows lo..hi then keep the LTIs whose rows reach lo, cut
+them at row lo and column hi, and merge those the cut leaves in one
+column.  Each row's least distinct core TTI end is kept with the index, so
+a lookup passes over a row with no zone in the window without reading its
+cores; a lookup reads nothing else of the rows.  The walk's counters of a window (cells visited, and pruned by
 `PoR` or `Empty`) are worked out from the rows' breakpoints only when a
 caller asks for them (`CoreIndex.counters`).
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
-from functools import cached_property
-from types import MappingProxyType
 
 from .graph import CoreSnapshot, TemporalGraph, TimeInterval
 from .tcq import EngineStats, loosest_cell
 from .tel import TEL
 
-# a graph gets an index only if its ranks x pair runs are at most this, and
-# keeps it only if its distinct cores hold at most this many vertices in all:
-# a build then steps over at most that many runs and records at most that
-# many degrees
+# a graph gets an index only if its ranks x pair runs are at most this: a
+# build then steps over at most that many runs
 MAX_CORE_INDEX_SIZE = 300_000
-
-
-def admits(g: TemporalGraph) -> bool:
-    """The size rule: a graph gets an index only if its ranks x pair runs
-    are at most MAX_CORE_INDEX_SIZE."""
-    return len(g.timestamps) * len(g.pair_runs) <= MAX_CORE_INDEX_SIZE
-
-
-class IndexedCore(CoreSnapshot):
-    """A core read off a `CoreIndex`, which recorded its vertices and their
-    degrees; the degrees become a mapping on first use, and the edges are
-    never needed for them.  The index keeps the snapshot and hands it to
-    every query that reads the core."""
-
-    @cached_property
-    def degrees(self) -> MappingProxyType:
-        return MappingProxyType(dict(zip(self._order, self._counts)))
-
-
-class _TooLarge(Exception):
-    """The distinct cores hold more vertices than the build may record."""
 
 
 class CoreIndex:
@@ -83,13 +60,13 @@ class CoreIndex:
 
     `cols[r]` lists row r's breakpoints ascending and `edges[r]` the edge
     count of the core at each; rows with the same cores share both lists.
-    `cores[r]` holds `(b, edge_count, vertices, degrees)` for each distinct
-    core with TTI (r, b), ascending by b: a tuple of its vertices and an
-    array of their distinct-neighbor counts, in the same order.
-    `least[r]` is the least b of row r's distinct cores, or the number of
-    ranks when the row has none.  `read[(s, b)]` holds `(snapshot, ltis)`
-    for each core read so far: its `IndexedCore` and its loosest rank cells
-    over the whole schedule.
+    `cores[r]` holds `(b, edge_count, order, n)` for each distinct core
+    with TTI (r, b), ascending by b: its vertices are `order[:n]`, where
+    `order` is the vertex order of the sweep that found it, shared by all
+    of that sweep's cores.  `least[r]` is the least b of row r's distinct
+    cores, or the number of ranks when the row has none.  `read[(s, b)]`
+    holds `(snapshot, ltis)` for each core read so far: its snapshot and
+    its loosest rank cells over the whole schedule.
     """
 
     def __init__(self, g: TemporalGraph, k: int):
@@ -101,7 +78,6 @@ class CoreIndex:
         self.edges: list = [()] * len(stamps)
         self.cores: list = [()] * len(stamps)
         self.read: dict = {}
-        self._room = MAX_CORE_INDEX_SIZE  # degree entries still allowed
         head = TEL.from_graph(g)
         head.decompose(k)
         swept = []  # (s, t, cols, edges, tail) per sweep, by ascending t
@@ -131,7 +107,9 @@ class CoreIndex:
         is (t, b), row s equals row t from column b down, so the row's tail
         is returned as (t, b), else None."""
         stamps, k = self.graph.timestamps, self.k
-        cols, edges, cores = [], [], []
+        mult = walker.neighbor_mult
+        cols, edges, sizes = [], [], []
+        left = []  # the vertices that left, in the order they left
         tail = None
         while walker.edge_count:
             tti = walker.tti()
@@ -141,46 +119,35 @@ class CoreIndex:
                 break
             cols.append(b)
             edges.append(walker.edge_count)
-            mult = walker.neighbor_mult
-            self._room -= len(mult)
-            if self._room < 0:
-                raise _TooLarge
-            cores.append((b, walker.edge_count, tuple(mult), array("I", map(len, mult.values()))))
+            sizes.append(len(mult))
             if b == s:
                 break
-            walker.tcd(k, (stamps[s], stamps[b - 1]))
+            # the walker is a k-core, so only the cut's endpoints start the peel
+            touched = walker.truncate((stamps[s], stamps[b - 1]))
+            left += {v for v in touched if v not in mult}
+            left += walker.decompose(k, touched)
+        order = (*mult, *reversed(left))
         cols.reverse()
         edges.reverse()
-        cores.reverse()
+        cores = [(b, m, order, n) for b, m, n in zip(cols, edges, reversed(sizes))]
         return cols, edges, cores, tail
 
     @classmethod
     def of(cls, g: TemporalGraph, k: int) -> "CoreIndex | None":
         """The graph's index at k, built on first use and cached on the
-        graph; None when the graph gets none.  That is when its ranks x
-        pair runs exceed MAX_CORE_INDEX_SIZE, or when its distinct cores
-        hold more vertices in all than MAX_CORE_INDEX_SIZE, which the build
-        finds out before recording more: on a sparse graph over a long
-        timeline the cores of all windows are many and large, while a walk
-        over a narrow window is cheap."""
+        graph; None when the graph's ranks x pair runs exceed
+        MAX_CORE_INDEX_SIZE."""
         cache = g.core_indexes
         if k not in cache:
-            index = None
-            if admits(g):
-                try:
-                    index = cls(g, k)
-                except _TooLarge:
-                    pass
-            cache[k] = index
+            admitted = len(g.timestamps) * len(g.pair_runs) <= MAX_CORE_INDEX_SIZE
+            cache[k] = cls(g, k) if admitted else None
         return cache[k]
 
-    def capture(self, s: int, b: int, edge_count: int, vertices: tuple, degrees) -> IndexedCore:
+    def capture(self, s: int, b: int, edge_count: int, order: tuple, n: int) -> CoreSnapshot:
         """The snapshot of the distinct core with rank TTI (s, b)."""
         g = self.graph
         tti = TimeInterval(g.timestamps[s], g.timestamps[b])
-        snap = IndexedCore.captured(frozenset(vertices), tti, self.k, edge_count, None, g.edges)
-        snap._order, snap._counts = vertices, degrees
-        return snap
+        return CoreSnapshot.captured(frozenset(order[:n]), tti, self.k, edge_count, None, g)
 
     def locate(self, window) -> list:
         """Every distinct nonempty core of `window` with its LTIs (raw,
@@ -237,7 +204,7 @@ class CoreIndex:
         stats.distinct_cores = zones
         return stats
 
-    def _first_read(self, s: int, b: int, edge_count: int, vertices: tuple, degrees) -> tuple:
+    def _first_read(self, s: int, b: int, edge_count: int, order: tuple, n: int) -> tuple:
         """Capture the core with rank TTI (s, b), walk its LTIs, and keep both."""
         last = len(self.cols) - 1
         ltis: list = []
@@ -251,7 +218,7 @@ class CoreIndex:
                 ltis[-1] = (r, c)  # row r's loosest cell contains row r + 1's
             else:
                 ltis.append((r, c))
-        entry = self.read[s, b] = self.capture(s, b, edge_count, vertices, degrees), tuple(ltis)
+        entry = self.read[s, b] = self.capture(s, b, edge_count, order, n), tuple(ltis)
         return entry
 
 

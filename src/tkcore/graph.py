@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
@@ -225,15 +226,16 @@ class CoreSnapshot:
 
     A core is the subgraph its vertices induce inside its TTI, so its edges
     are exactly the graph edges with a timestamp in the TTI and both ends in
-    `vertices`.  A capture from a TEL (`captured`) therefore keeps only a
-    handle on the graph's time-sorted edge tuple and materializes `edges` on
-    first use; `pair_counts` and `neighbor_sets` are built from it, also on
-    first use.  `edge_count`, `is_empty` and `degrees` (distinct neighbors
-    per vertex, a read-only mapping) never touch it.
-    `CoreSnapshot(vertices, edges, tti, k)` takes an explicit edge tuple
-    instead.  A snapshot is shared by every evaluation of its core and must
-    not be modified; one read off a core-time index (`coreindex`) is also
-    shared by every later query of its graph and k that reads the core.
+    `vertices`.  A capture (`captured`, from a TEL or a core-time index)
+    therefore keeps only a handle on its graph and reads `edges`,
+    `pair_counts`, `degrees` (distinct neighbors per vertex, a read-only
+    mapping) and `neighbor_sets` off the graph's pair runs inside its TTI
+    whose two ends are both its vertices, each on first use; `edge_count`
+    and `is_empty` never touch them.  `CoreSnapshot(vertices, edges, tti,
+    k)` takes an explicit edge tuple instead, and reads the rest off it.  A
+    snapshot is shared by every evaluation of its core and must not be
+    modified; one read off a core-time index (`coreindex`) is also shared
+    by every later query of its graph and k that reads the core.
 
     Cores compare and hash by `(vertices, tti, edge_count)`: the first two
     determine the core, and `edge_count`, which a capture reads from the TEL,
@@ -241,6 +243,8 @@ class CoreSnapshot:
     degree bound produced the snapshot; it is metadata and excluded from
     equality.
     """
+
+    _graph = None  # the graph a capture was induced from
 
     def __init__(self, vertices: frozenset, edges, tti: TimeInterval | None, k: int | None = None):
         self.vertices = vertices
@@ -250,10 +254,9 @@ class CoreSnapshot:
         self.edge_count = len(edges)
 
     @classmethod
-    def captured(cls, vertices, tti, k, edge_count, degrees, graph_edges) -> "CoreSnapshot":
-        """A core whose edges stay in `graph_edges`, the canonical (t, u, v)
-        sorted edge tuple of the graph it was induced from.  With `degrees`
-        None, they are left to the first use."""
+    def captured(cls, vertices, tti, k, edge_count, degrees, graph) -> "CoreSnapshot":
+        """A core induced from `graph`, whose edges stay in the graph's
+        pair runs.  With `degrees` None, they are left to the first use."""
         snap = cls.__new__(cls)
         snap.vertices = vertices
         snap.tti = tti
@@ -261,7 +264,7 @@ class CoreSnapshot:
         snap.edge_count = edge_count
         if degrees is not None:
             snap.__dict__["degrees"] = MappingProxyType(degrees)
-        snap._graph_edges = graph_edges
+        snap._graph = graph
         return snap
 
     def __eq__(self, other):
@@ -283,20 +286,29 @@ class CoreSnapshot:
     def is_empty(self) -> bool:
         return self.edge_count == 0
 
+    def _pair_runs(self) -> list:
+        """The core's pair runs (u, v, t, n), sorted by (t, u, v)."""
+        if self._graph is None:
+            return [(*e, n) for e, n in Counter(self.edges).items()]
+        vs = self.vertices
+        runs = self._graph.pair_runs
+        lo, hi = _window_bounds(runs, *self.tti)
+        return [run for run in runs[lo:hi] if run[0] in vs and run[1] in vs]
+
     @cached_property
     def edges(self) -> tuple[TemporalEdge, ...]:
-        vs = self.vertices
-        lo, hi = _window_bounds(self._graph_edges, *self.tti)
-        return tuple(e for e in self._graph_edges[lo:hi] if e.u in vs and e.v in vs)
+        runs = self._pair_runs()
+        return tuple(chain.from_iterable(repeat(TemporalEdge(u, v, t), n) for u, v, t, n in runs))
 
     @cached_property
     def degrees(self) -> MappingProxyType:
-        return MappingProxyType({v: len(s) for v, s in self.neighbor_sets.items()})
+        counts = Counter(chain.from_iterable({(u, v) for u, v, _, _ in self._pair_runs()}))
+        return MappingProxyType({v: counts[v] for v in self.vertices})
 
     @cached_property
     def neighbor_sets(self) -> dict:
         out: dict = {v: set() for v in self.vertices}
-        for u, v, _ in self.edges:
+        for u, v, _, _ in self._pair_runs():
             out[u].add(v)
             out[v].add(u)
         return {v: frozenset(s) for v, s in out.items()}
@@ -304,7 +316,10 @@ class CoreSnapshot:
     @cached_property
     def pair_counts(self) -> Counter:
         """Parallel-edge count per adjacent vertex pair."""
-        return Counter((u, v) for u, v, _ in self.edges)
+        counts: Counter = Counter()
+        for u, v, _, n in self._pair_runs():
+            counts[u, v] += n
+        return counts
 
     def neighbors(self, v) -> frozenset:
         return self.neighbor_sets[v]

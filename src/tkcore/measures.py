@@ -72,11 +72,17 @@ class MeasureDescriptor:
 
 
 def evaluate(measure: MeasureDescriptor, core: CoreSnapshot, window, ctx: EvalContext):
+    """The measure's value on `core` over `window`.  A float NaN has no
+    order, so no search could place it; it is refused here, where it is
+    produced, whether or not anything compares it."""
     if core.is_empty:
         raise UndefinedMeasureValue(f"{measure.name} is undefined on an empty core")
     if not isinstance(window, TimeInterval):
         window = TimeInterval(*window)
-    return measure.evaluator(core, window, ctx)
+    value = measure.evaluator(core, window, ctx)
+    if _is_nan(value):
+        raise MeasureValueError(f"{measure.name} has a NaN value on {tuple(window)}")
+    return value
 
 
 def compare(measure: MeasureDescriptor, a, b) -> str:

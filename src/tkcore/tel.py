@@ -83,10 +83,9 @@ class TEL:
             mu[v] = mv[u] = mu.get(v, 0) + n
         return cls(g, lo, hi, mult, edge_count, represents)
 
-    def clone(self, window=None) -> "TEL":
-        """Independent copy of the pair counts; mutations never cross over.
-        With `window`, the copy is then truncated to it."""
-        other = TEL(
+    def clone(self) -> "TEL":
+        """Independent copy of the pair counts; mutations never cross over."""
+        return TEL(
             self.graph,
             self._lo,
             self._hi,
@@ -95,9 +94,6 @@ class TEL:
             self.represents,
             self.k_applied,
         )
-        if window is not None:
-            other.truncate(window)
-        return other
 
     # -- removal --------------------------------------------------------
 
@@ -138,12 +134,13 @@ class TEL:
             self.represents = TimeInterval(s, e) if s <= e else w
         return touched
 
-    def decompose(self, k: int, touched=None) -> None:
+    def decompose(self, k: int, touched=None) -> list:
         """Peel vertices with fewer than k distinct neighbors until the
-        content is exactly the k-core of what remained.  When the content
-        was a k-core before a truncation, the endpoints that truncation
-        returned (`touched`) are the only vertices that can start the peel,
-        so no other vertex is scanned."""
+        content is exactly the k-core of what remained, and return the
+        peeled vertices in the order they left.  When the content was a
+        k-core before a truncation, the endpoints that truncation returned
+        (`touched`) are the only vertices that can start the peel, so no
+        other vertex is scanned."""
         if k < 1:
             raise ValueError("k must be at least 1")
         mult = self.neighbor_mult
@@ -152,8 +149,10 @@ class TEL:
         else:
             doomed = list({v for v in touched if v in mult and len(mult[v]) < k})
         dropped = 0
+        peeled = []
         while doomed:
             v = doomed.pop()
+            peeled.append(v)
             for b, count in mult.pop(v).items():
                 mb = mult[b]
                 del mb[v]
@@ -162,6 +161,7 @@ class TEL:
                 dropped += count
         self.edge_count -= dropped
         self.k_applied = k
+        return peeled
 
     def tcd(self, k: int, window) -> None:
         """Truncate to `window` then decompose: induces the temporal k-core
@@ -211,13 +211,13 @@ class TEL:
 
         The content is always the subgraph its vertices induce inside its
         TTI (truncating and peeling both keep that), so the edges are left
-        in the graph's edge tuple.
+        in the graph's pair runs.
         """
         if not self.edge_count:
             return CoreSnapshot(frozenset(), (), None, self.k_applied)
         degrees = self.degree
         return CoreSnapshot.captured(
-            frozenset(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph.edges
+            frozenset(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph
         )
 
     def dump(self) -> str:

@@ -10,14 +10,15 @@ answers hold their members as `MemberSet` boxes and never list them.
 Phase 1 has two routes.  `run_txcq` reads the zones off the graph's
 core-time index at k (`coreindex.CoreIndex`), built on the first query of
 that (graph, k) and cached on the graph; it keeps each core it has read,
-snapshot and LTIs, for the later queries.  A graph whose ranks x pair runs
-exceed `coreindex.MAX_CORE_INDEX_SIZE`, or whose distinct cores hold more
-vertices in all than that, gets no index, and `run_txcq` walks.  The walk
-is `run_otcd_star`, which visits only LTI cells plus whatever empties it
-takes to get there, pruning each discovered rectangle wholesale.  It stays
-the paper's engine and the index's reference: `run_otcd_star` and
-`run_txcq_walk` always walk, and so does the CLI, which answers one query
-per process and would never earn back a build.
+snapshot and LTIs, for the later queries, and a snapshot reads its degrees
+off the graph's pair runs when a measure first asks.  A graph whose ranks
+x pair runs exceed `coreindex.MAX_CORE_INDEX_SIZE` gets no index, and
+`run_txcq` walks.  The walk is `run_otcd_star`, which visits only LTI
+cells plus whatever empties it takes to get there, pruning each discovered
+rectangle wholesale.  It stays the paper's engine and the index's
+reference: `run_otcd_star` and `run_txcq_walk` always walk, and so does
+the CLI, which answers one query per process and would never earn back a
+build.
 
 Phase 2 runs a local search inside each zone, evaluating the measure only
 where its declared sensitivity requires: once per zone for insensitive
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
 
-from . import coreindex, tcq
+from . import tcq
 from .coreindex import CoreIndex
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
 from .measures import EvalContext, MeasureDescriptor, compare, evaluate, satisfies
@@ -167,9 +168,9 @@ class ResultEntry:
 class QueryStats:
     """One query's counters.  `index` says how phase 1 got the graph's
     core-time index: "built" by this query, "reused" from an earlier one,
-    or none, because the size rule "refused" the graph or the build
-    "abandoned" it at the vertex budget; None when phase 1 walked without
-    asking.  `index_build_ms` is the time this query spent building it.
+    or "refused" by the size rule, which gives the graph none; None when
+    phase 1 walked without asking.  `index_build_ms` is the time this
+    query spent building it.
 
     Phase 1's own counters (`walk`, `cells_visited`, `prune_counters`) are
     made on the first read of any of them, by calling `counters`.  A walk
@@ -417,8 +418,8 @@ def _phase1(g: TemporalGraph, k: int, window, use_index: bool) -> tuple[list, Qu
         except KeyError:  # this query asks for the build
             index, how = CoreIndex.of(g, k), "built"
             build_ms = (time.perf_counter() - started) * 1000.0
-        if index is None:  # the build gave up, or the size rule allowed none
-            how, build_ms = ("abandoned", build_ms) if coreindex.admits(g) else ("refused", 0.0)
+        if index is None:  # the size rule allowed none
+            how, build_ms = "refused", 0.0
     if index is None:
         zones, walk = _locate(g, k, window, "otcd-star", rectangle_rules)
         return zones, QueryStats.from_walk(walk, index=how, index_build_ms=build_ms)

@@ -2,8 +2,10 @@
 
 import csv
 import gzip
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +313,17 @@ def test_gen_rejects_bad_sizes(capsys):
     )
     assert code == 2
     assert "two vertices" in err
+
+
+# -- byte identity ----------------------------------------------------------
+
+
+def test_cli_output_matches_the_pinned_corpus():
+    # every command of tools/cli_corpus.py gives the digest pinned in
+    # tests/cli_corpus.txt: exit code, stdout (timings zeroed) and stderr
+    here = Path(__file__).resolve().parent
+    spec = importlib.util.spec_from_file_location("cli_corpus", here.parent / "tools" / "cli_corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    pinned = (here / "cli_corpus.txt").read_text().splitlines()
+    assert list(corpus.lines(main)) == pinned

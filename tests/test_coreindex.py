@@ -109,25 +109,6 @@ def test_the_size_rule_routes_by_ranks_times_pair_runs(monkeypatch):
     assert answers[0] == answers[1]
 
 
-def test_a_graph_whose_cores_outgrow_the_size_rule_walks(monkeypatch):
-    # sparse over a long timeline: the cores of all its windows hold more
-    # vertices in all than its ranks x pair runs
-    g = generate_synthetic(40, 100, 40, "uniform", 1)
-    size = len(g.timestamps) * len(g.pair_runs)
-    monkeypatch.setattr(coreindex, "MAX_CORE_INDEX_SIZE", size)
-    spec = QuerySpec(2, (1, 40), get_measure("burstiness"), "optimize")
-    res = run_txcq(g, spec)
-    assert res.stats.algorithm == "otcd-star" and g.core_indexes[2] is None
-    assert res.stats.index == "abandoned" and res.stats.index_build_ms > 0
-    again = run_txcq(g, spec).stats
-    assert (again.index, again.index_build_ms) == ("abandoned", 0.0)
-    assert run_txcq_walk(g, spec).stats.index is None
-    monkeypatch.setattr(coreindex, "MAX_CORE_INDEX_SIZE", 10 * size)
-    g.core_indexes.clear()
-    assert run_txcq(g, spec).stats.algorithm == "core-index"
-    assert sum(len(d) for row in g.core_indexes[2].cores for *_, d in row) > size
-
-
 def test_the_index_is_built_once_per_graph_and_k():
     g = generate_synthetic(60, 600, 20, "planted-community", 1)
     run_txcq(g, QuerySpec(2, (1, 20)))
@@ -143,9 +124,11 @@ def test_the_index_is_built_once_per_graph_and_k():
     ("burstiness", "constrain", 2),
     ("engagement", "optimize", None),
     ("engagement", "constrain", Fraction(3, 4)),
+    ("frequency", "optimize", None),
+    ("frequency", "constrain", 2),
 ])
 def test_index_route_degrees_come_from_the_index(name, mode, sigma):
-    # the degree-reading measures never make a core list its edges
+    # the degree- and pair-reading measures never make a core list its edges
     g = generate_synthetic(300, 4000, 40, "planted-community", 3)
     res = run_txcq(g, QuerySpec(3, (1, 40), get_measure(name), mode, sigma))
     assert res.stats.algorithm == "core-index" and res.entries
@@ -174,6 +157,41 @@ MIXED = [
 def answer(res):
     entries = [(e.zone.tti, e.zone.ltis, e.zone.core, e.qualifying, e.x_value) for e in res.entries]
     return entries, res.stats.x_evaluations, res.stats.zone_eval_counts
+
+
+@pytest.mark.parametrize("shape", ("sparse", "planted"))
+def test_graphs_whose_cores_outgrow_the_size_rule_get_an_index(monkeypatch, shape):
+    # the cores of all windows hold more vertices in all than ranks x pair
+    # runs: sparse over a long timeline (here at the size rule's very cap),
+    # or the north star's planted k=2 scenario.  Each sweep keeps one
+    # vertex order, so the index stays small, and answers as the walk does
+    rng = random.Random(15)
+    if shape == "sparse":
+        g = generate_synthetic(40, 100, 40, "uniform", 1)
+        monkeypatch.setattr(coreindex, "MAX_CORE_INDEX_SIZE", len(g.timestamps) * len(g.pair_runs))
+        windows = 12
+    else:
+        g = generate_synthetic(1000, 20000, 100, "planted-community", 42)
+        windows = 4
+    size = len(g.timestamps) * len(g.pair_runs)
+    last = g.timestamps[-1]
+    specs = [QuerySpec(2, (1, last))]
+    for _ in range(windows):
+        window = tuple(sorted((rng.randint(0, last + 1), rng.randint(0, last + 1))))
+        specs += [QuerySpec(2, window), QuerySpec(2, window, *rng.choice(MIXED[:8]))]
+    results = [run_txcq(g, spec) for spec in specs]
+    assert [res.stats.index for res in results] == ["built"] + ["reused"] * (len(specs) - 1)
+    assert {res.stats.algorithm for res in results} == {"core-index"}
+    for spec, res in zip(specs, results):
+        walk = run_txcq_walk(g, spec)
+        assert answer(res) == answer(walk) and walk.stats.index is None
+        if spec.mode == "enumerate":
+            assert [geometry(e.zone) for e in res.entries] == [geometry(e.zone) for e in walk.entries]
+    index = g.core_indexes[2]
+    orders = {id(order): order for row in index.cores for _, _, order, _ in row}
+    assert all(len(set(order)) == len(order) for order in orders.values())
+    assert len(orders) <= len(g.timestamps)
+    assert sum(n for row in index.cores for *_, n in row) > size
 
 
 @pytest.mark.parametrize("k", (2, 3))

@@ -19,6 +19,7 @@ from tkcore import (
     TimeInterval,
     UndefinedMeasureValue,
     ZoneRecord,
+    brute_force_txcq,
     check_measure_sensitivity,
     compare,
     evaluate,
@@ -27,6 +28,7 @@ from tkcore import (
     reference_core,
     register_udf,
     run_otcd_star,
+    run_tcd_star,
     run_txcq,
     run_txcq_walk,
     satisfies,
@@ -254,7 +256,7 @@ def test_compare_respects_measure_orientation():
         compare(higher, 1, "fast")
 
 
-@pytest.mark.parametrize("run", [run_txcq, run_txcq_walk])
+@pytest.mark.parametrize("run", [run_txcq, run_txcq_walk, run_tcd_star, brute_force_txcq])
 @pytest.mark.parametrize("better", ["lower", "higher"])
 @pytest.mark.parametrize("mode, sigma", [("optimize", None), ("constrain", Fraction(1, 2))])
 def test_a_nan_measure_value_is_refused(g0, run, better, mode, sigma):
@@ -263,6 +265,12 @@ def test_a_nan_measure_value_is_refused(g0, run, better, mode, sigma):
     nan = MeasureDescriptor("nan", "insensitive", better, lambda core, w, ctx: float("nan"))
     with pytest.raises(MeasureValueError):
         run(g0, QuerySpec(2, (1, 5), nan, mode, sigma))
+    # a lone zone of one member is never compared, and is refused all the same
+    triangle = TemporalGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    for sensitivity, improves_on in (("insensitive", None), ("monotonic", "shrink"), ("nonmonotonic", None)):
+        lone = MeasureDescriptor("nan", sensitivity, better, nan.evaluator, improves_on)
+        with pytest.raises(MeasureValueError):
+            run(triangle, QuerySpec(2, (1, 1), lone, mode, sigma))
     with pytest.raises(MeasureValueError):
         compare(nan, 1, float("nan"))
     assert compare(nan, 1.5, 1) == ("better" if better == "higher" else "worse")

@@ -101,7 +101,8 @@ def test_clone_is_structurally_independent(tel_fixture_graph):
 def test_windowed_clone_equals_clone_then_truncate(tel_fixture_graph):
     tel = TEL.from_graph(tel_fixture_graph)
     for window in ((2, 6), (3, 5), (5, 6), (4, 4)):
-        fused = tel.clone(window=window)
+        fused = tel.clone()
+        fused.truncate(window)
         spelled = tel.clone()
         spelled.truncate(window)
         assert fused.snapshot() == spelled.snapshot()
@@ -113,7 +114,9 @@ def test_clone_forgets_core_status_when_edges_were_dropped(tel_fixture_graph):
     tel = TEL.from_graph(tel_fixture_graph)
     tel.tcd(2, (2, 6))
     assert tel.clone().k_applied == 2
-    assert tel.clone(window=(5, 6)).k_applied is None
+    cut = tel.clone()
+    cut.truncate((5, 6))
+    assert cut.k_applied is None
 
 
 def test_tti_reads_in_constant_time():
@@ -205,7 +208,8 @@ def test_captured_edges_equal_the_content(g, k, a, b):
     # exactly what the TEL held, whichever operation shaped the content
     window = (min(a, b), max(a, b))
     tel = TEL.from_graph(g)
-    shaped = [tel.clone(window=window)]
+    shaped = [tel.clone()]
+    shaped[0].truncate(window)
     tel.truncate(window)
     shaped.append(tel.clone())
     tel.decompose(k)

@@ -7,7 +7,10 @@ checkout's `src`).  Each command runs in-process through `tkcore.cli.main`
 and prints as `DIGEST EXIT COMMAND`.  The digest covers the exit code,
 stdout with the `phase1_ms` and `phase2_ms` timings zeroed, and stderr.
 Run it on two trees and diff the outputs: equal lines mean byte-identical
-CLI output.
+CLI output.  `tests/cli_corpus.txt` pins the output, and
+`tests/test_cli.py` reruns the corpus against it; regenerate it with
+`python3 tools/cli_corpus.py > tests/cli_corpus.txt` only for a change
+that means to alter CLI output.
 
 The corpus:
 - planted-community 400/6000/30, seed 1: every engine and the oracle, k=2
@@ -80,6 +83,13 @@ def run(main, argv) -> tuple[int, str]:
     return code, hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def lines(main):
+    """One `DIGEST EXIT COMMAND` line per command, run through `main`."""
+    for argv in commands():
+        code, digest = run(main, argv)
+        yield f"{digest} {code} {' '.join(argv)}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
@@ -87,9 +97,8 @@ def main() -> int:
     sys.path.insert(0, args.src)
     from tkcore.cli import main as cli_main
 
-    for argv in commands():
-        code, digest = run(cli_main, argv)
-        print(digest, code, " ".join(argv), flush=True)
+    for line in lines(cli_main):
+        print(line, flush=True)
     return 0
 
 
