@@ -5,7 +5,7 @@ Three quick experiments on seeded planted-community graphs:
   2. pruned wall time as k rises (harder cores, fewer of them),
   3. cells visited as the window span doubles.
 
-Takes roughly ten seconds.  Usage: python3 demos/bench_pruning.py
+Takes about a second.  Usage: python3 demos/bench_pruning.py
 """
 
 import math

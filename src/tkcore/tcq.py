@@ -49,22 +49,10 @@ class PruneTable:
     single lookup.
     """
 
-    def __init__(self, window: TimeInterval):
-        self.window = window
+    def __init__(self):
         self._rows: dict[int, list[TimeInterval]] = {}
         self.trigger_counts = {rule: 0 for rule in PRUNE_RULES}
         self.pruned_by_rule = {rule: 0 for rule in PRUNE_RULES}
-
-    @property
-    def cells_pruned(self) -> int:
-        return sum(self.pruned_by_rule.values())
-
-    def _find(self, runs, col):
-        """Index of the run containing col, or None."""
-        i = bisect_right(runs, col, key=lambda run: run.ts) - 1
-        if i >= 0 and runs[i].te >= col:
-            return i
-        return None
 
     def mark(self, row: int, lo: int, hi: int) -> int:
         """Mark columns [lo, hi] of `row` pruned; returns how many were new."""
@@ -92,17 +80,13 @@ class PruneTable:
         self.pruned_by_rule[rule] += new
         return new
 
-    def is_pruned(self, row: int, col: int) -> bool:
-        runs = self._rows.get(row)
-        return bool(runs) and self._find(runs, col) is not None
-
     def next_unpruned(self, row: int, col: int) -> int:
         """Greatest column <= col not marked in `row` (may fall below row)."""
         runs = self._rows.get(row)
         if not runs:
             return col
-        i = self._find(runs, col)
-        return col if i is None else runs[i].ts - 1
+        i = bisect_right(runs, col, key=lambda run: run.ts) - 1
+        return runs[i].ts - 1 if i >= 0 and runs[i].te >= col else col
 
 
 def apply_pruning(table: PruneTable, cell: Cell, tti: TimeInterval) -> None:
@@ -282,7 +266,7 @@ def walk_schedule(
     cores: dict[TimeInterval, CoreSnapshot] = {}
     if not times:  # the window lies inside a gap: every core is empty
         return CoreCatalog(w, cores, stats)
-    table = PruneTable(TimeInterval(0, last))
+    table = PruneTable()
     row_head = TEL.from_graph(g, w)
     row_head.decompose(k)
     stats.decompositions += 1

@@ -220,10 +220,6 @@ class TEL:
             frozenset(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph
         )
 
-    def dump(self) -> str:
-        """One line per surviving edge, 't src dst', sorted by (t, src, dst)."""
-        return "\n".join(f"{t} {u} {v}" for u, v, t in self.iter_edges())
-
     # -- test support ---------------------------------------------------
 
     def validate(self) -> None:

@@ -5,7 +5,9 @@ induce the same core.  A zone is fully described by its tightest time
 interval (TTI) and its loosest time intervals (LTIs): its members are
 exactly the union of rectangles spanned by each LTI (top-left corner) and
 the TTI (bottom-right corner) in the triangular schedule.  Zones and
-answers hold their members as `MemberSet` boxes and never list them.
+answers hold their members as `MemberSet` boxes and never list them.  The
+zone and answer records (`ZoneRecord`, `ResultEntry`, `QueryResult`) are
+NamedTuples, so they unpack and compare like tuples.
 
 Phase 1 has two routes.  `run_txcq` reads the zones off the graph's
 core-time index at k (`coreindex.CoreIndex`), built on the first query of
@@ -43,7 +45,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import tcq
 from .coreindex import CoreIndex
@@ -92,31 +94,12 @@ class MemberSet:
         ))
 
 
-@dataclass(frozen=True)
-class ZoneRecord:
+class ZoneRecord(NamedTuple):
     """One distinct core together with its zone geometry."""
 
     core: CoreSnapshot
     tti: TimeInterval
     ltis: tuple[TimeInterval, ...]  # descending te (equivalently descending ts)
-
-    def rect_width(self, lti: TimeInterval) -> int:
-        return lti.te - self.tti.te + 1
-
-    def rect_height(self, lti: TimeInterval) -> int:
-        return self.tti.ts - lti.ts + 1
-
-    @property
-    def max_rect_dims(self) -> tuple[int, int]:
-        """(p, q): the widest and tallest rectangle extents in the zone."""
-        return (
-            max(self.rect_width(l) for l in self.ltis),
-            max(self.rect_height(l) for l in self.ltis),
-        )
-
-    @property
-    def sum_rect_dims(self) -> int:
-        return sum(self.rect_width(l) + self.rect_height(l) for l in self.ltis)
 
     @property
     def members(self) -> MemberSet:
@@ -157,8 +140,7 @@ class QuerySpec:
             raise ValueError(f"threshold must be finite, got {self.sigma!r}")
 
 
-@dataclass(frozen=True)
-class ResultEntry:
+class ResultEntry(NamedTuple):
     zone: ZoneRecord
     qualifying: MemberSet | None
     x_value: object
@@ -213,8 +195,7 @@ class QueryStats:
         return {} if self.walk is None else self.walk.to_dict()
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     entries: tuple[ResultEntry, ...]
     stats: QueryStats
 

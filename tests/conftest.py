@@ -46,6 +46,13 @@ def tel_fixture_graph() -> TemporalGraph:
     )
 
 
+def rect_dims(zone):
+    """Each LTI's rectangle in the zone, as (width, height): the ends from
+    the TTI's to the LTI's, and the starts from the LTI's to the TTI's.
+    The paper bounds a zone's boundary walk by the sum of these extents."""
+    return [(l.te - zone.tti.te + 1, zone.tti.ts - l.ts + 1) for l in zone.ltis]
+
+
 def random_instance(rng: random.Random, seed: int, *, max_vertices=12, max_edges=60, max_timestamps=14):
     model = rng.choice(["uniform", "preferential", "planted-community"])
     return generate_synthetic(

@@ -24,6 +24,8 @@ from tkcore.txcq import (
     run_txcq,
 )
 
+from conftest import rect_dims
+
 MODELS = ("uniform", "preferential", "planted-community")
 CORPUS_WINDOW = (1, 25)
 
@@ -147,6 +149,7 @@ def test_criterion_05_relative_speed(planted_big):
     g, tcd_catalog, otcd_catalog = planted_big
     wall_ratio = otcd_catalog.stats.wall_ms / tcd_catalog.stats.wall_ms
     assert wall_ratio <= 0.20
+    assert otcd_catalog.stats.decompositions <= 0.20 * tcd_catalog.stats.decompositions
 
     def best_of(fn, repeats=3):
         best = math.inf
@@ -157,11 +160,13 @@ def test_criterion_05_relative_speed(planted_big):
         return best
 
     base = best_of(lambda: run_otcd_star(g, 3, (1, 100)))
+    zone_count = len(run_otcd_star(g, 3, (1, 100)))
     overheads = {}
     for name in ("size", "burstiness"):
         spec = QuerySpec(k=3, window=(1, 100), measure=get_measure(name), mode="optimize")
         overheads[name] = best_of(lambda: run_txcq(g, spec)) / base
         assert overheads[name] <= 2.0, name
+        assert run_txcq(g, spec).stats.x_evaluations == zone_count, name  # one evaluation per zone
     print(
         f"criterion 5: otcd/tcd wall ratio {wall_ratio:.3f} <= 0.20; "
         f"optimize overhead size {overheads['size']:.2f}x, "
@@ -194,9 +199,9 @@ def test_criterion_06_constrain_search_stays_frugal():
                 spec = QuerySpec(k=k, window=(1, 14), measure=m, mode="constrain", sigma=sigma)
                 result = run_txcq(g, spec)
                 for tti, count in result.stats.zone_eval_counts.items():
-                    zone = by_tti[tti]
-                    assert count <= zone.sum_rect_dims, (m.name, sigma, tti)
-                    p, q = zone.max_rect_dims
+                    dims = rect_dims(by_tti[tti])
+                    assert count <= sum(w + h for w, h in dims), (m.name, sigma, tti)
+                    p, q = max(w for w, _ in dims), max(h for _, h in dims)
                     within_pq += count <= p + q
                     zones_checked += 1
     assert zones_checked > 100

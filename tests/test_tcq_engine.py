@@ -18,7 +18,7 @@ def pruned_cells(table, window=W18):
         (row, col)
         for row in range(window.ts, window.te + 1)
         for col in range(row, window.te + 1)
-        if table.is_pruned(row, col)
+        if table.next_unpruned(row, col) != col
     ]
 
 
@@ -26,7 +26,7 @@ def pruned_cells(table, window=W18):
 
 
 def test_mark_reports_only_new_cells():
-    t = PruneTable(W18)
+    t = PruneTable()
     assert t.mark(2, 3, 5) == 3
     assert t.mark(2, 4, 7) == 2  # 4..5 already covered
     assert t.mark(2, 3, 7) == 0
@@ -34,7 +34,7 @@ def test_mark_reports_only_new_cells():
 
 
 def test_adjacent_runs_coalesce():
-    t = PruneTable(W18)
+    t = PruneTable()
     t.mark(1, 2, 3)
     t.mark(1, 6, 7)
     t.mark(1, 4, 5)  # bridges the gap
@@ -43,7 +43,7 @@ def test_adjacent_runs_coalesce():
 
 
 def test_next_unpruned_skips_whole_runs():
-    t = PruneTable(W18)
+    t = PruneTable()
     t.mark(3, 4, 6)
     assert t.next_unpruned(3, 8) == 8
     assert t.next_unpruned(3, 6) == 3
@@ -53,26 +53,26 @@ def test_next_unpruned_skips_whole_runs():
 
 
 def test_rule_attribution_counts_new_cells_only():
-    t = PruneTable(W18)
+    t = PruneTable()
     t.mark_rule(5, 5, 8, "PoR")
     t.mark_rule(5, 6, 8, "PoU")
     assert t.pruned_by_rule["PoR"] == 4
     assert t.pruned_by_rule["PoU"] == 0
-    assert t.cells_pruned == 4
+    assert sum(t.pruned_by_rule.values()) == 4
 
 
 # -- rule geometry, frozen from the definitions --------------------------
 
 
 def test_right_rule_prunes_rest_of_row_after_the_core_span_end():
-    t = PruneTable(W18)
+    t = PruneTable()
     apply_pruning(t, Cell(3, 8), TimeInterval(3, 6))
     assert pruned_cells(t) == [(3, 6), (3, 7)]
     assert t.trigger_counts == {"PoR": 1, "PoU": 0, "PoL": 0, "Rule4": 0, "Empty": 0}
 
 
 def test_underside_rule_prunes_rows_up_to_the_core_span_start():
-    t = PruneTable(W18)
+    t = PruneTable()
     apply_pruning(t, Cell(1, 6), TimeInterval(3, 6))
     assert pruned_cells(t) == [
         (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
@@ -82,7 +82,7 @@ def test_underside_rule_prunes_rows_up_to_the_core_span_start():
 
 
 def test_all_three_rules_fire_from_one_loose_cell():
-    t = PruneTable(W18)
+    t = PruneTable()
     apply_pruning(t, Cell(1, 8), TimeInterval(3, 6))
     assert pruned_cells(t) == [
         (1, 6), (1, 7),
@@ -94,7 +94,7 @@ def test_all_three_rules_fire_from_one_loose_cell():
 
 
 def test_rectangle_rule_prunes_the_span_between_cell_and_core():
-    t = PruneTable(W18)
+    t = PruneTable()
     rectangle_prune(t, Cell(1, 8), TimeInterval(3, 6))
     assert pruned_cells(t) == [
         (1, 6), (1, 7),
@@ -102,11 +102,11 @@ def test_rectangle_rule_prunes_the_span_between_cell_and_core():
         (3, 6), (3, 7), (3, 8),
     ]
     assert t.pruned_by_rule["Rule4"] == 8
-    assert not t.is_pruned(1, 8)  # the visited cell itself stays
+    assert t.next_unpruned(1, 8) == 8  # the visited cell itself stays
 
 
 def test_empty_rule_prunes_the_whole_triangle_under_the_cell():
-    t = PruneTable(W18)
+    t = PruneTable()
     empty_prune(t, Cell(4, 8))
     assert len(pruned_cells(t)) == 15  # includes the trigger cell
     assert t.pruned_by_rule["Empty"] == 14  # the trigger itself is not counted

@@ -133,19 +133,23 @@ def test_tti_reads_in_constant_time():
     assert peeled.edge_count == 6
     for tel, tti in ((live, TimeInterval(1, 50000)), (peeled, TimeInterval(2, 49999))):
         started = time.perf_counter()
+        tel.tti()
+        ends = (tel._lo, tel._hi)  # stepped past the dead runs once
         for _ in range(10_000):
             tel.tti()
         elapsed = time.perf_counter() - started
         assert elapsed < 0.5
+        assert (tel._lo, tel._hi) == ends
         assert tel.tti() == tti
 
 
-def test_dump_lists_edges_in_time_order(tel_fixture_graph):
+def test_iter_edges_lists_edges_in_time_order(tel_fixture_graph):
     tel = TEL.from_graph(tel_fixture_graph)
     tel.tcd(2, (5, 6))
-    lines = tel.dump().splitlines()
-    assert len(lines) == 7
-    assert lines[0].startswith("5 ") and lines[-1].startswith("6 ")
+    edges = list(tel.iter_edges())
+    assert len(edges) == 7
+    assert edges[0].t == 5 and edges[-1].t == 6
+    assert edges == sorted(edges, key=lambda e: (e.t, e.u, e.v))
 
 
 graphs = st.one_of(small_graphs(), small_graphs(max_repeat=6))

@@ -11,7 +11,10 @@ from tkcore import (
     CoreIndex,
     MeasureDescriptor,
     MemberSet,
+    QueryResult,
     QuerySpec,
+    QueryStats,
+    ResultEntry,
     TEL,
     TemporalGraph,
     TimeInterval,
@@ -30,7 +33,7 @@ from tkcore import (
     run_txcq_walk,
 )
 
-from conftest import random_instance
+from conftest import random_instance, rect_dims
 
 
 def canon(result_or_none, mode):
@@ -52,13 +55,13 @@ def staircase_zone(g0):
 
 
 def test_zone_rectangle_dimensions(staircase_zone):
-    z = staircase_zone
-    assert z.rect_width(TimeInterval(3, 8)) == 4
-    assert z.rect_height(TimeInterval(3, 8)) == 2
-    assert z.rect_width(TimeInterval(1, 6)) == 2
-    assert z.rect_height(TimeInterval(1, 6)) == 4
-    assert z.max_rect_dims == (4, 4)
-    assert z.sum_rect_dims == 18
+    dims = dict(zip(staircase_zone.ltis, rect_dims(staircase_zone)))
+    assert dims[TimeInterval(3, 8)][0] == 4
+    assert dims[TimeInterval(3, 8)][1] == 2
+    assert dims[TimeInterval(1, 6)][0] == 2
+    assert dims[TimeInterval(1, 6)][1] == 4
+    assert (max(w for w, _ in dims.values()), max(h for _, h in dims.values())) == (4, 4)
+    assert sum(w + h for w, h in dims.values()) == 18
 
 
 def test_zone_membership_is_the_rectangle_union(staircase_zone):
@@ -119,6 +122,40 @@ def test_member_list_of_a_single_rectangle_zone(g0):
         TimeInterval(1, 3),
         TimeInterval(1, 4),
     ]
+
+
+def test_zone_and_answer_records_keep_their_contract(g0):
+    core, tti, ltis = reference_core(g0, 2, (1, 3)), TimeInterval(1, 3), (TimeInterval(1, 4),)
+    by_name = ZoneRecord(core=core, tti=tti, ltis=ltis)  # as perfbench/reference.py builds it
+    by_position = ZoneRecord(core, tti, ltis)
+    for zone in (by_name, by_position):
+        assert (zone.core, zone.tti, zone.ltis) == (core, tti, ltis)
+    assert by_name == by_position and hash(by_name) == hash(by_position)
+    assert repr(by_name) == f"ZoneRecord(core={core!r}, tti={tti!r}, ltis={ltis!r})"
+    entry = ResultEntry(by_name, by_name.members, 3)
+    same = ResultEntry(zone=by_position, qualifying=by_position.members, x_value=3)
+    assert (entry.zone, entry.qualifying, entry.x_value) == (by_position, MemberSet(((1, 1, 3, 4),)), 3)
+    assert entry == same and hash(entry) == hash(same)
+    stats = QueryStats("core-index")
+    result = QueryResult((entry,), stats)
+    assert result == QueryResult(entries=(same,), stats=stats)
+    assert (result.entries, result.stats) == ((same,), stats)
+    assert result.zones() == [by_position]
+    for record, name in ((by_name, "tti"), (entry, "x_value"), (result, "entries")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+    measures = [("size", "optimize", None), ("burstiness", "optimize", None),
+                ("burstiness", "constrain", Fraction(3, 2)), ("engagement", "constrain", Fraction(2, 3))]
+    specs = [QuerySpec(k=2, window=(1, 5))] + [
+        QuerySpec(k=2, window=(1, 5), measure=get_measure(m), mode=mode, sigma=sigma)
+        for m, mode, sigma in measures
+    ]
+    assert {spec.mode for spec in specs} == {"enumerate", "optimize", "constrain"}
+    for spec in specs:
+        want = canonical_result(brute_force_txcq(g0, spec), spec.mode)
+        assert canonical_result(run_txcq(g0, spec), spec.mode) == want, spec
+        assert canonical_result(run_txcq_walk(g0, spec), spec.mode) == want, spec
 
 
 # -- query specs ----------------------------------------------------------
@@ -314,7 +351,7 @@ def test_boundary_walk_counts_and_results(g0):
     assert all(e.x_value is None for e in res.entries)
     zones = {z.tti: z for z in run_otcd_star(g0, 2, (1, 5))}
     for tti, evals in res.stats.zone_eval_counts.items():
-        assert evals <= zones[tti].sum_rect_dims
+        assert evals <= sum(w + h for w, h in rect_dims(zones[tti]))
 
 
 def test_boundary_walk_in_the_expand_direction(g0):
