@@ -145,6 +145,8 @@ def _parse_number(text: str):
             return caster(text)
         except ValueError:
             continue
+        except ZeroDivisionError:
+            raise UsageError(f"zero denominator in {text!r}") from None
     raise UsageError(f"not a number: {text!r}")
 
 

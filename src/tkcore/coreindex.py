@@ -132,17 +132,6 @@ class CoreIndex:
         cores = [(b, m, order, n) for b, m, n in zip(cols, edges, reversed(sizes))]
         return cols, edges, cores, tail
 
-    @classmethod
-    def of(cls, g: TemporalGraph, k: int) -> "CoreIndex | None":
-        """The graph's index at k, built on first use and cached on the
-        graph; None when the graph's ranks x pair runs exceed
-        MAX_CORE_INDEX_SIZE."""
-        cache = g.core_indexes
-        if k not in cache:
-            admitted = len(g.timestamps) * len(g.pair_runs) <= MAX_CORE_INDEX_SIZE
-            cache[k] = cls(g, k) if admitted else None
-        return cache[k]
-
     def capture(self, s: int, b: int, edge_count: int, order: tuple, n: int) -> CoreSnapshot:
         """The snapshot of the distinct core with rank TTI (s, b)."""
         g = self.graph

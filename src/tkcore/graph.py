@@ -405,7 +405,8 @@ def normalize_timestamps(g: TemporalGraph, mode: str, width: int | None = None) 
         remap = ranks.__getitem__
     else:
         raise ValueError(f"unknown normalization mode: {mode!r}")
-    edges = tuple(TemporalEdge(e.u, e.v, remap(e.t)) for e in g.edges)
+    # a bucket merges stamps, so edges of a later stamp may now sort first
+    edges = tuple(sorted((TemporalEdge(e.u, e.v, remap(e.t)) for e in g.edges), key=_edge_order))
     return TemporalGraph(g.vertex_count, edges, g.labels, g.self_loops_dropped)
 
 

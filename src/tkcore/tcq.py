@@ -17,14 +17,15 @@ time interval (TTI):
 Both engines produce the same catalog of distinct nonempty cores keyed by
 TTI, with visit/prune/decomposition counters for reporting.
 
-One walker, `walk_schedule`, serves every engine, here and in `txcq`; an
-engine differs only in the per-cell callback that applies its rules.  The
-walk runs over ranks, the positions of the distinct timestamps inside the
-window, since a cell's core depends only on which stamps it holds; so raw
-unix-second stamps cost what their ranks cost, and `run_tcd`, which visits
-every rank cell, is still exhaustive.  The prune table, rules and counters
-are in ranks.  Catalog keys, captured cores and the cells the walk reports
-stay in raw timestamps.
+One walker, `walk_schedule`, serves every engine, here and in `txcq`.  It
+applies the empty-triangle rule itself for every pruning engine, and an
+engine is its rule for a nonempty core: `apply_pruning` for OTCD,
+`rectangle_prune` for OTCD*, none for TCD.  The walk runs over ranks, the
+positions of the distinct timestamps inside the window, since a cell's core
+depends only on which stamps it holds; so raw unix-second stamps cost what
+their ranks cost, and `run_tcd`, which visits every rank cell, is still
+exhaustive.  The prune table, rules and counters are in ranks.  Catalog
+keys, captured cores and the cells the walk records stay in raw timestamps.
 """
 
 from __future__ import annotations
@@ -155,10 +156,6 @@ class EngineStats:
         total = self.cells_total or 1
         return {rule: 100.0 * n / total for rule, n in self.pruned_by_rule.items()}
 
-    def absorb_table(self, table: PruneTable) -> None:
-        self.trigger_counts = dict(table.trigger_counts)
-        self.pruned_by_rule = dict(table.pruned_by_rule)
-
     def to_dict(self) -> dict:
         return {
             "cells_total": self.cells_total,
@@ -173,11 +170,12 @@ class EngineStats:
 
 @dataclass
 class CoreCatalog:
-    """Distinct nonempty cores of a query, keyed by their TTI."""
+    """Distinct nonempty cores of a query, keyed by their TTI, with the
+    loosest raw cells the walk visited of each."""
 
-    window: TimeInterval | None
     cores: dict[TimeInterval, CoreSnapshot]
     stats: EngineStats
+    visited: dict[TimeInterval, list[Cell]]
 
     def __len__(self):
         return len(self.cores)
@@ -218,24 +216,15 @@ def run_tcd(g: TemporalGraph, k: int, window) -> CoreCatalog:
     return walk_schedule(g, k, window, algorithm="tcd")
 
 
-def otcd_rules(table: PruneTable, cell: Cell, tti, raw_cell: Cell, raw_tti) -> None:
-    """OTCD's per-cell rules: the three TTI rules on a nonempty core, the
-    empty-triangle rule on an empty one."""
-    if tti is None:
-        empty_prune(table, cell)
-    else:
-        apply_pruning(table, cell, tti)
-
-
 def run_otcd(g: TemporalGraph, k: int, window, *, debug: bool = False) -> CoreCatalog:
     """Optimized enumeration: identical catalog to `run_tcd`, but cells whose
     cores are implied by an already-induced core are skipped via the three
     TTI rules plus the empty-triangle rule."""
-    return walk_schedule(g, k, window, algorithm="otcd", on_cell=otcd_rules, debug=debug)
+    return walk_schedule(g, k, window, algorithm="otcd", rules=apply_pruning, debug=debug)
 
 
 def walk_schedule(
-    g: TemporalGraph, k: int, window, *, algorithm: str, on_cell=None, debug: bool = False
+    g: TemporalGraph, k: int, window, *, algorithm: str, rules=None, debug: bool = False
 ) -> CoreCatalog:
     """The schedule walker of every engine.
 
@@ -244,28 +233,29 @@ def walk_schedule(
     between two stamps costs nothing.  The prune table, the rules and the
     counters see rank cells and rank TTIs.  Everything else stays raw: the
     TEL is truncated to the raw stamps, the catalog is keyed by the raw TTI,
-    and a visited cell is reported as its loosest raw cell (`loosest_cell`).
+    and a visited cell is recorded under its core as its loosest raw cell
+    (`loosest_cell`).
 
-    `on_cell(table, cell, tti, raw_cell, raw_tti)` is called for every
-    visited cell, with the rank cell and rank TTI to prune by and the
-    loosest raw cell and raw TTI to report; both TTIs are None when the
-    core is empty.  It applies the engine's rules by marking cells of
-    `table`, which the walk then skips; with no callback every cell is
-    visited.  `debug` records the visited cells (raw) and checks that cores
-    sharing a TTI share their edges.
+    With `rules` the walk prunes: an empty core marks its triangle
+    (`empty_prune`), and a nonempty core whose rank TTI is not the cell
+    itself calls `rules(table, cell, tti)`, which marks cells of `table`
+    for the walk to skip; without it every cell is visited.  `debug`
+    records the visited cells (raw) and checks that cores sharing a TTI
+    share their edges.
     """
     started = time.perf_counter()
     w = clamp_window(g, window)
     if w is None:
-        return CoreCatalog(None, {}, EngineStats(algorithm=algorithm))
+        return CoreCatalog({}, EngineStats(algorithm=algorithm), {})
     stamps = g.timestamps
     times = stamps[bisect_left(stamps, w.ts) : bisect_right(stamps, w.te)]
     last = len(times) - 1
     stats = EngineStats(algorithm=algorithm)
     stats.cells_total = len(times) * (len(times) + 1) // 2
     cores: dict[TimeInterval, CoreSnapshot] = {}
+    visited: dict[TimeInterval, list[Cell]] = {}
     if not times:  # the window lies inside a gap: every core is empty
-        return CoreCatalog(w, cores, stats)
+        return CoreCatalog(cores, stats, visited)
     table = PruneTable()
     row_head = TEL.from_graph(g, w)
     row_head.decompose(k)
@@ -295,7 +285,6 @@ def walk_schedule(
             raw_cell = loosest_cell(times, w, 0, last, r, c)
             if debug:
                 stats.visit_trace.append(raw_cell)
-            tti = raw_tti = None
             if current.edge_count:
                 stats.nonempty_inductions += 1
                 raw_tti = current.tti()
@@ -303,11 +292,15 @@ def walk_schedule(
                     cores[raw_tti] = current.snapshot()
                 elif debug and cores[raw_tti].edges != tuple(current.iter_edges()):
                     raise AssertionError(f"two distinct cores share the key {raw_tti}")
-                tti = TimeInterval(bisect_left(times, raw_tti.ts), bisect_left(times, raw_tti.te))
-            if on_cell is not None:
-                on_cell(table, cell, tti, raw_cell, raw_tti)
+                visited.setdefault(raw_tti, []).append(raw_cell)
+                if rules is not None:
+                    tti = TimeInterval(bisect_left(times, raw_tti.ts), bisect_left(times, raw_tti.te))
+                    if tti != cell:  # at its own TTI a core settles no other cell
+                        rules(table, cell, tti)
+            elif rules is not None:
+                empty_prune(table, cell)
             c = table.next_unpruned(r, c - 1)
-    stats.absorb_table(table)
+    stats.trigger_counts, stats.pruned_by_rule = table.trigger_counts, table.pruned_by_rule
     stats.distinct_cores = len(cores)
     stats.wall_ms = (time.perf_counter() - started) * 1000.0
-    return CoreCatalog(w, cores, stats)
+    return CoreCatalog(cores, stats, visited)

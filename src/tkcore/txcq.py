@@ -42,16 +42,14 @@ from __future__ import annotations
 
 import math
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
-from . import tcq
-from .coreindex import CoreIndex
+from . import coreindex
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
 from .measures import EvalContext, MeasureDescriptor, compare, evaluate, satisfies
-from .tcq import Cell, EngineStats, clamp_window, rectangle_prune, walk_schedule
+from .tcq import EngineStats, clamp_window, rectangle_prune, walk_schedule
 
 MODES = ("enumerate", "optimize", "constrain")
 MAX_TCD_STAR_CELLS = 10**6  # raw cells of the clamped window's triangle
@@ -236,15 +234,6 @@ def canonical_result(result: QueryResult, mode: str):
 # -- phase 1: zone location ------------------------------------------------
 
 
-def rectangle_rules(table, cell: Cell, tti, raw_cell: Cell, raw_tti) -> None:
-    """OTCD*'s per-cell rules: an empty core empties its triangle; a
-    nonempty one settles the rectangle between its cell and its TTI."""
-    if tti is None:
-        tcq.empty_prune(table, cell)  # looked up in tcq, where perfbench's tracer rebinds it
-    elif tti != cell:  # both in ranks
-        rectangle_prune(table, cell, tti)
-
-
 def _maximal(cells) -> tuple[TimeInterval, ...]:
     """The cells no other cell contains, by descending te."""
     out: list[TimeInterval] = []
@@ -255,32 +244,24 @@ def _maximal(cells) -> tuple[TimeInterval, ...]:
 
 
 def _locate(g: TemporalGraph, k: int, window, algorithm: str, rules=None):
-    """Phase 1: walk the schedule under `rules`, recording every visited
-    nonempty cell's loosest raw cell under its core's TTI.  Each distinct
-    core becomes a zone whose LTIs are its maximal recorded cells."""
-    recorded: dict[TimeInterval, list[Cell]] = defaultdict(list)
-
-    def on_cell(table, cell, tti, raw_cell, raw_tti):
-        if raw_tti is not None:
-            recorded[raw_tti].append(raw_cell)
-        if rules is not None:
-            rules(table, cell, tti, raw_cell, raw_tti)
-
-    catalog = walk_schedule(g, k, window, algorithm=algorithm, on_cell=on_cell)
+    """Phase 1: walk the schedule under `rules`.  Each distinct core becomes
+    a zone whose LTIs are the maximal loosest raw cells the walk visited of
+    it."""
+    catalog = walk_schedule(g, k, window, algorithm=algorithm, rules=rules)
     zones = []
-    for tti in sorted(recorded):
-        ltis = _maximal(recorded[tti])
+    for tti, core in catalog.items():
+        ltis = _maximal(catalog.visited[tti])
         for l in ltis:
             if not l.contains(tti):
                 raise AssertionError(f"visited cell {l} does not contain its core's span {tti}")
-        zones.append(ZoneRecord(core=catalog.cores[tti], tti=tti, ltis=ltis))
+        zones.append(ZoneRecord(core=core, tti=tti, ltis=ltis))
     return zones, catalog.stats
 
 
 def run_otcd_star(g: TemporalGraph, k: int, window) -> list[ZoneRecord]:
     """Locate every zone of the query window: one record per distinct
     nonempty core, with the complete LTI list."""
-    zones, _ = _locate(g, k, window, "otcd-star", rectangle_rules)
+    zones, _ = _locate(g, k, window, "otcd-star", rectangle_prune)
     return zones
 
 
@@ -396,13 +377,15 @@ def _phase1(g: TemporalGraph, k: int, window, use_index: bool) -> tuple[list, Qu
     if use_index:
         try:
             index, how = g.core_indexes[k], "reused"
-        except KeyError:  # this query asks for the build
-            index, how = CoreIndex.of(g, k), "built"
-            build_ms = (time.perf_counter() - started) * 1000.0
+        except KeyError:  # the first query of (g, k) builds, if the size rule allows
+            if len(g.timestamps) * len(g.pair_runs) <= coreindex.MAX_CORE_INDEX_SIZE:
+                index, how = coreindex.CoreIndex(g, k), "built"
+                build_ms = (time.perf_counter() - started) * 1000.0
+            g.core_indexes[k] = index
         if index is None:  # the size rule allowed none
-            how, build_ms = "refused", 0.0
+            how = "refused"
     if index is None:
-        zones, walk = _locate(g, k, window, "otcd-star", rectangle_rules)
+        zones, walk = _locate(g, k, window, "otcd-star", rectangle_prune)
         return zones, QueryStats.from_walk(walk, index=how, index_build_ms=build_ms)
     found = index.locate(window)
     phase1_ms = (time.perf_counter() - started) * 1000.0
@@ -416,8 +399,7 @@ def _phase1(g: TemporalGraph, k: int, window, use_index: bool) -> tuple[list, Qu
 def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     """Answer a measured temporal k-core query with the cheapest strategy
     the measure's declared sensitivity allows.  Phase 1 reads the graph's
-    core-time index when the graph gets one (`CoreIndex.of`), and walks
-    OTCD* otherwise."""
+    core-time index when the graph gets one, and walks OTCD* otherwise."""
     return _run(g, spec, True)
 
 

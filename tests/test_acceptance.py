@@ -65,14 +65,22 @@ def planted_big():
 
 def test_criterion_01_enumeration_matches_oracle(enumeration_corpus):
     started = time.perf_counter()
+    decompositions = {run_tcd: 0, run_otcd: 0}
     for idx, k, g, oracle in enumeration_corpus:
         expected = {c.tti: c.core for c in oracle.classes}
-        for runner in (run_tcd, run_otcd):
-            catalog = runner(g, k, CORPUS_WINDOW)
+        tcd, otcd = (runner(g, k, CORPUS_WINDOW) for runner in (run_tcd, run_otcd))
+        for runner, catalog in ((run_tcd, tcd), (run_otcd, otcd)):
             assert dict(catalog.cores) == expected, (runner.__name__, idx, k)
+            decompositions[runner] += catalog.stats.decompositions
+        # work: TCD visits every rank cell, and OTCD decomposes no more than it
+        assert tcd.stats.cells_visited == tcd.stats.cells_total, (idx, k)
+        assert otcd.stats.decompositions <= tcd.stats.decompositions, (idx, k)
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
-    print(f"criterion 1: 600 instance/k pairs, tcd+otcd == oracle exactly, {elapsed:.1f}s")
+    print(
+        f"criterion 1: 600 instance/k pairs, tcd+otcd == oracle exactly, {elapsed:.1f}s; "
+        f"decompositions tcd {decompositions[run_tcd]}, otcd {decompositions[run_otcd]}"
+    )
 
 
 def test_criterion_02_zone_records_match_oracle(enumeration_corpus):

@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from tkcore import QueryResult, cli, generate_synthetic, load_edge_list
+from tkcore import (
+    QueryResult,
+    QuerySpec,
+    ResultEntry,
+    cli,
+    generate_synthetic,
+    load_edge_list,
+    run_txcq_walk,
+)
 from tkcore.cli import main
 
 G0_TEXT = "a b 1\nb c 2\na c 3\nc d 4\na b 5\n"
@@ -127,6 +135,37 @@ def test_granularity_remaps_timestamps(tmp_path, capsys):
         assert [z["tti"] for z in zones] == [[1, 3]]
 
 
+def test_bucket_granularity_agrees_with_the_oracle(tmp_path, capsys):
+    # a bucket merges stamps 1 and 2 here, so the graph must re-sort its edges
+    path = tmp_path / "merged.txt"
+    path.write_text("a b 2\na c 2\nb c 2\ne f 1\ne g 1\nf g 1\n")
+    small = "synthetic:60,600,20,planted-community"
+    for argv in (
+        ("--input", str(path), "--k", "2", "--granularity", "bucket:2"),
+        ("--input", small, "--seed", "1", "--k", "2", "--granularity", "bucket:2"),
+        ("--input", small, "--seed", "1", "--k", "2", "--granularity", "rank"),
+    ):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0, argv
+        assert json.loads(out)["verified"] is True
+
+
+def test_param_changes_a_measured_answer(capsys):
+    base = ("query", "--input", "synthetic:60,600,20,planted-community", "--seed", "1",
+            "--k", "2", "--measure", "periodicity", "--mode", "optimize")
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0
+    default = json.loads(out)
+    code, out, _ = run_cli(capsys, *base, "--param", "p=3")
+    assert code == 0
+    spaced = json.loads(out)
+    assert default["query"]["measure_params"] == {"p": 1}
+    assert spaced["query"]["measure_params"] == {"p": 3}
+    assert {z["x_value"]["rational"] for z in default["zones"]} == {"2"}
+    assert {z["x_value"]["rational"] for z in spaced["zones"]} == {"1"}
+    assert len(spaced["zones"]) > len(default["zones"])
+
+
 # -- exit codes ---------------------------------------------------------------
 
 
@@ -136,6 +175,10 @@ def test_usage_errors_exit_2(g0_file, capsys):
          "--measure", "size", "--mode", "optimize"),
         ("query", "--input", g0_file, "--k", "2", "--measure", "votes"),
         ("query", "--input", g0_file, "--k", "2", "--param", "p=2"),
+        ("query", "--input", g0_file, "--k", "2", "--measure", "periodicity", "--param", "=3"),
+        ("query", "--input", g0_file, "--k", "2", "--measure", "periodicity", "--param", "p=1/0"),
+        ("query", "--input", g0_file, "--k", "2", "--measure", "engagement", "--mode", "constrain",
+         "--sigma", "1/0"),
         ("query", "--input", g0_file, "--k", "2", "--measure", "size", "--mode", "constrain"),
         ("query", "--input", g0_file, "--k", "0"),
         ("query", "--input", g0_file, "--k", "2", "--ts", "5", "--te", "1"),
@@ -216,6 +259,33 @@ def test_verify_reports_injected_fault(g0_file, capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["verified"] is False
     assert any("oracle-only" in d for d in payload["differences"])
+
+
+def test_verify_lists_the_differing_winners_and_intervals(g0_file, capsys, monkeypatch):
+    # the faulty engine drops the first zone and reports each other zone as
+    # a winner of value 0 whose every member qualifies
+    def faulty(g, spec):
+        result = run_txcq_walk(g, QuerySpec(spec.k, spec.window))
+        entries = tuple(ResultEntry(e.zone, e.zone.members, 0) for e in result.entries[1:])
+        return QueryResult(entries, result.stats)
+
+    monkeypatch.setattr(cli, "run_txcq_walk", faulty)
+    verify = ("verify", "--input", g0_file, "--k", "2", "--measure", "burstiness")
+    code, out, _ = run_cli(capsys, *verify, "--mode", "optimize")
+    assert code == 1
+    assert json.loads(out)["differences"] == [
+        "optimal value differs: engine 0 vs oracle 2",
+        "engine-only winning zone [1, 5]",
+        "engine-only winning zone [2, 5]",
+        "oracle-only winning zone [1, 3]",
+    ]
+    code, out, _ = run_cli(capsys, *verify, "--mode", "constrain", "--sigma", "3/2")
+    assert code == 1
+    assert json.loads(out)["differences"] == [
+        "engine-only qualifying interval [1, 5]",
+        "oracle-only qualifying interval [1, 3]",
+        "oracle-only qualifying interval [1, 4]",
+    ]
 
 
 def test_verify_refuses_oversized_inputs(capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from tkcore import (
     MAX_CORE_INDEX_SIZE,
-    CoreIndex,
     EngineStats,
     MeasureDescriptor,
     QuerySpec,
@@ -116,7 +115,8 @@ def test_the_index_is_built_once_per_graph_and_k():
     run_txcq(g, QuerySpec(2, (3, 9), get_measure("size"), "optimize"))
     run_txcq(g, QuerySpec(3, (1, 20)))
     assert g.core_indexes[2] is index and set(g.core_indexes) == {2, 3}
-    assert CoreIndex.of(g, 2) is index
+    assert run_txcq(g, QuerySpec(2, (5, 15))).stats.index == "reused"
+    assert g.core_indexes[2] is index
 
 
 @pytest.mark.parametrize("name, mode, sigma", [

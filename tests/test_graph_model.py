@@ -6,15 +6,19 @@ import pytest
 
 from tkcore import (
     ParseError,
+    QuerySpec,
     TemporalEdge,
     TemporalGraph,
     TimeInterval,
+    brute_force_txcq,
+    canonical_result,
     generate_synthetic,
     load_edge_list,
     make_edge,
     normalize_timestamps,
     parse_edge_list,
     project,
+    run_txcq,
 )
 
 
@@ -112,6 +116,19 @@ def test_normalize_bucket_and_rank():
     assert [e.t for e in r.edges] == [1, 2, 3]
     # rank is idempotent
     assert normalize_timestamps(r, "rank").edges == r.edges
+
+
+def test_normalize_bucket_keeps_edges_sorted():
+    # stamps 1 and 2 share a bucket, so the later stamp's edges must not
+    # stay ahead of the earlier stamp's
+    g = TemporalGraph.from_edges(6, [(0, 1, 2), (0, 2, 2), (1, 2, 2), (3, 4, 1), (3, 5, 1), (4, 5, 1)])
+    b = normalize_timestamps(g, "bucket", width=2)
+    assert [(e.t, e.u, e.v) for e in b.edges] == sorted((e.t, e.u, e.v) for e in b.edges)
+    assert [(e.u, e.v) for e in b.edges] == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    spec = QuerySpec(2, (1, 1))
+    assert canonical_result(run_txcq(b, spec), "enumerate") == canonical_result(
+        brute_force_txcq(b, spec), "enumerate"
+    )
 
 
 def test_normalize_validates_arguments():

@@ -18,9 +18,13 @@ The corpus:
   MAX_ORACLE_EDGES, so its oracle rows check the refusal;
 - planted-community 60/600/20, seed 1: otcd-star, tcd-star and the
   oracle on the same queries, which the oracle answers (96 commands), and
-  `verify` of otcd-star and tcd-star against the oracle (32 commands).
+  `verify` of otcd-star and tcd-star against the oracle (32 commands);
+- the same 60/600/20 instance at k=2: `query` and `verify` with
+  `--granularity bucket:2`, `verify` with `--granularity rank`, a
+  `periodicity` optimize with `--param p=3`, and a `--sigma 1/0` that
+  exits 2 (5 commands).
 
-288 commands in all.
+293 commands in all.
 """
 
 from __future__ import annotations
@@ -68,6 +72,12 @@ def commands():
                     "verify", "--input", INSTANCES[1], "--seed", "1", "--k", k,
                     "--algorithm", algorithm, *query,
                 ]
+    small = ("--input", INSTANCES[1], "--seed", "1", "--k", "2")
+    yield ["query", *small, "--granularity", "bucket:2"]
+    yield ["verify", *small, "--granularity", "bucket:2"]
+    yield ["verify", *small, "--granularity", "rank"]
+    yield ["query", *small, "--measure", "periodicity", "--param", "p=3", "--mode", "optimize"]
+    yield ["query", *small, "--measure", "growth_rate", "--mode", "constrain", "--sigma", "1/0"]
 
 
 def run(main, argv) -> tuple[int, str]:
