@@ -157,6 +157,8 @@ def _parse_params(pairs) -> dict:
         if not sep or not key:
             raise UsageError(f"expected KEY=VALUE, got {pair!r}")
         out[key] = _parse_number(value)
+        if isinstance(out[key], float):  # only nan and inf parse as floats
+            raise UsageError(f"parameter {key} must be finite, got {value!r}")
     return out
 
 
@@ -213,8 +215,10 @@ def _resolve_spec(args, g: TemporalGraph) -> QuerySpec:
         except KeyError as exc:
             raise UsageError(exc.args[0]) from None
         params = _parse_params(args.param)
-        if params:
+        try:
             measure = measure.with_params(**params)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     elif args.param:
         raise UsageError("--param needs --measure")
     sigma = _parse_number(args.sigma) if args.sigma is not None else None
@@ -242,28 +246,25 @@ def _check_oracle_caps(g: TemporalGraph, spec: QuerySpec) -> None:
 def _catalog_result(catalog) -> QueryResult:
     entries = tuple(
         ResultEntry(ZoneRecord(core=snap, tti=tti, ltis=()), None, None)
-        for tti, snap in catalog.items()
+        for tti, snap in catalog.cores.items()
     )
     return QueryResult(entries, QueryStats.from_walk(catalog.stats))
 
 
-def _execute(g: TemporalGraph, spec: QuerySpec, algorithm: str) -> tuple[QueryResult, bool]:
-    """Run one algorithm; returns (result, whether zones carry LTIs)."""
+def _execute(g: TemporalGraph, spec: QuerySpec, algorithm: str) -> QueryResult:
+    """Run one algorithm.  The zones of `tcd` and `otcd` carry no LTIs."""
     if algorithm in ("tcd", "otcd"):
         if spec.mode != "enumerate":
             raise UsageError(f"algorithm {algorithm} only enumerates; pick otcd-star or tcd-star")
         run = run_tcd if algorithm == "tcd" else run_otcd
-        return _catalog_result(run(g, spec.k, spec.window)), False
+        return _catalog_result(run(g, spec.k, spec.window))
     if algorithm == "otcd-star":
-        return run_txcq_walk(g, spec), True
+        return run_txcq_walk(g, spec)
     if algorithm == "tcd-star":
-        try:
-            return run_tcd_star(g, spec), True
-        except ContractViolation as exc:
-            raise UsageError(str(exc)) from None
+        return run_tcd_star(g, spec)
     if algorithm == "oracle":
         _check_oracle_caps(g, spec)
-        return brute_force_txcq(g, spec), True
+        return brute_force_txcq(g, spec)
     raise UsageError(f"unknown algorithm {algorithm!r}")
 
 
@@ -271,35 +272,23 @@ def _execute(g: TemporalGraph, spec: QuerySpec, algorithm: str) -> tuple[QueryRe
 
 
 def _render_value(val):
-    if val is None:
-        return None
-    if isinstance(val, Fraction):
-        text = str(val.numerator) if val.denominator == 1 else f"{val.numerator}/{val.denominator}"
-        return {"rational": text, "decimal": float(val)}
-    if isinstance(val, int):
-        return {"rational": str(val), "decimal": float(val)}
-    if isinstance(val, float):
-        return {"rational": None, "decimal": val}
-    return {"rational": None, "decimal": None, "repr": str(val)}
+    """A measure value, an int or a Fraction, both ways."""
+    return None if val is None else {"rational": _value_text(val), "decimal": float(val)}
 
 
 def _value_text(val) -> str:
-    if val is None:
-        return ""
-    if isinstance(val, (int, Fraction)):
-        return str(val)
-    return repr(val)
+    return "" if val is None else str(val)
 
 
 def _intervals_text(intervals) -> str:
     return ";".join(f"{iv.ts}:{iv.te}" for iv in intervals)
 
 
-def _zone_payload(entry: ResultEntry, g: TemporalGraph, include_ltis: bool) -> dict:
+def _zone_payload(entry: ResultEntry, g: TemporalGraph) -> dict:
     z = entry.zone
     return {
         "tti": list(z.tti),
-        "ltis": [list(l) for l in z.ltis] if include_ltis else None,
+        "ltis": [list(l) for l in z.ltis] or None,
         "vertices": sorted(g.label_of(v) for v in z.core.vertices),
         "edge_count": z.core.edge_count,
         "x_value": _render_value(entry.x_value),
@@ -354,7 +343,7 @@ def _write_text(text: str, output) -> None:
 def cmd_query(args) -> int:
     g = _load_graph(args)
     spec = _resolve_spec(args, g)
-    result, has_ltis = _execute(g, spec, args.algorithm)
+    result = _execute(g, spec, args.algorithm)
     if args.format == "json":
         payload = {
             "query": _query_payload(args, spec),
@@ -365,7 +354,7 @@ def cmd_query(args) -> int:
                 "edge_count": g.edge_count,
                 "self_loops_dropped": g.self_loops_dropped,
             },
-            "zones": [_zone_payload(e, g, has_ltis) for e in result.entries],
+            "zones": [_zone_payload(e, g) for e in result.entries],
             "stats": _stats_payload(result.stats),
         }
         _write_text(json.dumps(payload, indent=2, sort_keys=True), args.output)
@@ -381,7 +370,7 @@ def cmd_query(args) -> int:
                 [
                     z.tti.ts,
                     z.tti.te,
-                    _intervals_text(z.ltis) if has_ltis else "",
+                    _intervals_text(z.ltis),
                     ";".join(sorted(g.label_of(v) for v in z.core.vertices)),
                     z.core.edge_count,
                     _value_text(e.x_value),
@@ -419,9 +408,9 @@ def cmd_verify(args) -> int:
     g = _load_graph(args)
     spec = _resolve_spec(args, g)
     _check_oracle_caps(g, spec)
-    engine_result, has_ltis = _execute(g, spec, args.algorithm)
+    engine_result = _execute(g, spec, args.algorithm)
     oracle_result = brute_force_txcq(g, spec)
-    if spec.mode == "enumerate" and not has_ltis:
+    if args.algorithm in ("tcd", "otcd"):
         # these engines report cores without zone geometry
         def cores_key(result):
             cores = ((e.zone.tti, e.zone.core.vertices, e.zone.core.edges) for e in result.entries)
@@ -480,7 +469,7 @@ def cmd_bench(args) -> int:
     for alg in algorithms:
         for rep in range(args.repeat):
             t0 = time.perf_counter()
-            result, _ = _execute(g, spec, alg)
+            result = _execute(g, spec, alg)
             wall = (time.perf_counter() - t0) * 1000.0
             s = result.stats
             writer.writerow(

@@ -35,11 +35,11 @@ pair runs inside its TTI, on first use.  Neither they nor the snapshot
 depend on a window, so both are kept for every later query of the (graph,
 k).  A window's rows lo..hi then keep the LTIs whose rows reach lo, cut
 them at row lo and column hi, and merge those the cut leaves in one
-column.  Each row's least distinct core TTI end is kept with the index, so
-a lookup passes over a row with no zone in the window without reading its
-cores; a lookup reads nothing else of the rows.  The walk's counters of a window (cells visited, and pruned by
-`PoR` or `Empty`) are worked out from the rows' breakpoints only when a
-caller asks for them (`CoreIndex.counters`).
+column.  A row's distinct cores are kept ascending by TTI end, so a lookup
+stops reading a row at its first core that ends past the window, and reads
+nothing else of the rows.  The walk's counters of a window (cells visited,
+and pruned by `PoR` or `Empty`) are worked out from the rows' breakpoints
+only when a caller asks for them (`CoreIndex.counters`).
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ class CoreIndex:
     `cores[r]` holds `(b, edge_count, order, n)` for each distinct core
     with TTI (r, b), ascending by b: its vertices are `order[:n]`, where
     `order` is the vertex order of the sweep that found it, shared by all
-    of that sweep's cores.  `least[r]` is the least b of row r's distinct
-    cores, or the number of ranks when the row has none.  `read[(s, b)]`
-    holds `(snapshot, ltis)` for each core read so far: its snapshot and
-    its loosest rank cells over the whole schedule.
+    of that sweep's cores.  `read[(s, b)]` holds `(snapshot, ltis)` for
+    each core read so far: its snapshot and its loosest rank cells over the
+    whole schedule.
     """
 
     def __init__(self, g: TemporalGraph, k: int):
@@ -97,7 +96,6 @@ class CoreIndex:
                 edges = self.edges[row][:i] + edges
             self.cols[s : t + 1] = [cols] * (t + 1 - s)
             self.edges[s : t + 1] = [edges] * (t + 1 - s)
-        self.least = [row[0][0] if row else last + 1 for row in self.cores]
 
     def _sweep(self, walker: TEL, s: int):
         """Row s's breakpoints, their edge counts and its distinct cores,
@@ -141,8 +139,8 @@ class CoreIndex:
     def locate(self, window) -> list:
         """Every distinct nonempty core of `window` with its LTIs (raw,
         descending), ascending by TTI.  These are the cores of the window's
-        rows lo..hi whose TTI ends by hi, so a row whose least TTI end is
-        past hi is passed over without reading its cores.  The read's
+        rows lo..hi whose TTI ends by hi; a row's cores ascend by TTI end,
+        so its read stops at the first that ends past hi.  The read's
         counters are not kept; `counters` works them out on request."""
         stamps = self.graph.timestamps
         ts, te = window
@@ -151,10 +149,8 @@ class CoreIndex:
         if lo > hi:
             return found
         w = TimeInterval(max(ts, stamps[0]), min(te, stamps[-1]))
-        read, cores, least = self.read, self.cores, self.least
+        read, cores = self.read, self.cores
         for s in range(lo, hi + 1):
-            if least[s] > hi:
-                continue
             for core in cores[s]:
                 b = core[0]
                 if b > hi:

@@ -336,10 +336,10 @@ def project(g: TemporalGraph, window) -> TemporalGraph:
     return TemporalGraph(g.vertex_count, kept, g.labels)
 
 
-def parse_edge_list(lines: Iterable[str], *, comment_prefix: str = "#") -> TemporalGraph:
+def parse_edge_list(lines: Iterable[str]) -> TemporalGraph:
     """Parse whitespace-separated `src dst timestamp` lines.
 
-    Extra trailing fields are ignored, `comment_prefix` lines and blank
+    Extra trailing fields are ignored, `#` comment lines and blank
     lines are skipped, labels are assigned dense ids in order of first
     appearance, and self-loops are dropped but tallied on the result.
     """
@@ -350,7 +350,7 @@ def parse_edge_list(lines: Iterable[str], *, comment_prefix: str = "#") -> Tempo
     saw_data = False
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith(comment_prefix):
+        if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) < 3:

@@ -66,6 +66,11 @@ class MeasureDescriptor:
             raise ValueError("improves_on only applies to monotonic measures")
 
     def with_params(self, **params) -> "MeasureDescriptor":
+        """A copy with `params` over the declared defaults; a name the
+        measure does not declare raises ValueError."""
+        for name in params:
+            if name not in self.params:
+                raise ValueError(f"measure {self.name} takes no parameter {name!r}")
         merged = dict(self.params)
         merged.update(params)
         return replace(self, params=merged)

@@ -152,17 +152,14 @@ class EngineStats:
     def cells_pruned(self) -> int:
         return sum(self.pruned_by_rule.values())
 
-    def pruned_pct_per_rule(self) -> dict:
-        total = self.cells_total or 1
-        return {rule: 100.0 * n / total for rule, n in self.pruned_by_rule.items()}
-
     def to_dict(self) -> dict:
+        total = self.cells_total or 1
         return {
             "cells_total": self.cells_total,
             "cells_visited": self.cells_visited,
             "cells_pruned": self.cells_pruned,
             "trigger_counts": dict(self.trigger_counts),
-            "pruned_pct_per_rule": self.pruned_pct_per_rule(),
+            "pruned_pct_per_rule": {rule: 100.0 * n / total for rule, n in self.pruned_by_rule.items()},
             "decompositions": self.decompositions,
             "distinct_cores": self.distinct_cores,
         }
@@ -170,27 +167,13 @@ class EngineStats:
 
 @dataclass
 class CoreCatalog:
-    """Distinct nonempty cores of a query, keyed by their TTI, with the
-    loosest raw cells the walk visited of each."""
+    """Distinct nonempty cores of a query, keyed by their TTI in ascending
+    order, with the maximal loosest raw cells the walk visited of each,
+    ascending (each starts later and ends earlier than the one before)."""
 
     cores: dict[TimeInterval, CoreSnapshot]
     stats: EngineStats
     visited: dict[TimeInterval, list[Cell]]
-
-    def __len__(self):
-        return len(self.cores)
-
-    def __contains__(self, tti):
-        return TimeInterval(*tti) in self.cores
-
-    def __getitem__(self, tti) -> CoreSnapshot:
-        return self.cores[TimeInterval(*tti)]
-
-    def ttis(self) -> list[TimeInterval]:
-        return sorted(self.cores)
-
-    def items(self):
-        return ((tti, self.cores[tti]) for tti in self.ttis())
 
 
 def clamp_window(g: TemporalGraph, window) -> TimeInterval | None:
@@ -234,7 +217,9 @@ def walk_schedule(
     counters see rank cells and rank TTIs.  Everything else stays raw: the
     TEL is truncated to the raw stamps, the catalog is keyed by the raw TTI,
     and a visited cell is recorded under its core as its loosest raw cell
-    (`loosest_cell`).
+    (`loosest_cell`) when no cell recorded before contains it.  Rows go up
+    and columns down, so that is when its end reaches past the core's last
+    recorded cell, and each core's cells are its maximal ones, ascending.
 
     With `rules` the walk prunes: an empty core marks its triangle
     (`empty_prune`), and a nonempty core whose rank TTI is not the cell
@@ -292,7 +277,9 @@ def walk_schedule(
                     cores[raw_tti] = current.snapshot()
                 elif debug and cores[raw_tti].edges != tuple(current.iter_edges()):
                     raise AssertionError(f"two distinct cores share the key {raw_tti}")
-                visited.setdefault(raw_tti, []).append(raw_cell)
+                cells = visited.setdefault(raw_tti, [])
+                if not cells or raw_cell.te > cells[-1].te:
+                    cells.append(raw_cell)
                 if rules is not None:
                     tti = TimeInterval(bisect_left(times, raw_tti.ts), bisect_left(times, raw_tti.te))
                     if tti != cell:  # at its own TTI a core settles no other cell
@@ -303,4 +290,4 @@ def walk_schedule(
     stats.trigger_counts, stats.pruned_by_rule = table.trigger_counts, table.pruned_by_rule
     stats.distinct_cores = len(cores)
     stats.wall_ms = (time.perf_counter() - started) * 1000.0
-    return CoreCatalog(cores, stats, visited)
+    return CoreCatalog(dict(sorted(cores.items())), stats, visited)

@@ -234,23 +234,14 @@ def canonical_result(result: QueryResult, mode: str):
 # -- phase 1: zone location ------------------------------------------------
 
 
-def _maximal(cells) -> tuple[TimeInterval, ...]:
-    """The cells no other cell contains, by descending te."""
-    out: list[TimeInterval] = []
-    for cell in sorted(cells, key=lambda c: (c.ts, -c.te)):
-        if not out or cell.te > out[-1].te:  # out[-1] reaches furthest of the earlier starts
-            out.append(cell)
-    return tuple(reversed(out))
-
-
 def _locate(g: TemporalGraph, k: int, window, algorithm: str, rules=None):
     """Phase 1: walk the schedule under `rules`.  Each distinct core becomes
     a zone whose LTIs are the maximal loosest raw cells the walk visited of
-    it."""
+    it, by descending te."""
     catalog = walk_schedule(g, k, window, algorithm=algorithm, rules=rules)
     zones = []
-    for tti, core in catalog.items():
-        ltis = _maximal(catalog.visited[tti])
+    for tti, core in catalog.cores.items():
+        ltis = tuple(reversed(catalog.visited[tti]))
         for l in ltis:
             if not l.contains(tti):
                 raise AssertionError(f"visited cell {l} does not contain its core's span {tti}")

@@ -190,6 +190,23 @@ def test_usage_errors_exit_2(g0_file, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:") or "usage:" in err
+    with_message = [
+        (("query", "--input", "synthetic:60,600,20,planted-community", "--seed", "1", "--k", "2",
+          "--measure", "size", "--param", "q=3", "--mode", "optimize"), "no parameter 'q'"),
+        (("query", "--input", "synthetic:a,b,c,uniform", "--k", "2"), "bad synthetic sizes"),
+        (("query", "--input", "synthetic:1,5,5,uniform", "--k", "2"), "need at least two vertices"),
+        (("query", "--input", g0_file, "--k", "2", "--granularity", "rank:x"), "takes no argument"),
+        (("query", "--input", g0_file, "--k", "2", "--granularity", "bucket:0"), "positive"),
+        (("bench", "--input", g0_file, "--k", "2", "--repeat", "0"), "--repeat must be positive"),
+        (("query", "--input", g0_file, "--k", "2", "--algorithm", "tcd-star"),
+         "run_tcd_star needs a measure"),
+        (("query", "--input", g0_file, "--k", "2", "--algorithm", "tcd-star", "--measure", "size"),
+         "answers optimize or constrain"),
+    ]
+    for argv, message in with_message:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and message in err, argv
 
 
 def test_non_finite_thresholds_exit_2(g0_file, capsys):
@@ -201,9 +218,17 @@ def test_non_finite_thresholds_exit_2(g0_file, capsys):
         assert code == 2, sigma
         assert out == ""
         assert "finite" in err
+    for p in ("nan", "inf", "-inf"):
+        code, out, err = run_cli(
+            capsys, "query", "--input", g0_file, "--k", "2",
+            "--measure", "periodicity", "--mode", "optimize", "--param", f"p={p}",
+        )
+        assert code == 2, p
+        assert out == ""
+        assert "finite" in err
 
 
-def test_io_errors_exit_3(tmp_path, capsys):
+def test_io_errors_exit_3(g0_file, tmp_path, capsys):
     code, _, err = run_cli(capsys, "query", "--input", str(tmp_path / "ghost.txt"), "--k", "2")
     assert code == 3
     assert "cannot read" in err
@@ -212,6 +237,15 @@ def test_io_errors_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "query", "--input", str(bad), "--k", "2")
     assert code == 3
     assert "line 2" in err
+    loops = tmp_path / "loops.txt"
+    loops.write_text("a a 1\nb b 2\n")
+    code, _, err = run_cli(capsys, "query", "--input", str(loops), "--k", "2")
+    assert code == 3
+    assert "input graph has no edges" in err
+    missing = tmp_path / "missing" / "out.json"
+    code, _, err = run_cli(capsys, "query", "--input", g0_file, "--k", "2", "--output", str(missing))
+    assert code == 3
+    assert "cannot write" in err
 
 
 def test_argparse_plumbing(capsys):
@@ -250,8 +284,8 @@ def test_verify_reports_injected_fault(g0_file, capsys, monkeypatch):
     execute = cli._execute
 
     def drop_first_entry(g, spec, algorithm):
-        result, has_ltis = execute(g, spec, algorithm)
-        return QueryResult(result.entries[1:], result.stats), has_ltis
+        result = execute(g, spec, algorithm)
+        return QueryResult(result.entries[1:], result.stats)
 
     monkeypatch.setattr(cli, "_execute", drop_first_entry)
     code, out, _ = run_cli(capsys, "verify", "--input", g0_file, "--k", "2")

@@ -296,6 +296,8 @@ def test_with_params_merges_without_mutating():
     assert tuned.params == {"p": 3}
     assert base.params == {"p": 1}
     assert tuned.name == base.name
+    with pytest.raises(ValueError):
+        get_measure("size").with_params(q=3)
 
 
 def test_udf_registration_is_single_assignment():

@@ -122,8 +122,8 @@ def test_exhaustive_walk_on_the_worked_example(g0):
     assert cat.stats.decompositions == 15
     assert cat.stats.nonempty_inductions == 4
     assert cat.stats.distinct_cores == 3
-    assert cat.ttis() == [TimeInterval(1, 3), TimeInterval(1, 5), TimeInterval(2, 5)]
-    assert sorted(g0.label_of(v) for v in cat[(1, 3)].vertices) == ["a", "b", "c"]
+    assert list(cat.cores) == [TimeInterval(1, 3), TimeInterval(1, 5), TimeInterval(2, 5)]
+    assert sorted(g0.label_of(v) for v in cat.cores[TimeInterval(1, 3)].vertices) == ["a", "b", "c"]
 
 
 def test_pruned_walk_visits_exactly_the_undetermined_cells(g0):
@@ -147,21 +147,21 @@ def test_pruned_walk_visits_exactly_the_undetermined_cells(g0):
 def test_both_engines_agree_on_the_worked_example(g0):
     a = run_tcd(g0, 2, (1, 5))
     b = run_otcd(g0, 2, (1, 5))
-    assert dict(a.items()) == dict(b.items())
+    assert a.cores == b.cores
 
 
 def test_empty_window_and_empty_graph(g0):
-    assert len(run_tcd(g0, 2, (9, 12))) == 0
-    assert len(run_otcd(g0, 2, (9, 12))) == 0
+    assert len(run_tcd(g0, 2, (9, 12)).cores) == 0
+    assert len(run_otcd(g0, 2, (9, 12)).cores) == 0
     assert run_otcd(g0, 6, (1, 5)).stats.distinct_cores == 0
 
 
 def test_catalog_container_protocol(g0):
     cat = run_otcd(g0, 2, (1, 5))
-    assert len(cat) == 3
-    assert (1, 3) in cat
-    assert (2, 4) not in cat
-    assert cat[(1, 5)].edge_count == 4
+    assert len(cat.cores) == 3
+    assert TimeInterval(1, 3) in cat.cores
+    assert TimeInterval(2, 4) not in cat.cores
+    assert cat.cores[TimeInterval(1, 5)].edge_count == 4
 
 
 def test_prune_accounting_balances_on_random_instances():
@@ -183,10 +183,10 @@ def test_pruned_walk_never_changes_the_catalog(seed, k):
     exhaustive = run_tcd(g, k, window)
     pruned = run_otcd(g, k, window, debug=True)
     oracle = brute_force_tcq(g, k, window)
-    assert dict(exhaustive.items()) == dict(pruned.items())
-    assert pruned.ttis() == [c.tti for c in oracle.classes]
+    assert exhaustive.cores == pruned.cores
+    assert list(pruned.cores) == [c.tti for c in oracle.classes]
     for cls in oracle.classes:
-        snap = pruned[cls.tti]
+        snap = pruned.cores[cls.tti]
         assert snap.vertices == cls.core.vertices
         assert snap.edge_count == cls.core.edge_count  # read from the TEL
         assert snap.edges == cls.core.edges

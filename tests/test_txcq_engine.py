@@ -522,7 +522,7 @@ def test_gapped_stamps_match_the_oracle(kind, seed):
     k = rng.choice((2, 3))
 
     pruned, exhaustive = run_otcd(g, k, window), run_tcd(g, k, window)
-    assert dict(pruned.items()) == dict(exhaustive.items())
+    assert pruned.cores == exhaustive.cores
     s = pruned.stats
     assert s.cells_visited + s.cells_pruned == s.cells_total
     held = sum(window[0] <= t <= window[1] for t in stamps)  # the rank triangle's side

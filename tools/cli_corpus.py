@@ -22,9 +22,12 @@ The corpus:
 - the same 60/600/20 instance at k=2: `query` and `verify` with
   `--granularity bucket:2`, `verify` with `--granularity rank`, a
   `periodicity` optimize with `--param p=3`, and a `--sigma 1/0` that
-  exits 2 (5 commands).
+  exits 2 (5 commands);
+- the same instance at k=2: a `size` optimize with `--param q=3`, which
+  `size` does not declare, and a `periodicity` optimize with
+  `--param p=nan`; both exit 2 (2 commands).
 
-293 commands in all.
+295 commands in all.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ def commands():
     yield ["verify", *small, "--granularity", "rank"]
     yield ["query", *small, "--measure", "periodicity", "--param", "p=3", "--mode", "optimize"]
     yield ["query", *small, "--measure", "growth_rate", "--mode", "constrain", "--sigma", "1/0"]
+    yield ["query", *small, "--measure", "size", "--param", "q=3", "--mode", "optimize"]
+    yield ["query", *small, "--measure", "periodicity", "--param", "p=nan", "--mode", "optimize"]
 
 
 def run(main, argv) -> tuple[int, str]:
