@@ -156,6 +156,8 @@ def _parse_params(pairs) -> dict:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise UsageError(f"expected KEY=VALUE, got {pair!r}")
+        if key in out:
+            raise UsageError(f"parameter {key} given twice")
         out[key] = _parse_number(value)
         if isinstance(out[key], float):  # only nan and inf parse as floats
             raise UsageError(f"parameter {key} must be finite, got {value!r}")
@@ -181,6 +183,8 @@ def _load_graph(args) -> TemporalGraph:
             g = load_edge_list(spec)
         except OSError as exc:
             raise InputError(f"cannot read {spec}: {exc}") from None
+    if not g.edges:
+        raise InputError("input graph has no edges")
     if args.granularity:
         g = _apply_granularity(g, args.granularity)
     return g
@@ -201,9 +205,7 @@ def _apply_granularity(g: TemporalGraph, text: str) -> TemporalGraph:
 
 
 def _resolve_spec(args, g: TemporalGraph) -> QuerySpec:
-    rng = g.time_range()
-    if rng is None:
-        raise InputError("input graph has no edges")
+    rng = g.time_range()  # `_load_graph` refused a graph with no edges
     ts = args.ts if args.ts is not None else rng.ts
     te = args.te if args.te is not None else rng.te
     if ts > te:

@@ -26,7 +26,10 @@ Phase 2 runs a local search inside each zone, evaluating the measure only
 where its declared sensitivity requires: once per zone for insensitive
 measures (`ti_ls`), at the zone's tightest or loosest intervals for
 monotonic measures (`tmo_ls`), or along the decision boundary of the
-zone's qualifying region for monotonic threshold queries (`tmc_ls`).  One
+zone's qualifying region for monotonic threshold queries (`tmc_ls`), which
+settles a member box whose columns share one first qualifying start with
+one probe of its far column, and pays at most that one evaluation more
+when they do not.  One
 loop runs the search zone by zone, counts its evaluations and keeps the
 optimum across zones.  Nonmonotonic measures, which have no usable
 structure, take the same phase 1 and `all_ls`, which evaluates every member
@@ -308,29 +311,53 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     later column, so the next column resumes there.  Columns settle in
     adjacent order, and a column whose starts match the previous box's
     widens that box.
+
+    Once a box's first column settles at start q, one probe of q in the
+    box's last (worst) column decides the rest: if it qualifies, so does q
+    in every column between, whose earlier starts already failed in a
+    better column, and the box settles whole.  If it fails, the walk goes
+    on column by column and skips that cell.  So a box costs at most one
+    evaluation more than the plain walk, and two when all its columns
+    settle at one start.
     """
     measure = spec.measure
     expand = measure.improves_on == "expand"
-    step = -1 if expand else 1  # from a column's worst start toward its best
+    step = -1 if expand else 1  # toward the worst column, and toward a column's best start
     better = min if expand else max  # of two starts, the one nearer the best
     found = []
     evals = 0
+
+    def qualifies(ts, te) -> bool:
+        nonlocal evals
+        evals += 1
+        return satisfies(measure, evaluate(measure, zone.core, TimeInterval(ts, te), ctx), spec.sigma)
+
+    def settle(rows, te_from, te_to):  # these columns' qualifying starts are `rows`
+        lo, hi = min(te_from, te_to), max(te_from, te_to)
+        if found and found[-1][:2] == rows:
+            found[-1] = (*rows, min(found[-1][2], lo), max(found[-1][3], hi))
+        else:
+            found.append((*rows, lo, hi))
+
     ts = math.inf if expand else -math.inf  # no start tried yet
     for ts_lo, ts_hi, te_lo, te_hi in sorted(zone.members.boxes, key=lambda b: b[2], reverse=expand):
-        for te in range(te_hi, te_lo - 1, -1) if expand else range(te_lo, te_hi + 1):
+        first, far = (te_hi, te_lo) if expand else (te_lo, te_hi)
+        probed = None  # the start that failed the probe of column `far`
+        for te in range(first, far + step, step):
             ts = better(ts, ts_hi if expand else ts_lo)  # the failed start, or the column's worst
-            while ts_lo <= ts <= ts_hi:
-                evals += 1
-                if satisfies(measure, evaluate(measure, zone.core, TimeInterval(ts, te), ctx), spec.sigma):
-                    rows = (ts_lo, ts) if expand else (ts, ts_hi)
-                    if found and found[-1][:2] == rows:
-                        found[-1] = (*rows, min(found[-1][2], te), max(found[-1][3], te))
-                    else:
-                        found.append((*rows, te, te))
-                    break
+            if te == far and ts == probed:
                 ts += step
-            else:
+            while ts_lo <= ts <= ts_hi and not qualifies(ts, te):
+                ts += step
+            if not ts_lo <= ts <= ts_hi:
                 break  # this column failed throughout, so does every later one of the box
+            rows = (ts_lo, ts) if expand else (ts, ts_hi)
+            if te == first != far:
+                if qualifies(ts, far):
+                    settle(rows, first, far)
+                    break
+                probed = ts
+            settle(rows, te, te)
     return MemberSet(tuple(found)), None, evals
 
 

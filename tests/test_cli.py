@@ -193,6 +193,9 @@ def test_usage_errors_exit_2(g0_file, capsys):
     with_message = [
         (("query", "--input", "synthetic:60,600,20,planted-community", "--seed", "1", "--k", "2",
           "--measure", "size", "--param", "q=3", "--mode", "optimize"), "no parameter 'q'"),
+        (("query", "--input", "synthetic:60,600,20,planted-community", "--seed", "1", "--k", "2",
+          "--measure", "periodicity", "--param", "p=2", "--param", "p=9", "--mode", "optimize"),
+         "parameter p given twice"),
         (("query", "--input", "synthetic:a,b,c,uniform", "--k", "2"), "bad synthetic sizes"),
         (("query", "--input", "synthetic:1,5,5,uniform", "--k", "2"), "need at least two vertices"),
         (("query", "--input", g0_file, "--k", "2", "--granularity", "rank:x"), "takes no argument"),
@@ -239,9 +242,10 @@ def test_io_errors_exit_3(g0_file, tmp_path, capsys):
     assert "line 2" in err
     loops = tmp_path / "loops.txt"
     loops.write_text("a a 1\nb b 2\n")
-    code, _, err = run_cli(capsys, "query", "--input", str(loops), "--k", "2")
-    assert code == 3
-    assert "input graph has no edges" in err
+    for granularity in ((), ("--granularity", "rank"), ("--granularity", "bucket:3")):
+        code, _, err = run_cli(capsys, "query", "--input", str(loops), "--k", "2", *granularity)
+        assert code == 3, granularity
+        assert "input graph has no edges" in err
     missing = tmp_path / "missing" / "out.json"
     code, _, err = run_cli(capsys, "query", "--input", g0_file, "--k", "2", "--output", str(missing))
     assert code == 3

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tkcore import (
     ContractViolation,
     CoreIndex,
+    EvalContext,
     MeasureDescriptor,
     MemberSet,
     QueryResult,
@@ -32,6 +33,7 @@ from tkcore import (
     run_txcq,
     run_txcq_walk,
 )
+from tkcore.txcq import tmc_ls
 
 from conftest import random_instance, rect_dims
 
@@ -367,6 +369,57 @@ def test_boundary_walk_in_the_expand_direction(g0):
     assert res.stats.x_evaluations == 4
 
 
+def walk_one_box(g0, direction, sigma):
+    """`tmc_ls` on a hand-built zone of one box, starts 5..10 by ends
+    12..30, under a measure of the window's duration alone (shrinking
+    improves it when `direction` is "shrink", expanding otherwise).  Returns
+    the qualifying set, the evaluation count and the cells evaluated."""
+    cells = []
+
+    def duration(core, w, ctx):
+        cells.append(w)
+        return w.duration
+
+    better = "lower" if direction == "shrink" else "higher"
+    measure = MeasureDescriptor("duration", "monotonic", better, duration, improves_on=direction)
+    zone = ZoneRecord(reference_core(g0, 2, (1, 3)), TimeInterval(10, 12), (TimeInterval(5, 30),))
+    assert zone.members.boxes == ((5, 10, 12, 30),)
+    spec = QuerySpec(2, (5, 30), measure, "constrain", sigma)
+    qualifying, _, evals = tmc_ls(zone, spec, EvalContext(graph=g0, zone=zone))
+    assert evals == len(cells)
+    want = {(ts, te) for ts in range(5, 11) for te in range(12, 31)
+            if (te - ts + 1 <= sigma if direction == "shrink" else te - ts + 1 >= sigma)}
+    assert set(qualifying) == want
+    return qualifying, evals, cells
+
+
+@pytest.mark.parametrize("direction, sigma", [("shrink", 100), ("expand", 1)])
+def test_boundary_walk_settles_a_box_at_one_start_with_one_probe(g0, direction, sigma):
+    # every column qualifies at its worst start: the first column and the
+    # probe of the last settle all 19 columns of the box
+    qualifying, evals, cells = walk_one_box(g0, direction, sigma)
+    assert qualifying.boxes == ((5, 10, 12, 30),)
+    assert evals == 2
+    far = 30 if direction == "shrink" else 12
+    assert cells[1].te == far and cells[1].ts == cells[0].ts
+
+
+@pytest.mark.parametrize(
+    "direction, sigma, advance, evals",
+    [
+        ("shrink", 20, 6, 25),  # columns 25..30 each need a later start; 30 fails throughout
+        ("shrink", 25, 1, 20),  # only the probed column needs one start more
+        ("expand", 8, 5, 25),  # columns 16..12 each need an earlier start
+        ("expand", 4, 1, 20),  # only the probed column needs one start more
+    ],
+)
+def test_boundary_walk_after_a_failed_probe_costs_one_more_at_most(g0, direction, sigma, advance, evals):
+    _, got, cells = walk_one_box(g0, direction, sigma)
+    assert got == evals
+    assert got <= 19 + advance + 1  # columns, starts stepped past, the probe
+    assert len(set(cells)) == len(cells)  # the probed cell is not evaluated again
+
+
 # -- dispatch and the exhaustive fallback ------------------------------------
 
 
@@ -555,6 +608,10 @@ def test_gapped_stamps_match_the_oracle(kind, seed):
         if mode == "constrain" or name in insensitive:
             # every qualifying member, expanded from its boxes, in order
             assert members(res) == members(want), (name, mode)
+        if mode == "constrain" and name not in insensitive:
+            # the threshold walk stays within the zone's rectangle extents
+            for zone in res.zones():
+                assert res.stats.zone_eval_counts[zone.tti] <= sum(w + h for w, h in rect_dims(zone))
         c = res.stats.prune_counters
         if c:
             assert c["cells_visited"] + c["cells_pruned"] == c["cells_total"]
@@ -648,7 +705,7 @@ def test_unix_scale_gap_costs_what_its_ranks_cost():
     spec = QuerySpec(2, (1, 1001), get_measure("growth_rate"), "constrain", Fraction(3, 1000))
     res = run_txcq(small, spec)
     assert [(len(e.qualifying), len(e.qualifying.boxes)) for e in res.entries] == [(1000, 1), (1000, 1)]
-    assert res.stats.x_evaluations == 1002
+    assert res.stats.x_evaluations == 4  # the row settles with one probe of its far column
     # a measure evaluated on every raw subinterval is refused before the walk
     with pytest.raises(ContractViolation):
         run_tcd_star(g, QuerySpec(2, (1, big), get_measure("burstiness"), "optimize"))

@@ -24,10 +24,11 @@ The corpus:
   `periodicity` optimize with `--param p=3`, and a `--sigma 1/0` that
   exits 2 (5 commands);
 - the same instance at k=2: a `size` optimize with `--param q=3`, which
-  `size` does not declare, and a `periodicity` optimize with
-  `--param p=nan`; both exit 2 (2 commands).
+  `size` does not declare, a `periodicity` optimize with `--param p=nan`,
+  and one with `--param p=2 --param p=9`, which names `p` twice; all three
+  exit 2 (3 commands).
 
-295 commands in all.
+296 commands in all.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def commands():
     yield ["query", *small, "--measure", "growth_rate", "--mode", "constrain", "--sigma", "1/0"]
     yield ["query", *small, "--measure", "size", "--param", "q=3", "--mode", "optimize"]
     yield ["query", *small, "--measure", "periodicity", "--param", "p=nan", "--mode", "optimize"]
+    yield ["query", *small, "--measure", "periodicity", "--param", "p=2", "--param", "p=9",
+           "--mode", "optimize"]
 
 
 def run(main, argv) -> tuple[int, str]:
