@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import repeat
 
 from .graph import (
     ContractViolation,
@@ -183,7 +184,7 @@ def _load_graph(args) -> TemporalGraph:
             g = load_edge_list(spec)
         except OSError as exc:
             raise InputError(f"cannot read {spec}: {exc}") from None
-    if not g.edges:
+    if g.edge_count == 0:
         raise InputError("input graph has no edges")
     if args.granularity:
         g = _apply_granularity(g, args.granularity)
@@ -502,7 +503,8 @@ def cmd_gen(args) -> int:
         f"# synthetic model={args.model} vertices={args.vertices} "
         f"edges={args.edges} timestamps={args.timestamps} seed={args.seed}"
     ]
-    lines.extend(f"{g.label_of(e.u)} {g.label_of(e.v)} {e.t}" for e in g.edges)
+    for u, v, t, n in g.pair_runs:
+        lines.extend(repeat(f"{g.label_of(u)} {g.label_of(v)} {t}", n))
     _write_text("\n".join(lines) + "\n", args.output)
     if args.output is not None:
         print(

@@ -2,8 +2,9 @@
 
 A temporal graph is an undirected multigraph whose edges carry integer
 timestamps.  Parallel edges between the same endpoints are meaningful and
-kept; self-loops are dropped at ingestion because degree counts distinct
-neighbors and a loop never contributes one.
+kept, as the count on their timestamped pair's run; self-loops are dropped
+at ingestion because degree counts distinct neighbors and a loop never
+contributes one.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import add, itemgetter
+from operator import index, itemgetter
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
@@ -67,28 +67,66 @@ def make_edge(a: int, b: int, t: int) -> TemporalEdge:
     return TemporalEdge(a, b, t) if a <= b else TemporalEdge(b, a, t)
 
 
-def _edge_order(e: TemporalEdge):
-    return (e.t, e.u, e.v)
-
-
 class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
+def _runs_of(counts: dict) -> tuple[tuple[int, int, int, int], ...]:
+    """The pair runs `(u, v, t, n)` of a count `{(t, u, v): n}` of distinct
+    timestamped pairs, sorted by (t, u, v).  `counts` is emptied as the runs
+    are made, so each key is freed as its run replaces it."""
+    order = sorted(counts, reverse=True)
+    runs = []
+    while order:
+        key = order.pop()
+        t, u, v = key
+        runs.append((u, v, t, counts.pop(key)))
+    return tuple(runs)
+
+
+def _expand(runs) -> tuple[TemporalEdge, ...]:
+    """The edges of time-sorted pair runs, each run's edge n times, in order."""
+    return tuple(chain.from_iterable(repeat(TemporalEdge(u, v, t), n) for u, v, t, n in runs))
+
+
 class TemporalGraph:
     """Immutable temporal multigraph with dense vertex ids 0..vertex_count-1.
 
-    `edges` is the canonical multiset: endpoint-ordered and sorted by
-    (t, u, v).  `labels[i]` is the external label of vertex i.
+    The graph is stored as its pair runs (`pair_runs`): one record per
+    distinct timestamped pair with its parallel-edge count.  `edges` is the
+    canonical multiset as one `TemporalEdge` per edge, endpoint-ordered and
+    sorted by (t, u, v); a graph built by `parse_edge_list`, `from_edges`,
+    `project` or `normalize_timestamps` expands it from the runs on first
+    read.  `TemporalGraph(vertex_count, edges, labels, self_loops_dropped)`
+    takes an explicit edge tuple instead and derives the runs from it on
+    first use.  `labels[i]` is the external label of vertex i.
+
+    Graphs compare and hash by vertex count, labels, dropped self-loops and
+    the multiset of edges, which their runs determine.
     """
 
-    vertex_count: int
-    edges: tuple[TemporalEdge, ...]
-    labels: tuple[str, ...]
-    self_loops_dropped: int = 0
+    def __init__(self, vertex_count: int, edges, labels: tuple, self_loops_dropped: int = 0):
+        self.__dict__.update(
+            vertex_count=vertex_count,
+            edges=tuple(edges),  # fills the lazy cache
+            labels=labels,
+            self_loops_dropped=self_loops_dropped,
+        )
+
+    @classmethod
+    def _of_runs(cls, vertex_count: int, runs: tuple, labels: tuple, self_loops_dropped: int = 0):
+        """A graph stored as `runs`, which must be sorted by (t, u, v) with
+        one run per distinct (u, v, t) and u < v."""
+        g = cls.__new__(cls)
+        g.__dict__.update(
+            vertex_count=vertex_count,
+            pair_runs=runs,
+            labels=labels,
+            self_loops_dropped=self_loops_dropped,
+        )
+        return g
 
     @classmethod
     def from_edges(
@@ -98,33 +136,71 @@ class TemporalGraph:
         labels: Iterable[str] | None = None,
         self_loops_dropped: int = 0,
     ) -> "TemporalGraph":
-        canon = []
-        for u, v, t in edges:
+        counts: dict = {}
+        for edge in edges:
+            try:
+                u, v, t = map(index, edge)
+            except TypeError:
+                raise ValueError(f"edge {tuple(edge)}: vertex ids and stamps must be integers") from None
             if u == v:
                 raise ValueError(f"self-loop on vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u},{v},{t}) outside vertex range")
-            canon.append(make_edge(int(u), int(v), int(t)))
-        canon.sort(key=_edge_order)
+            key = (t, u, v) if u < v else (t, v, u)
+            counts[key] = counts.get(key, 0) + 1
         if labels is None:
             label_tuple = tuple(str(i) for i in range(vertex_count))
         else:
             label_tuple = tuple(labels)
             if len(label_tuple) != vertex_count:
                 raise ValueError("label count must equal vertex count")
-        return cls(vertex_count, tuple(canon), label_tuple, self_loops_dropped)
+        return cls._of_runs(vertex_count, _runs_of(counts), label_tuple, self_loops_dropped)
 
-    @property
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TemporalGraph is immutable; cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.vertex_count, self.labels, self.self_loops_dropped, self.pair_runs)
+
+    def __eq__(self, other):
+        if not isinstance(other, TemporalGraph):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"TemporalGraph(vertex_count={self.vertex_count}, pair_runs={self.pair_runs}, "
+            f"labels={self.labels}, self_loops_dropped={self.self_loops_dropped})"
+        )
+
+    @cached_property
+    def pair_runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The graph's stored form: one plain tuple `(u, v, t, n)` per
+        distinct timestamped pair, where n is the number of parallel edges
+        (u, v, t), sorted by (t, u, v) like `edges`, so the runs expand back
+        to `edges` in order.  A graph given an explicit edge tuple derives
+        them on first use."""
+        return _runs_of(Counter((t, u, v) for u, v, t in self.edges))
+
+    @cached_property
+    def edges(self) -> tuple[TemporalEdge, ...]:
+        """The runs expanded, built on first read: no engine reads it."""
+        return _expand(self.pair_runs)
+
+    @cached_property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(_run_count, self.pair_runs))
 
     @cached_property
     def min_t(self):
-        return self.edges[0].t if self.edges else None
+        return self.pair_runs[0][2] if self.pair_runs else None
 
     @cached_property
     def max_t(self):
-        return self.edges[-1].t if self.edges else None
+        return self.pair_runs[-1][2] if self.pair_runs else None
 
     @cached_property
     def _label_to_id(self) -> dict:
@@ -137,23 +213,14 @@ class TemporalGraph:
         return self.labels[vertex]
 
     def time_range(self) -> TimeInterval | None:
-        if not self.edges:
+        if not self.pair_runs:
             return None
         return TimeInterval(self.min_t, self.max_t)
 
     @cached_property
     def timestamps(self) -> tuple[int, ...]:
         """The distinct timestamps, ascending; built on first use."""
-        return tuple(dict.fromkeys(map(_edge_time, self.edges)))
-
-    @cached_property
-    def pair_runs(self) -> tuple[tuple[int, int, int, int], ...]:
-        """One plain tuple `(u, v, t, n)` per distinct timestamped pair,
-        where n is the number of parallel edges (u, v, t); sorted by
-        (t, u, v) like `edges`, so the runs expand back to `edges` in order.
-        Built on first use, in C: each distinct edge plus `(n,)`."""
-        runs = Counter(self.edges)
-        return tuple(map(add, runs, zip(runs.values())))
+        return tuple(dict.fromkeys(map(_edge_time, self.pair_runs)))
 
     @cached_property
     def core_indexes(self) -> dict:
@@ -210,6 +277,7 @@ class TemporalGraph:
 
 
 _edge_time = itemgetter(2)  # the t of an edge or a pair run
+_run_count = itemgetter(3)  # the n of a pair run
 
 
 def _window_bounds(records: tuple, ts: int, te: int, lo=0, hi=None) -> tuple[int, int]:
@@ -297,8 +365,7 @@ class CoreSnapshot:
 
     @cached_property
     def edges(self) -> tuple[TemporalEdge, ...]:
-        runs = self._pair_runs()
-        return tuple(chain.from_iterable(repeat(TemporalEdge(u, v, t), n) for u, v, t, n in runs))
+        return _expand(self._pair_runs())
 
     @cached_property
     def degrees(self) -> MappingProxyType:
@@ -332,8 +399,9 @@ def project(g: TemporalGraph, window) -> TemporalGraph:
     vertices, only edges.
     """
     w = TimeInterval(*window)
-    kept = tuple(e for e in g.edges if w.ts <= e.t <= w.te)
-    return TemporalGraph(g.vertex_count, kept, g.labels)
+    runs = g.pair_runs
+    lo, hi = _window_bounds(runs, w.ts, w.te)
+    return TemporalGraph._of_runs(g.vertex_count, runs[lo:hi], g.labels)
 
 
 def parse_edge_list(lines: Iterable[str]) -> TemporalGraph:
@@ -342,38 +410,36 @@ def parse_edge_list(lines: Iterable[str]) -> TemporalGraph:
     Extra trailing fields are ignored, `#` comment lines and blank
     lines are skipped, labels are assigned dense ids in order of first
     appearance, and self-loops are dropped but tallied on the result.
+    Parallel edges are counted as they are read, so the graph holds one
+    pair run per distinct timestamped pair and never one record per line.
     """
     label_ids: dict = {}
-    labels: list = []
-    edges = []
+    assign = label_ids.setdefault
+    counts: dict = {}
     loops = 0
-    saw_data = False
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
         if len(parts) < 3:
-            raise ParseError(line_no, f"expected 'src dst timestamp', got {line!r}")
+            raise ParseError(line_no, f"expected 'src dst timestamp', got {raw.strip()!r}")
         try:
             t = int(parts[2])
         except ValueError:
             raise ParseError(line_no, f"timestamp is not an integer: {parts[2]!r}") from None
-        saw_data = True
-        ids = []
-        for lab in parts[:2]:
-            if lab not in label_ids:
-                label_ids[lab] = len(labels)
-                labels.append(lab)
-            ids.append(label_ids[lab])
-        if ids[0] == ids[1]:
+        u = assign(parts[0], len(label_ids))
+        v = assign(parts[1], len(label_ids))
+        if u < v:
+            key = (t, u, v)
+        elif v < u:
+            key = (t, v, u)
+        else:
             loops += 1
             continue
-        edges.append(make_edge(ids[0], ids[1], t))
-    if not saw_data:
+        counts[key] = counts.get(key, 0) + 1
+    if not label_ids:
         raise ParseError(0, "no edges in input")
-    edges.sort(key=_edge_order)
-    return TemporalGraph(len(labels), tuple(edges), tuple(labels), loops)
+    return TemporalGraph._of_runs(len(label_ids), _runs_of(counts), tuple(label_ids), loops)
 
 
 def load_edge_list(path) -> TemporalGraph:
@@ -388,7 +454,7 @@ def normalize_timestamps(g: TemporalGraph, mode: str, width: int | None = None) 
 
     bucket: t' = (t - min_t) // width + 1, so each bucket covers `width`
     raw units.  rank: distinct timestamps become 1..m in ascending order,
-    which is idempotent.
+    which is idempotent.  Each pair run is remapped whole.
     """
     if g.edge_count == 0:
         raise ValueError("cannot normalize a graph with no edges")
@@ -396,18 +462,19 @@ def normalize_timestamps(g: TemporalGraph, mode: str, width: int | None = None) 
         if width is None or width <= 0:
             raise ValueError("bucket width must be a positive integer")
         lo = g.min_t
-
-        def remap(t):
-            return (t - lo) // width + 1
-
+        # a bucket merges stamps, so runs of a later stamp may now sort
+        # first, and runs of one pair at two stamps may become one run
+        counts: dict = {}
+        for u, v, t, n in g.pair_runs:
+            key = ((t - lo) // width + 1, u, v)
+            counts[key] = counts.get(key, 0) + n
+        runs = _runs_of(counts)
     elif mode == "rank":
         ranks = {t: i for i, t in enumerate(g.timestamps, start=1)}
-        remap = ranks.__getitem__
+        runs = tuple((u, v, ranks[t], n) for u, v, t, n in g.pair_runs)
     else:
         raise ValueError(f"unknown normalization mode: {mode!r}")
-    # a bucket merges stamps, so edges of a later stamp may now sort first
-    edges = tuple(sorted((TemporalEdge(e.u, e.v, remap(e.t)) for e in g.edges), key=_edge_order))
-    return TemporalGraph(g.vertex_count, edges, g.labels, g.self_loops_dropped)
+    return TemporalGraph._of_runs(g.vertex_count, runs, g.labels, g.self_loops_dropped)
 
 
 def generate_synthetic(

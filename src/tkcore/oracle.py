@@ -12,10 +12,14 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
-from .graph import CoreSnapshot, TemporalGraph, TimeInterval, _edge_order
+from .graph import CoreSnapshot, TemporalEdge, TemporalGraph, TimeInterval
 
 MAX_ORACLE_SPAN = 40
 MAX_ORACLE_EDGES = 2000
+
+
+def _edge_order(e: TemporalEdge):
+    return (e.t, e.u, e.v)
 
 
 def reference_core(g: TemporalGraph, k: int, window) -> CoreSnapshot:

@@ -1,10 +1,14 @@
 """Ingestion, normalization, projection, and synthesis."""
 
 import gzip
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tkcore import (
+    MeasureDescriptor,
     ParseError,
     QuerySpec,
     TemporalEdge,
@@ -13,12 +17,14 @@ from tkcore import (
     brute_force_txcq,
     canonical_result,
     generate_synthetic,
+    get_measure,
     load_edge_list,
     make_edge,
     normalize_timestamps,
     parse_edge_list,
     project,
     run_txcq,
+    run_txcq_walk,
 )
 
 
@@ -46,6 +52,85 @@ def test_from_edges_rejects_self_loops_and_range_violations():
         TemporalGraph.from_edges(2, [(0, 2, 1)])
     with pytest.raises(ValueError):
         TemporalGraph.from_edges(2, [(0, 1, 1)], labels=("only-one",))
+
+
+def test_from_edges_refuses_non_integer_ids_and_stamps():
+    for edge in [(0, 1, 1.5), (0.7, 1, 1), (0, 1.0, 1), (0, 1, "3")]:
+        with pytest.raises(ValueError, match="must be integers"):
+            TemporalGraph.from_edges(2, [edge])
+
+
+_LABELS = ["a", "b", "c", "d", "x1", "10", "2"]
+_edge_lines = st.tuples(
+    st.sampled_from(_LABELS),
+    st.sampled_from(_LABELS),
+    st.integers(min_value=-3, max_value=6) | st.integers(min_value=10**9, max_value=10**9 + 3),
+    st.sampled_from(["", " extra", " 7 junk"]),
+    st.sampled_from(["", "  ", "\t"]),
+    st.sampled_from(["", "\n", "  \n"]),
+).map(lambda p: (p[0], p[1], p[2], f"{p[4]}{p[0]} {p[1]}  {p[2]}{p[3]}{p[5]}"))
+_other_lines = st.sampled_from(["", "   ", "\n", "# a comment", "  # 1 2 3", "#x y 4"])
+
+
+@given(st.lists(_edge_lines | _other_lines.map(lambda line: (None, None, None, line)), max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_parse_from_edges_and_the_positional_constructor_agree(items):
+    labels: dict = {}
+    raw, loops = [], 0
+    for a, b, t, _ in items:
+        if a is None:
+            continue
+        u, v = (labels.setdefault(x, len(labels)) for x in (a, b))
+        if u == v:
+            loops += 1
+        else:
+            raw.append((u, v, t))
+    lines = [line for *_, line in items]
+    if not labels:
+        with pytest.raises(ParseError):
+            parse_edge_list(lines)
+        return
+    n, names = len(labels), tuple(labels)
+    edges = sorted((make_edge(*e) for e in raw), key=lambda e: (e.t, e.u, e.v))
+    runs = tuple((e.u, e.v, e.t, c) for e, c in Counter(edges).items())
+    stamps = tuple(sorted({t for _, _, t in raw}))
+    graphs = [
+        parse_edge_list(lines),
+        TemporalGraph.from_edges(n, raw, names, loops),
+        TemporalGraph(n, tuple(edges), names, loops),
+    ]
+    for g in graphs:
+        assert g == graphs[0] and hash(g) == hash(graphs[0])
+        assert (g.vertex_count, g.labels, g.self_loops_dropped) == (n, names, loops)
+        assert g.edges == tuple(edges)
+        assert g.pair_runs == runs
+        assert g.edge_count == len(raw)
+        assert g.timestamps == stamps
+        assert (g.min_t, g.max_t) == ((stamps[0], stamps[-1]) if stamps else (None, None))
+        assert g.time_range() == (TimeInterval(stamps[0], stamps[-1]) if stamps else None)
+    if raw:  # one parallel edge more is a different multiset
+        bigger = TemporalGraph.from_edges(n, raw + raw[:1], names, loops)
+        assert bigger != graphs[0] and bigger.edge_count == len(raw) + 1
+
+
+def test_queries_leave_a_parsed_graphs_edges_unexpanded():
+    planted = generate_synthetic(60, 900, 12, model="planted-community", seed=5)
+    g = parse_edge_list(f"{u} {v} {t}" for u, v, t in planted.edges)
+    rng = g.time_range()
+    odd = MeasureDescriptor("odd_edges", "nonmonotonic", "higher", lambda core, w, ctx: core.edge_count % 2)
+    specs = [QuerySpec(2, rng), QuerySpec(3, (rng.ts + 2, rng.te - 2))]
+    for name in ("burstiness", "periodicity", "engagement"):
+        specs.append(QuerySpec(2, rng, get_measure(name), "optimize"))
+    specs += [
+        QuerySpec(2, rng, get_measure("growth_rate"), "constrain", sigma=1),
+        QuerySpec(2, rng, get_measure("engagement"), "constrain", sigma=Fraction(3, 4)),
+        QuerySpec(2, rng, odd, "optimize"),
+    ]
+    for spec in specs:
+        assert run_txcq(g, spec).entries
+        run_txcq_walk(g, spec)
+    assert "edges" not in vars(g)
+    assert g.core_indexes  # the index route ran
 
 
 def test_parse_assigns_dense_ids_by_first_appearance():
@@ -116,6 +201,10 @@ def test_normalize_bucket_and_rank():
     assert [e.t for e in r.edges] == [1, 2, 3]
     # rank is idempotent
     assert normalize_timestamps(r, "rank").edges == r.edges
+    # the runs of one pair at two stamps of one bucket merge
+    pair = TemporalGraph.from_edges(2, [(0, 1, 100), (0, 1, 101), (0, 1, 101)])
+    merged = normalize_timestamps(pair, "bucket", width=5)
+    assert merged.pair_runs == ((0, 1, 1, 3),) and merged == TemporalGraph.from_edges(2, [(0, 1, 1)] * 3)
 
 
 def test_normalize_bucket_keeps_edges_sorted():
