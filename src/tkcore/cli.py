@@ -399,7 +399,8 @@ def _describe_diff(eng, ora, mode: str) -> list[str]:
             diffs.append(f"engine-only winning zone {list(tti)}")
         for tti in sorted(ora[0] - eng[0]):
             diffs.append(f"oracle-only winning zone {list(tti)}")
-    else:
+    else:  # member sets, listed only here, to name the intervals that differ
+        eng, ora = set(eng), set(ora)
         for iv in sorted(eng - ora):
             diffs.append(f"engine-only qualifying interval {list(iv)}")
         for iv in sorted(ora - eng):
@@ -416,7 +417,7 @@ def cmd_verify(args) -> int:
     if args.algorithm in ("tcd", "otcd"):
         # these engines report cores without zone geometry
         def cores_key(result):
-            cores = ((e.zone.tti, e.zone.core.vertices, e.zone.core.edges) for e in result.entries)
+            cores = ((e.zone.tti, e.zone.core.vertices, e.zone.core.edge_count) for e in result.entries)
             return tuple(sorted(cores, key=lambda r: r[0]))
 
         eng_key, ora_key = cores_key(engine_result), cores_key(oracle_result)

@@ -94,23 +94,41 @@ def _expand(runs) -> tuple[TemporalEdge, ...]:
 class TemporalGraph:
     """Immutable temporal multigraph with dense vertex ids 0..vertex_count-1.
 
-    The graph is stored as its pair runs (`pair_runs`): one record per
-    distinct timestamped pair with its parallel-edge count.  `edges` is the
-    canonical multiset as one `TemporalEdge` per edge, endpoint-ordered and
-    sorted by (t, u, v); a graph built by `parse_edge_list`, `from_edges`,
-    `project` or `normalize_timestamps` expands it from the runs on first
-    read.  `TemporalGraph(vertex_count, edges, labels, self_loops_dropped)`
-    takes an explicit edge tuple instead and derives the runs from it on
-    first use.  `labels[i]` is the external label of vertex i.
-
-    Graphs compare and hash by vertex count, labels, dropped self-loops and
-    the multiset of edges, which their runs determine.
+    The graph is stored as its pair runs (`pair_runs`): one plain tuple
+    `(u, v, t, n)` per distinct timestamped pair with u < v, n being its
+    parallel edges, sorted by (t, u, v).  The constructor, also called as
+    `from_edges`, counts `(u, v, t)` edges in either endpoint order into
+    runs, and refuses a self-loop, an id outside the vertex range and an id
+    or stamp that is not an integer with `ValueError`.  `edges` is one
+    `TemporalEdge` per edge, endpoint-ordered and in run order, expanded
+    from the runs on first read.  `labels[i]` is the external label of
+    vertex i, by default i as a string.  Graphs compare and hash by vertex
+    count, labels, dropped self-loops and pair runs.
     """
 
-    def __init__(self, vertex_count: int, edges, labels: tuple, self_loops_dropped: int = 0):
+    def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int, int]],
+                 labels: Iterable[str] | None = None, self_loops_dropped: int = 0):
+        counts: dict = {}
+        for edge in edges:
+            try:
+                u, v, t = map(index, edge)
+            except TypeError:
+                raise ValueError(f"edge {tuple(edge)}: vertex ids and stamps must be integers") from None
+            if u == v:
+                raise ValueError(f"self-loop on vertex {u}")
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValueError(f"edge ({u},{v},{t}) outside vertex range")
+            key = (t, u, v) if u < v else (t, v, u)
+            counts[key] = counts.get(key, 0) + 1
+        if labels is None:
+            labels = tuple(str(i) for i in range(vertex_count))
+        else:
+            labels = tuple(labels)
+            if len(labels) != vertex_count:
+                raise ValueError("label count must equal vertex count")
         self.__dict__.update(
             vertex_count=vertex_count,
-            edges=tuple(edges),  # fills the lazy cache
+            pair_runs=_runs_of(counts),
             labels=labels,
             self_loops_dropped=self_loops_dropped,
         )
@@ -129,32 +147,8 @@ class TemporalGraph:
         return g
 
     @classmethod
-    def from_edges(
-        cls,
-        vertex_count: int,
-        edges: Iterable[tuple[int, int, int]],
-        labels: Iterable[str] | None = None,
-        self_loops_dropped: int = 0,
-    ) -> "TemporalGraph":
-        counts: dict = {}
-        for edge in edges:
-            try:
-                u, v, t = map(index, edge)
-            except TypeError:
-                raise ValueError(f"edge {tuple(edge)}: vertex ids and stamps must be integers") from None
-            if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v},{t}) outside vertex range")
-            key = (t, u, v) if u < v else (t, v, u)
-            counts[key] = counts.get(key, 0) + 1
-        if labels is None:
-            label_tuple = tuple(str(i) for i in range(vertex_count))
-        else:
-            label_tuple = tuple(labels)
-            if len(label_tuple) != vertex_count:
-                raise ValueError("label count must equal vertex count")
-        return cls._of_runs(vertex_count, _runs_of(counts), label_tuple, self_loops_dropped)
+    def from_edges(cls, vertex_count: int, edges, labels=None, self_loops_dropped: int = 0) -> "TemporalGraph":
+        return cls(vertex_count, edges, labels, self_loops_dropped)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"TemporalGraph is immutable; cannot set {name!r}")
@@ -177,15 +171,6 @@ class TemporalGraph:
         )
 
     @cached_property
-    def pair_runs(self) -> tuple[tuple[int, int, int, int], ...]:
-        """The graph's stored form: one plain tuple `(u, v, t, n)` per
-        distinct timestamped pair, where n is the number of parallel edges
-        (u, v, t), sorted by (t, u, v) like `edges`, so the runs expand back
-        to `edges` in order.  A graph given an explicit edge tuple derives
-        them on first use."""
-        return _runs_of(Counter((t, u, v) for u, v, t in self.edges))
-
-    @cached_property
     def edges(self) -> tuple[TemporalEdge, ...]:
         """The runs expanded, built on first read: no engine reads it."""
         return _expand(self.pair_runs)
@@ -201,13 +186,6 @@ class TemporalGraph:
     @cached_property
     def max_t(self):
         return self.pair_runs[-1][2] if self.pair_runs else None
-
-    @cached_property
-    def _label_to_id(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    def id_of(self, label: str) -> int:
-        return self._label_to_id[label]
 
     def label_of(self, vertex: int) -> str:
         return self.labels[vertex]

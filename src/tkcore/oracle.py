@@ -69,17 +69,6 @@ class OracleCatalog:
     window: TimeInterval | None
     classes: tuple[OracleClass, ...]
 
-    def class_of(self, window) -> OracleClass | None:
-        w = TimeInterval(*window)
-        for cls in self.classes:
-            if w in cls.members:
-                return cls
-        return None
-
-    @property
-    def lti_count(self) -> int:
-        return sum(len(c.ltis) for c in self.classes)
-
     def ttis(self) -> list[TimeInterval]:
         return [c.tti for c in self.classes]
 
@@ -135,9 +124,10 @@ def brute_force_tcq(g: TemporalGraph, k: int, window) -> OracleCatalog:
 def brute_force_txcq(g: TemporalGraph, spec) -> "QueryResult":
     """Evaluate the measure on every nonempty subinterval and apply the
     query mode directly.  Result carries the same record types the engines
-    produce so outcomes can be diffed."""
+    produce so outcomes can be diffed: each entry's intervals are a
+    `MemberSet` of one-cell boxes."""
     from .measures import EvalContext, compare, evaluate, satisfies
-    from .txcq import QueryResult, QueryStats, ResultEntry, ZoneRecord
+    from .txcq import MemberSet, QueryResult, QueryStats, ResultEntry, ZoneRecord
 
     catalog = brute_force_tcq(g, spec.k, spec.window)
     zones = tuple(
@@ -165,14 +155,14 @@ def brute_force_txcq(g: TemporalGraph, spec) -> "QueryResult":
             owner[member] = cls.tti
             stats.x_evaluations += 1
 
-    def grouped(intervals, value_for):
+    def grouped(intervals, value):
         by_zone: dict[TimeInterval, list[TimeInterval]] = defaultdict(list)
         for iv in intervals:
             by_zone[owner[iv]].append(iv)
         entries = []
         for tti in sorted(by_zone):
-            ivs = tuple(sorted(by_zone[tti]))
-            entries.append(ResultEntry(zone_by_tti[tti], ivs, value_for(ivs)))
+            cells = MemberSet(tuple((ts, ts, te, te) for ts, te in sorted(by_zone[tti])))
+            entries.append(ResultEntry(zone_by_tti[tti], cells, value))
         return tuple(entries)
 
     if spec.mode == "optimize":
@@ -183,10 +173,10 @@ def brute_force_txcq(g: TemporalGraph, spec) -> "QueryResult":
             if best is None or compare(measure, val, best) == "better":
                 best = val
         winners = [iv for iv, val in values.items() if val == best]
-        return QueryResult(grouped(winners, lambda ivs: best), stats)
+        return QueryResult(grouped(winners, best), stats)
 
     if spec.mode == "constrain":
         qualifying = [iv for iv, val in values.items() if satisfies(measure, val, spec.sigma)]
-        return QueryResult(grouped(qualifying, lambda ivs: None), stats)
+        return QueryResult(grouped(qualifying, None), stats)
 
     raise ValueError(f"unknown query mode: {spec.mode!r}")

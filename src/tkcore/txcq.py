@@ -19,8 +19,8 @@ x pair runs exceed `coreindex.MAX_CORE_INDEX_SIZE` gets no index, and
 cells plus whatever empties it takes to get there, pruning each discovered
 rectangle wholesale.  It stays the paper's engine and the index's
 reference: `run_otcd_star` and `run_txcq_walk` always walk, and so does
-the CLI, which answers one query per process and would never earn back a
-build.
+the CLI, whose output carries the walk's own counters (cells visited and
+prune counters), which an index read would replace with its own.
 
 Phase 2 runs a local search inside each zone, evaluating the measure only
 where its declared sensitivity requires: once per zone for insensitive
@@ -47,6 +47,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from . import coreindex
@@ -62,9 +63,15 @@ MAX_TCD_STAR_CELLS = 10**6  # raw cells of the clamped window's triangle
 class MemberSet:
     """A set of intervals held as disjoint boxes (ts_lo, ts_hi, te_lo, te_hi),
     each box every [ts, te] with ts in [ts_lo, ts_hi] and te in [te_lo, te_hi].
-    Iteration yields the intervals ascending by (ts, te).  Two sets are equal
-    when they hold the same intervals, however they are cut into boxes.  No
-    box is empty, so the set is empty exactly when it holds no box."""
+    Iteration yields the intervals ascending by (ts, te).  No box is empty,
+    so the set is empty exactly when it holds no box.
+
+    Two sets are equal when they hold the same intervals, however they are
+    cut into boxes, and comparing or hashing them never lists an interval:
+    they are equal when they hold as many intervals and each box of one is
+    covered by the other's boxes, whose overlaps with it, being disjoint,
+    add up to its size.  The hash is the count and the sums of the starts
+    and of the ends, each worked out box by box."""
 
     boxes: tuple[tuple[int, int, int, int], ...]
 
@@ -81,10 +88,25 @@ class MemberSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MemberSet):
             return NotImplemented
-        return self.boxes == other.boxes or (len(self) == len(other) and list(self) == list(other))
+        if self.boxes == other.boxes:
+            return True
+        if len(self) != len(other):
+            return False
+        return all(
+            sum(
+                max(0, min(b, q) - max(a, p) + 1) * max(0, min(d, s) - max(c, r) + 1)
+                for p, q, r, s in other.boxes
+            ) == (b - a + 1) * (d - c + 1)
+            for a, b, c, d in self.boxes
+        )
 
     def __hash__(self) -> int:
-        return hash(len(self))
+        starts = ends = 0
+        for a, b, c, d in self.boxes:
+            rows, cols = b - a + 1, d - c + 1
+            starts += (a + b) * rows // 2 * cols
+            ends += (c + d) * cols // 2 * rows
+        return hash((len(self), starts, ends))
 
     def __iter__(self):
         return iter(sorted(
@@ -205,17 +227,20 @@ class QueryResult(NamedTuple):
 
 
 def canonical_result(result: QueryResult, mode: str):
-    """Mode-appropriate comparison key.
+    """Mode-appropriate comparison key, built from stored forms: it never
+    lists an interval or expands a core's edges.
 
-    Enumerate compares full zone geometry; constrain compares the exact
-    qualifying interval set; optimize compares the winning cores (by TTI)
-    plus the optimal value, since different strategies may report different
-    witness intervals for the same tied optimum.
+    Enumerate compares full zone geometry, each core by its vertex set, TTI
+    and edge count, which determine it; constrain compares the qualifying
+    intervals as one `MemberSet` of every entry's boxes, which the zones
+    keep disjoint; optimize compares the winning cores (by TTI) plus the
+    optimal value, since different strategies may report different witness
+    intervals for the same tied optimum.
     """
     if mode == "enumerate":
         return tuple(
             sorted(
-                (e.zone.tti, e.zone.core.vertices, e.zone.core.edges, e.zone.ltis)
+                (e.zone.tti, e.zone.core.vertices, e.zone.core.edge_count, e.zone.ltis)
                 for e in result.entries
             )
         )
@@ -227,10 +252,7 @@ def canonical_result(result: QueryResult, mode: str):
             result.entries[0].x_value,
         )
     if mode == "constrain":
-        out = set()
-        for e in result.entries:
-            out.update(e.qualifying or ())
-        return frozenset(out)
+        return MemberSet(tuple(chain.from_iterable(e.qualifying.boxes for e in result.entries)))
     raise ValueError(f"unknown mode: {mode!r}")
 
 
@@ -423,8 +445,8 @@ def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
 
 def run_txcq_walk(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     """`run_txcq` with phase 1 always on the OTCD* walk, whose counters
-    are the paper's.  The CLI answers one query per process, which never
-    earns back an index build, so it takes this route."""
+    are the paper's.  The CLI takes this route, since its output carries
+    those counters."""
     return _run(g, spec, False)
 
 

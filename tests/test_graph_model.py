@@ -98,6 +98,7 @@ def test_parse_from_edges_and_the_positional_constructor_agree(items):
         parse_edge_list(lines),
         TemporalGraph.from_edges(n, raw, names, loops),
         TemporalGraph(n, tuple(edges), names, loops),
+        TemporalGraph(n, [(v, u, t) for u, v, t in raw], names, loops),  # every endpoint pair reversed
     ]
     for g in graphs:
         assert g == graphs[0] and hash(g) == hash(graphs[0])
@@ -111,6 +112,8 @@ def test_parse_from_edges_and_the_positional_constructor_agree(items):
     if raw:  # one parallel edge more is a different multiset
         bigger = TemporalGraph.from_edges(n, raw + raw[:1], names, loops)
         assert bigger != graphs[0] and bigger.edge_count == len(raw) + 1
+    with pytest.raises(ValueError, match="self-loop"):
+        TemporalGraph(n, raw + [(n - 1, n - 1, 1)], names, loops)
 
 
 def test_queries_leave_a_parsed_graphs_edges_unexpanded():
@@ -136,7 +139,7 @@ def test_queries_leave_a_parsed_graphs_edges_unexpanded():
 def test_parse_assigns_dense_ids_by_first_appearance():
     g = parse_edge_list(["carol bob 3", "alice carol 1", "bob alice 2"])
     assert g.labels == ("carol", "bob", "alice")
-    assert g.id_of("carol") == 0 and g.id_of("alice") == 2
+    assert g.labels.index("carol") == 0 and g.labels.index("alice") == 2
     assert g.label_of(1) == "bob"
     # canonical storage is sorted by timestamp, endpoints normalized
     assert [e.t for e in g.edges] == [1, 2, 3]

@@ -83,7 +83,7 @@ def test_truncate_then_snapshot_prunes_empty_bookkeeping(tel_fixture_graph):
     snap = tel.snapshot()
     assert snap.tti == TimeInterval(5, 6)
     # v7 and v8 lost every edge; they must drop out of the degree maps
-    v7 = tel_fixture_graph.id_of("v7")
+    v7 = tel_fixture_graph.labels.index("v7")
     assert v7 not in tel.degree
     assert v7 not in tel.neighbor_mult
 

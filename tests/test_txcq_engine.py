@@ -23,6 +23,7 @@ from tkcore import (
     brute_force_tcq,
     brute_force_txcq,
     canonical_result,
+    generate_synthetic,
     get_measure,
     normalize_timestamps,
     reference_core,
@@ -87,20 +88,27 @@ def test_zone_membership_is_the_rectangle_union(staircase_zone):
     assert [w for w in grid if w in members] == [w for w in grid if TimeInterval(*w) in union]
 
 
-@given(
-    boxes=st.lists(
-        st.tuples(*[st.integers(min_value=0, max_value=6)] * 4).map(
-            lambda b: (min(b[0], b[1]), max(b[0], b[1]), min(b[2], b[3]), max(b[2], b[3]))
-        ),
-        max_size=6,
-    )
+_boxes = st.lists(
+    st.tuples(*[st.integers(min_value=0, max_value=6)] * 4).map(
+        lambda b: (min(b[0], b[1]), max(b[0], b[1]), min(b[2], b[3]), max(b[2], b[3]))
+    ),
+    max_size=6,
 )
-@settings(max_examples=60, deadline=None)
-def test_member_set_iterates_disjoint_boxes_ascending(boxes):
-    kept = []  # drop each box that overlaps an earlier one
+
+
+def disjoint(boxes) -> list:
+    """`boxes`, less each that overlaps an earlier one."""
+    kept = []
     for a, b, c, d in boxes:
         if not any(a <= q and p <= b and c <= s and r <= d for p, q, r, s in kept):
             kept.append((a, b, c, d))
+    return kept
+
+
+@given(boxes=_boxes)
+@settings(max_examples=60, deadline=None)
+def test_member_set_iterates_disjoint_boxes_ascending(boxes):
+    kept = disjoint(boxes)
     members = MemberSet(tuple(kept))
     listed = list(members)
     assert len(members) == len(listed) == len(set(listed))
@@ -108,6 +116,63 @@ def test_member_set_iterates_disjoint_boxes_ascending(boxes):
     assert bool(members) == bool(listed)
     grid = [(ts, te) for ts in range(-1, 8) for te in range(-1, 8)]
     assert {w for w in grid if w in members} == set(listed)
+
+
+def recut(boxes, rng) -> tuple:
+    """The intervals of disjoint `boxes`, cut into other boxes in another order."""
+    out = []
+    for box in boxes:
+        pieces = [box]
+        for _ in range(rng.randrange(4)):
+            a, b, c, d = pieces.pop(rng.randrange(len(pieces)))
+            if a < b and (c == d or rng.random() < 0.5):
+                m = rng.randrange(a, b)
+                pieces += [(a, m, c, d), (m + 1, b, c, d)]
+            elif c < d:
+                m = rng.randrange(c, d)
+                pieces += [(a, b, c, m), (a, b, m + 1, d)]
+            else:
+                pieces.append((a, b, c, d))
+        out += pieces
+    rng.shuffle(out)
+    return tuple(out)
+
+
+def without(boxes, cell) -> tuple:
+    """Disjoint `boxes` with `cell` taken out of the box that holds it."""
+    ts, te = cell
+    out = []
+    for a, b, c, d in boxes:
+        if not (a <= ts <= b and c <= te <= d):
+            out.append((a, b, c, d))
+            continue
+        pieces = [(a, ts - 1, c, d), (ts + 1, b, c, d), (ts, ts, c, te - 1), (ts, ts, te + 1, d)]
+        out += [(p, q, r, t) for p, q, r, t in pieces if p <= q and r <= t]
+    return tuple(out)
+
+
+@given(boxes=_boxes, others=_boxes, rng=st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_member_set_equality_and_hash_follow_the_intervals(boxes, others, rng):
+    kept = disjoint(boxes)
+    members = MemberSet(tuple(kept))
+    listed = set(members)
+    variants = [MemberSet(recut(kept, rng)), MemberSet(tuple(disjoint(others)))]
+    grid = [(ts, te) for ts in range(-1, 8) for te in range(-1, 8)]
+    ts, te = rng.choice([w for w in grid if w not in listed])
+    added = recut(kept, rng) + ((ts, ts, te, te),)
+    variants.append(MemberSet(added))  # one interval more
+    if listed:
+        inside = rng.choice(sorted(listed))
+        variants.append(MemberSet(without(recut(kept, rng), inside)))  # one interval less
+        variants.append(MemberSet(without(added, inside)))  # one interval moved
+    for other in variants:
+        same = listed == set(other)
+        assert (members == other) == (other == members) == same
+        assert (members != other) == (not same)
+        if same:
+            assert hash(members) == hash(other)
+    assert variants[0] == members and len(variants[2]) == len(members) + 1
 
 
 def test_member_sets_compare_by_their_intervals(g0):
@@ -292,9 +357,7 @@ def test_insensitive_constrain_keeps_qualifying_zones_whole(g0):
     res = run_txcq(
         g0, QuerySpec(k=2, window=(1, 5), measure=get_measure("size"), mode="constrain", sigma=3)
     )
-    assert canon(res, "constrain") == frozenset(
-        {TimeInterval(1, 3), TimeInterval(1, 4), TimeInterval(1, 5), TimeInterval(2, 5)}
-    )
+    assert canon(res, "constrain") == MemberSet(((1, 1, 3, 3), (1, 1, 4, 4), (1, 1, 5, 5), (2, 2, 5, 5)))
     assert res.entries and all(e.x_value == 3 for e in res.entries)  # each zone's own value
 
 
@@ -341,9 +404,7 @@ def test_boundary_walk_counts_and_results(g0):
         k=2, window=(1, 5), measure=get_measure("burstiness"), mode="constrain", sigma=Fraction(3, 2)
     )
     res = run_txcq(g0, spec)
-    assert canon(res, "constrain") == frozenset(
-        {TimeInterval(1, 3), TimeInterval(1, 4), TimeInterval(2, 5)}
-    )
+    assert canon(res, "constrain") == MemberSet(((1, 1, 3, 3), (1, 1, 4, 4), (2, 2, 5, 5)))
     assert res.stats.zone_eval_counts == {
         TimeInterval(1, 3): 2,
         TimeInterval(1, 5): 1,
@@ -363,7 +424,7 @@ def test_boundary_walk_in_the_expand_direction(g0):
     )
     spec = QuerySpec(k=2, window=(1, 5), measure=window_length, mode="constrain", sigma=4)
     res = run_txcq(g0, spec)
-    want = frozenset({TimeInterval(1, 4), TimeInterval(1, 5), TimeInterval(2, 5)})
+    want = MemberSet(((1, 1, 4, 4), (1, 1, 5, 5), (2, 2, 5, 5)))
     assert canon(res, "constrain") == want
     assert canon(brute_force_txcq(g0, spec), "constrain") == want
     assert res.stats.x_evaluations == 4
@@ -458,6 +519,39 @@ def test_canonical_enumerate_compares_full_geometry(g0):
     assert canon(eng, "enumerate") == canon(ora, "enumerate")
     with pytest.raises(ValueError):
         canonical_result(eng, "benchmark")
+
+
+def test_keys_compare_member_sets_without_listing_them(monkeypatch):
+    # two triangles a million stamps apart: each one's zone holds ~10^6 intervals
+    far = 10**6
+    g = TemporalGraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (1, 2, far), (2, 3, far), (1, 3, far)])
+
+    def refuse(self):
+        raise AssertionError("a member set was listed")
+
+    monkeypatch.setattr(MemberSet, "__iter__", refuse)
+    spec = QuerySpec(2, (1, far), get_measure("size"), "constrain", 3)
+    index, walk = run_txcq(g, spec), run_txcq_walk(g, spec)
+    assert index.stats.algorithm == "core-index" and walk.stats.algorithm == "otcd-star"
+    assert index.entries == walk.entries and hash(index.entries) == hash(walk.entries)
+    key = canonical_result(index, "constrain")
+    assert key == canonical_result(walk, "constrain") and len(key) == 2 * far - 2
+    recut = MemberSet(((1, 1, 1, far - 2), (2, far - 1, far, far), (far, far, far, far), (1, 1, far - 1, far - 1)))
+    assert key == recut == key and hash(key) == hash(recut)
+    assert key != MemberSet(recut.boxes[:-1] + ((1, 1, far, far),))  # one interval moved
+    spec = QuerySpec(2, (1, far))
+    assert canonical_result(run_txcq(g, spec), "enumerate") == canonical_result(run_txcq_walk(g, spec), "enumerate")
+
+
+def test_enumerate_key_leaves_the_index_snapshots_unexpanded():
+    g = generate_synthetic(60, 900, 12, model="planted-community", seed=5)
+    spec = QuerySpec(2, g.time_range())
+    res = run_txcq(g, spec)
+    assert res.stats.algorithm == "core-index"
+    assert canon(res, "enumerate") == canon(run_txcq_walk(g, spec), "enumerate")
+    snapshots = [snap for snap, _ in g.core_indexes[2].read.values()]
+    assert len(snapshots) == len(res.entries) > 1
+    assert all("edges" not in vars(snap) for snap in snapshots)
 
 
 # -- randomized equivalence -------------------------------------------------
