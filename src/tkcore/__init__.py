@@ -17,7 +17,6 @@ from .graph import (
     TimeInterval,
     generate_synthetic,
     load_edge_list,
-    make_edge,
     normalize_timestamps,
     parse_edge_list,
     project,
@@ -111,7 +110,6 @@ __all__ = [
     "get_measure",
     "list_measures",
     "load_edge_list",
-    "make_edge",
     "normalize_timestamps",
     "parse_edge_list",
     "project",

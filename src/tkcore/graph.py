@@ -42,9 +42,6 @@ class TimeInterval(NamedTuple):
     def contains(self, other: "TimeInterval") -> bool:
         return self.ts <= other.ts and other.te <= self.te
 
-    def covers(self, t: int) -> bool:
-        return self.ts <= t <= self.te
-
     @property
     def span(self) -> int:
         return self.te - self.ts
@@ -63,8 +60,14 @@ class TemporalEdge(NamedTuple):
     t: int
 
 
-def make_edge(a: int, b: int, t: int) -> TemporalEdge:
-    return TemporalEdge(a, b, t) if a <= b else TemporalEdge(b, a, t)
+def integer_query(k, window) -> tuple[int, TimeInterval]:
+    """`k` and `window` as `operator.index` reads them, or `ValueError` when
+    it refuses k or either end of the window."""
+    ts, te = window
+    try:
+        return index(k), TimeInterval(index(ts), index(te))
+    except TypeError:
+        raise ValueError(f"k={k!r}, window=({ts!r}, {te!r}): k and window ends must be integers") from None
 
 
 class ParseError(ValueError):
@@ -333,7 +336,10 @@ class CoreSnapshot:
         return self.edge_count == 0
 
     def _pair_runs(self) -> list:
-        """The core's pair runs (u, v, t, n), sorted by (t, u, v)."""
+        """The core's pair runs (u, v, t, n), sorted by (t, u, v); none for
+        an empty core."""
+        if self.is_empty:
+            return []
         if self._graph is None:
             return [(*e, n) for e, n in Counter(self.edges).items()]
         vs = self.vertices

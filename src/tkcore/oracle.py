@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
-from .graph import CoreSnapshot, TemporalEdge, TemporalGraph, TimeInterval
+from .graph import CoreSnapshot, TemporalEdge, TemporalGraph, TimeInterval, integer_query
 
 MAX_ORACLE_SPAN = 40
 MAX_ORACLE_EDGES = 2000
@@ -69,9 +69,6 @@ class OracleCatalog:
     window: TimeInterval | None
     classes: tuple[OracleClass, ...]
 
-    def ttis(self) -> list[TimeInterval]:
-        return [c.tti for c in self.classes]
-
 
 def _clamped(g: TemporalGraph, window) -> TimeInterval | None:
     if g.edge_count == 0:
@@ -84,7 +81,9 @@ def _clamped(g: TemporalGraph, window) -> TimeInterval | None:
 def brute_force_tcq(g: TemporalGraph, k: int, window) -> OracleCatalog:
     """Compute every subinterval's core independently and group identical
     cores into classes, deriving each class's tightest and loosest member
-    intervals directly from the definitions."""
+    intervals directly from the definitions.  A k or window end that is not
+    an integer is refused with `ValueError`."""
+    k, window = integer_query(k, window)
     w = _clamped(g, window)
     if w is None:
         return OracleCatalog(None, ())

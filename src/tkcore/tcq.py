@@ -34,7 +34,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .graph import CoreSnapshot, TemporalGraph, TimeInterval
+from .graph import CoreSnapshot, TemporalGraph, TimeInterval, integer_query
 from .tel import TEL
 
 Cell = TimeInterval  # row = ts, column = te
@@ -226,8 +226,10 @@ def walk_schedule(
     itself calls `rules(table, cell, tti)`, which marks cells of `table`
     for the walk to skip; without it every cell is visited.  `debug`
     records the visited cells (raw) and checks that cores sharing a TTI
-    share their edges.
+    share their edges.  A k or window end that is not an integer is refused
+    with `ValueError` before the walk (`integer_query`).
     """
+    k, window = integer_query(k, window)
     started = time.perf_counter()
     w = clamp_window(g, window)
     if w is None:

@@ -194,11 +194,6 @@ class TEL:
         self._lo, self._hi = lo, hi + 1
         return TimeInterval(runs[lo][2], runs[hi][2])
 
-    @property
-    def degree(self) -> dict:
-        """Distinct surviving neighbors per surviving vertex, as a new dict."""
-        return {v: len(m) for v, m in self.neighbor_mult.items()}
-
     def iter_edges(self):
         """The content, in the graph's (t, u, v) order."""
         mult = self.neighbor_mult
@@ -211,11 +206,9 @@ class TEL:
 
         The content is always the subgraph its vertices induce inside its
         TTI (truncating and peeling both keep that), so the edges are left
-        in the graph's pair runs.
+        in the graph's pair runs.  Empty content is captured the same way.
         """
-        if not self.edge_count:
-            return CoreSnapshot(frozenset(), (), None, self.k_applied)
-        degrees = self.degree
+        degrees = {v: len(m) for v, m in self.neighbor_mult.items()}  # distinct neighbors
         return CoreSnapshot.captured(
             frozenset(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph
         )

@@ -15,30 +15,33 @@ that (graph, k) and cached on the graph; it keeps each core it has read,
 snapshot and LTIs, for the later queries, and a snapshot reads its degrees
 off the graph's pair runs when a measure first asks.  A graph whose ranks
 x pair runs exceed `coreindex.MAX_CORE_INDEX_SIZE` gets no index, and
-`run_txcq` walks.  The walk is `run_otcd_star`, which visits only LTI
-cells plus whatever empties it takes to get there, pruning each discovered
-rectangle wholesale.  It stays the paper's engine and the index's
-reference: `run_otcd_star` and `run_txcq_walk` always walk, and so does
-the CLI, whose output carries the walk's own counters (cells visited and
-prune counters), which an index read would replace with its own.
+`run_txcq` walks.  That size rule bounds the build, and it also keeps the
+index's first reads of cores off large graphs, where a first query can
+cost over ten times the walk (README.md has the measurements).  The walk
+is `run_otcd_star`, which visits only LTI cells plus whatever empties it
+takes to get there, pruning each discovered rectangle wholesale.  It stays
+the paper's engine and the index's reference: `run_otcd_star` and
+`run_txcq_walk` always walk, and so does the CLI, whose output carries the
+walk's own counters (cells visited and prune counters), which an index
+read would replace with its own.
 
 Phase 2 runs a local search inside each zone, evaluating the measure only
 where its declared sensitivity requires: once per zone for insensitive
 measures (`ti_ls`), at the zone's tightest or loosest intervals for
 monotonic measures (`tmo_ls`), or along the decision boundary of the
 zone's qualifying region for monotonic threshold queries (`tmc_ls`), which
+walks in one direction, an expand-improving measure in negated time, and
 settles a member box whose columns share one first qualifying start with
-one probe of its far column, and pays at most that one evaluation more
-when they do not.  One
-loop runs the search zone by zone, counts its evaluations and keeps the
-optimum across zones.  Nonmonotonic measures, which have no usable
-structure, take the same phase 1 and `all_ls`, which evaluates every member
-of every zone.  Such a query refuses a window of more than
-MAX_TCD_STAR_CELLS raw cells before phase 1, since a gap of G raw stamps
-alone holds O(G^2) of them.  `run_tcd_star`, the paper's exhaustive
-baseline, runs `all_ls` on the zones of the exhaustive TCD walk under the
-same refusal.  Every route builds its zones and answers with the same
-helpers.
+one probe of its far column, paying at most that one evaluation more when
+they do not.  One loop runs the search zone by zone, counts its
+evaluations and keeps the optimum across zones.  Nonmonotonic measures,
+which have no usable structure, take the same phase 1 and `all_ls`, which
+evaluates every member of every zone.  Such a query refuses a window of
+more than MAX_TCD_STAR_CELLS raw cells before phase 1, since a gap of G
+raw stamps alone holds O(G^2) of them.  `run_tcd_star`, the paper's
+exhaustive baseline, runs `all_ls` on the zones of the exhaustive TCD walk
+under the same refusal.  Every route builds its zones and answers with the
+same helpers.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 from . import coreindex
-from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
+from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval, integer_query
 from .measures import EvalContext, MeasureDescriptor, compare, evaluate, satisfies
 from .tcq import EngineStats, clamp_window, rectangle_prune, walk_schedule
 
@@ -150,8 +153,9 @@ class QuerySpec:
     sigma: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "window", TimeInterval(*self.window))
-        if self.k < 1:
+        k, window = integer_query(self.k, self.window)
+        object.__setattr__(self, "window", window)
+        if k < 1:
             raise ValueError("k must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
@@ -221,9 +225,6 @@ class QueryStats:
 class QueryResult(NamedTuple):
     entries: tuple[ResultEntry, ...]
     stats: QueryStats
-
-    def zones(self) -> list[ZoneRecord]:
-        return [e.zone for e in self.entries]
 
 
 def canonical_result(result: QueryResult, mode: str):
@@ -326,61 +327,56 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     """Monotonic threshold search: walk the decision boundary of the
     qualifying region inside the zone.
 
-    Qualification is monotone along both axes inside a zone.  The walk takes
-    the zone's columns (one end each) from the best end to the worst and
-    steps each column's start from its worst toward its best; the first
-    success settles the rest of the column.  A failed start fails in every
-    later column, so the next column resumes there.  Columns settle in
-    adjacent order, and a column whose starts match the previous box's
-    widens that box.
-
-    Once a box's first column settles at start q, one probe of q in the
-    box's last (worst) column decides the rest: if it qualifies, so does q
-    in every column between, whose earlier starts already failed in a
-    better column, and the box settles whole.  If it fails, the walk goes
-    on column by column and skips that cell.  So a box costs at most one
-    evaluation more than the plain walk, and two when all its columns
-    settle at one start.
+    Qualification is monotone along both axes inside a zone.  The walk is
+    written for a shrink-improving measure; an expand-improving one takes
+    it in negated time, where a box (a, b, c, d) is (-b, -a, -d, -c) and a
+    cell (ts, te) is evaluated at (-ts, -te), and its settled boxes are
+    negated back.  The walk takes the columns (one end each) from the
+    earliest end and steps each column's start from its earliest; the
+    first success settles the rest of the column.  A failed start fails in
+    every later column, so the next column resumes there.  Columns settle
+    in adjacent order, and a column whose starts match the previous box's
+    widens that box.  Once a box's first column settles at start q, one
+    probe of q in the box's last column decides the rest: if it qualifies,
+    so does q in every column between (their earlier starts failed in a
+    better column), and the box settles whole.  Evaluated cells are kept in
+    a memo, whose size is the zone's evaluation count, so a failed probe is
+    not paid again in the last column: a box costs at most one evaluation
+    more than the plain walk, and two when its columns settle at one start.
     """
     measure = spec.measure
-    expand = measure.improves_on == "expand"
-    step = -1 if expand else 1  # toward the worst column, and toward a column's best start
-    better = min if expand else max  # of two starts, the one nearer the best
+    sign = -1 if measure.improves_on == "expand" else 1  # the walk's time is sign * time
+    memo = {}  # (ts, te) in the walk's time -> qualifies
     found = []
-    evals = 0
 
     def qualifies(ts, te) -> bool:
-        nonlocal evals
-        evals += 1
-        return satisfies(measure, evaluate(measure, zone.core, TimeInterval(ts, te), ctx), spec.sigma)
+        if (ts, te) not in memo:
+            value = evaluate(measure, zone.core, TimeInterval(sign * ts, sign * te), ctx)
+            memo[ts, te] = satisfies(measure, value, spec.sigma)
+        return memo[ts, te]
 
-    def settle(rows, te_from, te_to):  # these columns' qualifying starts are `rows`
-        lo, hi = min(te_from, te_to), max(te_from, te_to)
-        if found and found[-1][:2] == rows:
-            found[-1] = (*rows, min(found[-1][2], lo), max(found[-1][3], hi))
-        else:
-            found.append((*rows, lo, hi))
+    def turned(a, b, c, d):  # a box into the walk's time, or back out of it
+        return (a, b, c, d) if sign > 0 else (-b, -a, -d, -c)
 
-    ts = math.inf if expand else -math.inf  # no start tried yet
-    for ts_lo, ts_hi, te_lo, te_hi in sorted(zone.members.boxes, key=lambda b: b[2], reverse=expand):
-        first, far = (te_hi, te_lo) if expand else (te_lo, te_hi)
-        probed = None  # the start that failed the probe of column `far`
-        for te in range(first, far + step, step):
-            ts = better(ts, ts_hi if expand else ts_lo)  # the failed start, or the column's worst
-            if te == far and ts == probed:
-                ts += step
-            while ts_lo <= ts <= ts_hi and not qualifies(ts, te):
-                ts += step
-            if not ts_lo <= ts <= ts_hi:
+    def settle(ts, ts_hi, te_lo, te_hi):  # columns settle by ascending end
+        if found and found[-1][:2] == (ts, ts_hi):
+            te_lo = found.pop()[2]
+        found.append((ts, ts_hi, te_lo, te_hi))
+
+    ts = -math.inf  # no start tried yet
+    boxes = sorted((turned(*b) for b in zone.members.boxes), key=lambda b: b[2])
+    for ts_lo, ts_hi, te_lo, te_hi in boxes:
+        for te in range(te_lo, te_hi + 1):
+            ts = max(ts, ts_lo)  # the failed start, or the column's earliest
+            while ts <= ts_hi and not qualifies(ts, te):
+                ts += 1
+            if ts > ts_hi:
                 break  # this column failed throughout, so does every later one of the box
-            rows = (ts_lo, ts) if expand else (ts, ts_hi)
-            if te == first != far:
-                if qualifies(ts, far):
-                    settle(rows, first, far)
-                    break
-                probed = ts
-            settle(rows, te, te)
-    return MemberSet(tuple(found)), None, evals
+            if te == te_lo < te_hi and qualifies(ts, te_hi):
+                settle(ts, ts_hi, te_lo, te_hi)
+                break
+            settle(ts, ts_hi, te, te)
+    return MemberSet(tuple(turned(*b) for b in found)), None, len(memo)
 
 
 def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search) -> list[ResultEntry]:

@@ -30,6 +30,9 @@ def test_reference_core_empty_result(g0):
 def test_reference_core_rejects_bad_k(g0):
     with pytest.raises(ValueError):
         reference_core(g0, 0, (1, 5))
+    for k, window in [(2.5, (1, 5)), (2, (1.5, 5)), (2, (1, 5.0))]:
+        with pytest.raises(ValueError, match="must be integers"):
+            brute_force_tcq(g0, k, window)
 
 
 def test_catalog_lists_all_three_classes(g0):
@@ -44,7 +47,7 @@ def test_catalog_lists_all_three_classes(g0):
         ((2, 5), [(2, 5)], [(2, 5)]),
     ]
     assert sum(len(c.ltis) for c in cat.classes) == 3
-    assert cat.ttis() == [TimeInterval(1, 3), TimeInterval(1, 5), TimeInterval(2, 5)]
+    assert [c.tti for c in cat.classes] == [TimeInterval(1, 3), TimeInterval(1, 5), TimeInterval(2, 5)]
 
 
 def test_class_cores_differ_by_parallel_edge_content(g0):

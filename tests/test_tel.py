@@ -82,9 +82,8 @@ def test_truncate_then_snapshot_prunes_empty_bookkeeping(tel_fixture_graph):
     tel.validate()
     snap = tel.snapshot()
     assert snap.tti == TimeInterval(5, 6)
-    # v7 and v8 lost every edge; they must drop out of the degree maps
+    # v7 and v8 lost every edge; they must drop out of the neighbor counts
     v7 = tel_fixture_graph.labels.index("v7")
-    assert v7 not in tel.degree
     assert v7 not in tel.neighbor_mult
 
 

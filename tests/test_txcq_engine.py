@@ -207,7 +207,7 @@ def test_zone_and_answer_records_keep_their_contract(g0):
     result = QueryResult((entry,), stats)
     assert result == QueryResult(entries=(same,), stats=stats)
     assert (result.entries, result.stats) == ((same,), stats)
-    assert result.zones() == [by_position]
+    assert [e.zone for e in result.entries] == [by_position]
     for record, name in ((by_name, "tti"), (entry, "x_value"), (result, "entries")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
@@ -228,9 +228,16 @@ def test_zone_and_answer_records_keep_their_contract(g0):
 # -- query specs ----------------------------------------------------------
 
 
-def test_spec_coerces_window_and_validates():
+def test_spec_coerces_window_and_validates(g0):
     spec = QuerySpec(k=2, window=(1, 5))
     assert spec.window == TimeInterval(1, 5)
+    # a k or a window end that `operator.index` refuses
+    for k, window in [(2.5, (1, 5)), (2.0, (1, 5)), ("2", (1, 5)), (2, (3.5, 18.5)), (2, (1, 5.0))]:
+        with pytest.raises(ValueError, match="must be integers"):
+            QuerySpec(k, window)
+        for run in (run_tcd, run_otcd, run_otcd_star):
+            with pytest.raises(ValueError, match="must be integers"):
+                run(g0, k, window)
     with pytest.raises(ValueError):
         QuerySpec(k=0, window=(1, 5))
     with pytest.raises(ValueError):
@@ -616,6 +623,10 @@ def test_exhaustive_fallback_reports_the_zones_of_otcd_star(seed):
 WOBBLE = MeasureDescriptor(
     "wobble", "nonmonotonic", "higher", lambda core, w, ctx: (w.duration + core.edge_count) % 3
 )
+SPREAD = MeasureDescriptor(  # improves on expanding: the threshold walk runs in negated time
+    "spread", "monotonic", "higher", lambda core, w, ctx: len(core.vertices) * w.duration,
+    improves_on="expand",
+)
 
 
 def gapped_instance(rng, seed):
@@ -692,11 +703,14 @@ def test_gapped_stamps_match_the_oracle(kind, seed):
         ("burstiness", "constrain", rng.choice((Fraction(1, 2), 1, 2, 4))),
         ("growth_rate", "constrain", rng.choice((Fraction(1, 8), Fraction(1, 3), 1))),
         ("engagement", "constrain", rng.choice((Fraction(1, 3), Fraction(1, 2), 1))),
+        ("spread", "optimize", None),
+        ("spread", "constrain", rng.choice((8, 24, 60, 150))),
     ]
     queries += [(name, "optimize", None) for name in insensitive]
     queries += [(name, "constrain", rng.choice((1, 2, 3))) for name in insensitive]
     for name, mode, sigma in queries:
-        spec = QuerySpec(k, window, name and get_measure(name), mode, sigma)
+        measure = SPREAD if name == "spread" else name and get_measure(name)
+        spec = QuerySpec(k, window, measure, mode, sigma)
         res, want = run_txcq(g, spec), brute_force_txcq(g, spec)
         assert canon(res, mode) == canon(want, mode), (name, mode)
         if mode == "constrain" or name in insensitive:
@@ -704,7 +718,7 @@ def test_gapped_stamps_match_the_oracle(kind, seed):
             assert members(res) == members(want), (name, mode)
         if mode == "constrain" and name not in insensitive:
             # the threshold walk stays within the zone's rectangle extents
-            for zone in res.zones():
+            for zone in (e.zone for e in res.entries):
                 assert res.stats.zone_eval_counts[zone.tti] <= sum(w + h for w, h in rect_dims(zone))
         c = res.stats.prune_counters
         if c:
