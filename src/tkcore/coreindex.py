@@ -26,20 +26,21 @@ per sweep and vertex of the graph.
 Lookup: the zones of a window are the distinct cores whose TTI lies inside
 it.  For r <= s and c >= b, core([r, c]) contains core([s, b]) and equals
 it exactly when their edge counts match, so a zone's members in row r are
-the columns from b up to the next breakpoint of row r past b, while row
-r's edge count at b still equals the zone's.  On a core's first read its
-rows are walked upward from s once, bisecting each row's breakpoints: that
-gives the zone's loosest time intervals (LTIs) over the whole schedule, in
-ranks.  The core's snapshot reads its edges and degrees off the graph's
-pair runs inside its TTI, on first use.  Neither they nor the snapshot
-depend on a window, so both are kept for every later query of the (graph,
-k).  A window's rows lo..hi then keep the LTIs whose rows reach lo, cut
-them at row lo and column hi, and merge those the cut leaves in one
-column.  A row's distinct cores are kept ascending by TTI end, so a lookup
-stops reading a row at its first core that ends past the window, and reads
-nothing else of the rows.  The walk's counters of a window (cells visited,
-and pruned by `PoR` or `Empty`) are worked out from the rows' breakpoints
-only when a caller asks for them (`CoreIndex.counters`).
+the columns from b up to the next breakpoint of row r past b, while row r's
+edge count at b still equals the zone's.  On a core's first read its rows
+are walked upward from s once, bisecting each row's breakpoints: that gives
+the zone's loosest time intervals (LTIs) over the whole schedule, in ranks.
+The core's snapshot keeps the sweep's order and the core's vertex count; it
+builds its vertex set off the order, and reads its edges and degrees off
+the graph's pair runs inside its TTI, each on first use.  Neither the LTIs
+nor the snapshot depend on a window, so both are kept for every later query
+of the (graph, k).  A window's rows lo..hi then keep the LTIs whose rows
+reach lo, cut them at row lo and column hi, and merge those the cut leaves
+in one column.  A row's distinct cores are kept ascending by TTI end, so a
+lookup stops reading a row at its first core that ends past the window, and
+reads nothing else of the rows.  The walk's counters of a window (cells
+visited, and pruned by `PoR` or `Empty`) are worked out from the rows'
+breakpoints only when a caller asks for them (`CoreIndex.counters`).
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class CoreIndex:
     with TTI (r, b), ascending by b: its vertices are `order[:n]`, where
     `order` is the vertex order of the sweep that found it, shared by all
     of that sweep's cores.  `read[(s, b)]` holds `(snapshot, ltis)` for
-    each core read so far: its snapshot and its loosest rank cells over the
-    whole schedule.
+    each core read so far: its snapshot, captured off `order` and `n`, and
+    its loosest rank cells over the whole schedule.
     """
 
     def __init__(self, g: TemporalGraph, k: int):
@@ -132,12 +133,6 @@ class CoreIndex:
         cores = [(b, m, order, n) for b, m, n in zip(cols, edges, reversed(sizes))]
         return cols, edges, cores, tail
 
-    def capture(self, s: int, b: int, edge_count: int, order: tuple, n: int) -> CoreSnapshot:
-        """The snapshot of the distinct core with rank TTI (s, b)."""
-        g = self.graph
-        tti = TimeInterval(g.timestamps[s], g.timestamps[b])
-        return CoreSnapshot.captured(frozenset(order[:n]), tti, self.k, edge_count, None, g)
-
     def locate(self, window) -> list:
         """Every distinct nonempty core of `window` with its LTIs (raw,
         descending), ascending by TTI.  These are the cores of the window's
@@ -192,7 +187,8 @@ class CoreIndex:
         return stats
 
     def _first_read(self, s: int, b: int, edge_count: int, order: tuple, n: int) -> tuple:
-        """Capture the core with rank TTI (s, b), walk its LTIs, and keep both."""
+        """Capture the core with rank TTI (s, b) off its sweep's order, walk
+        its LTIs, and keep both."""
         last = len(self.cols) - 1
         ltis: list = []
         for r in range(s, -1, -1):
@@ -205,7 +201,9 @@ class CoreIndex:
                 ltis[-1] = (r, c)  # row r's loosest cell contains row r + 1's
             else:
                 ltis.append((r, c))
-        entry = self.read[s, b] = self.capture(s, b, edge_count, order, n), tuple(ltis)
+        tti = TimeInterval(self.graph.timestamps[s], self.graph.timestamps[b])
+        snap = CoreSnapshot.captured(order, n, tti, self.k, edge_count, None, self.graph)
+        entry = self.read[s, b] = snap, tuple(ltis)
         return entry
 
 

@@ -15,7 +15,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import index, itemgetter
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
@@ -62,12 +62,15 @@ class TemporalEdge(NamedTuple):
 
 def integer_query(k, window) -> tuple[int, TimeInterval]:
     """`k` and `window` as `operator.index` reads them, or `ValueError` when
-    it refuses k or either end of the window."""
+    it refuses k or either end of the window, or k is below 1."""
     ts, te = window
     try:
-        return index(k), TimeInterval(index(ts), index(te))
+        k, window = index(k), TimeInterval(index(ts), index(te))
     except TypeError:
         raise ValueError(f"k={k!r}, window=({ts!r}, {te!r}): k and window ends must be integers") from None
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return k, window
 
 
 class ParseError(ValueError):
@@ -276,38 +279,37 @@ class CoreSnapshot:
     A core is the subgraph its vertices induce inside its TTI, so its edges
     are exactly the graph edges with a timestamp in the TTI and both ends in
     `vertices`.  A capture (`captured`, from a TEL or a core-time index)
-    therefore keeps only a handle on its graph and reads `edges`,
-    `pair_counts`, `degrees` (distinct neighbors per vertex, a read-only
-    mapping) and `neighbor_sets` off the graph's pair runs inside its TTI
-    whose two ends are both its vertices, each on first use; `edge_count`
-    and `is_empty` never touch them.  `CoreSnapshot(vertices, edges, tti,
-    k)` takes an explicit edge tuple instead, and reads the rest off it.  A
-    snapshot is shared by every evaluation of its core and must not be
-    modified; one read off a core-time index (`coreindex`) is also shared
-    by every later query of its graph and k that reads the core.
+    keeps its vertex count, the vertex order its source holds (its vertices
+    come first) and its graph, and builds `vertices`, `edges`, `pair_counts`,
+    `degrees` (distinct neighbors per vertex, a read-only mapping) and
+    `neighbor_sets` on first use, the last four off the graph's pair runs
+    inside its TTI.  `CoreSnapshot(vertices, edges, tti, k)` takes an
+    explicit vertex set and edge tuple instead.  A snapshot is shared by
+    every evaluation of its core and must not be modified, and one read off
+    a core-time index (`coreindex`) by every later query of its graph and k.
 
-    Cores compare and hash by `(vertices, tti, edge_count)`: the first two
-    determine the core, and `edge_count`, which a capture reads from the TEL,
-    ties the comparison to the TEL's content in O(1).  `k` records which
-    degree bound produced the snapshot; it is metadata and excluded from
-    equality.
+    Cores compare by TTI, `edge_count` and `vertex_count`, which settle most
+    comparisons in O(1), then by `vertices`, and hash by those three.
+    `k` records which degree bound produced the snapshot; it is metadata.
     """
 
     _graph = None  # the graph a capture was induced from
 
     def __init__(self, vertices: frozenset, edges, tti: TimeInterval | None, k: int | None = None):
-        self.vertices = vertices
+        self.vertices = vertices  # fills the lazy view
+        self.vertex_count = len(vertices)
         self.tti = tti
         self.k = k
         self.__dict__["edges"] = edges = tuple(edges)  # fills the lazy cache
         self.edge_count = len(edges)
 
     @classmethod
-    def captured(cls, vertices, tti, k, edge_count, degrees, graph) -> "CoreSnapshot":
-        """A core induced from `graph`, whose edges stay in the graph's
-        pair runs.  With `degrees` None, they are left to the first use."""
+    def captured(cls, order, n, tti, k, edge_count, degrees, graph) -> "CoreSnapshot":
+        """The core of the first `n` of `order` inside `tti`, whose edges stay
+        in `graph`'s pair runs.  `degrees` None is left to the first use."""
         snap = cls.__new__(cls)
-        snap.vertices = vertices
+        snap._order = order
+        snap.vertex_count = n
         snap.tti = tti
         snap.k = k
         snap.edge_count = edge_count
@@ -316,17 +318,22 @@ class CoreSnapshot:
         snap._graph = graph
         return snap
 
+    @cached_property
+    def vertices(self) -> frozenset:
+        return frozenset(islice(self._order, self.vertex_count))
+
     def __eq__(self, other):
         if not isinstance(other, CoreSnapshot):
             return NotImplemented
         return (
             self.tti == other.tti
             and self.edge_count == other.edge_count
+            and self.vertex_count == other.vertex_count
             and self.vertices == other.vertices
         )
 
     def __hash__(self):
-        return hash((self.vertices, self.tti, self.edge_count))
+        return hash((self.tti, self.edge_count, self.vertex_count))
 
     def __repr__(self):
         return f"CoreSnapshot(vertices={sorted(self.vertices)}, tti={self.tti}, k={self.k})"

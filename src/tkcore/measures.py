@@ -125,7 +125,7 @@ def _require_zone(ctx, name):
 
 
 def _size(core, w, ctx):
-    return len(core.vertices)
+    return core.vertex_count
 
 
 def _frequency(core, w, ctx):
@@ -160,7 +160,7 @@ def _periodicity(core, w, ctx):
 
 
 def _growth_rate(core, w, ctx):
-    return Fraction(len(core.vertices), w.duration)
+    return Fraction(core.vertex_count, w.duration)
 
 
 def _burstiness(core, w, ctx):

@@ -81,8 +81,8 @@ def _clamped(g: TemporalGraph, window) -> TimeInterval | None:
 def brute_force_tcq(g: TemporalGraph, k: int, window) -> OracleCatalog:
     """Compute every subinterval's core independently and group identical
     cores into classes, deriving each class's tightest and loosest member
-    intervals directly from the definitions.  A k or window end that is not
-    an integer is refused with `ValueError`."""
+    intervals directly from the definitions.  A k below 1, and a k or
+    window end that is not an integer, are refused with `ValueError`."""
     k, window = integer_query(k, window)
     w = _clamped(g, window)
     if w is None:

@@ -141,7 +141,6 @@ class EngineStats:
     cells_total: int = 0
     cells_visited: int = 0
     decompositions: int = 0
-    nonempty_inductions: int = 0
     trigger_counts: dict = field(default_factory=lambda: {r: 0 for r in PRUNE_RULES})
     pruned_by_rule: dict = field(default_factory=lambda: {r: 0 for r in PRUNE_RULES})
     distinct_cores: int = 0
@@ -226,23 +225,21 @@ def walk_schedule(
     itself calls `rules(table, cell, tti)`, which marks cells of `table`
     for the walk to skip; without it every cell is visited.  `debug`
     records the visited cells (raw) and checks that cores sharing a TTI
-    share their edges.  A k or window end that is not an integer is refused
-    with `ValueError` before the walk (`integer_query`).
+    share their edges.  A k below 1, and a k or window end that is not an
+    integer, are refused with `ValueError` before the walk (`integer_query`).
     """
     k, window = integer_query(k, window)
     started = time.perf_counter()
-    w = clamp_window(g, window)
-    if w is None:
-        return CoreCatalog({}, EngineStats(algorithm=algorithm), {})
     stamps = g.timestamps
-    times = stamps[bisect_left(stamps, w.ts) : bisect_right(stamps, w.te)]
-    last = len(times) - 1
+    times = stamps[bisect_left(stamps, window.ts) : bisect_right(stamps, window.te)]
     stats = EngineStats(algorithm=algorithm)
+    if not times:  # outside the stamps or inside a gap: every core is empty
+        return CoreCatalog({}, stats, {})
+    w = clamp_window(g, window)
+    last = len(times) - 1
     stats.cells_total = len(times) * (len(times) + 1) // 2
     cores: dict[TimeInterval, CoreSnapshot] = {}
     visited: dict[TimeInterval, list[Cell]] = {}
-    if not times:  # the window lies inside a gap: every core is empty
-        return CoreCatalog(cores, stats, visited)
     table = PruneTable()
     row_head = TEL.from_graph(g, w)
     row_head.decompose(k)
@@ -273,7 +270,6 @@ def walk_schedule(
             if debug:
                 stats.visit_trace.append(raw_cell)
             if current.edge_count:
-                stats.nonempty_inductions += 1
                 raw_tti = current.tti()
                 if raw_tti not in cores:
                     cores[raw_tti] = current.snapshot()

@@ -202,7 +202,7 @@ class TEL:
                 yield from repeat(TemporalEdge(u, v, t), n)
 
     def snapshot(self) -> CoreSnapshot:
-        """Capture the content in O(|V|): vertex set, TTI and degrees.
+        """Capture the content in O(|V|): its TTI and its degrees by vertex.
 
         The content is always the subgraph its vertices induce inside its
         TTI (truncating and peeling both keep that), so the edges are left
@@ -210,7 +210,7 @@ class TEL:
         """
         degrees = {v: len(m) for v, m in self.neighbor_mult.items()}  # distinct neighbors
         return CoreSnapshot.captured(
-            frozenset(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph
+            degrees, len(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph
         )
 
     # -- test support ---------------------------------------------------

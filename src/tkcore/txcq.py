@@ -155,8 +155,6 @@ class QuerySpec:
     def __post_init__(self):
         k, window = integer_query(self.k, self.window)
         object.__setattr__(self, "window", window)
-        if k < 1:
-            raise ValueError("k must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.mode != "enumerate" and self.measure is None:

@@ -28,8 +28,11 @@ def test_reference_core_empty_result(g0):
 
 
 def test_reference_core_rejects_bad_k(g0):
-    with pytest.raises(ValueError):
-        reference_core(g0, 0, (1, 5))
+    # a k below 1 is refused whether or not the window holds a stamp
+    for k, window in [(0, (1, 5)), (-1, (1, 5)), (0, (8, 9)), (-1, (8, 9))]:
+        for run in (reference_core, brute_force_tcq):
+            with pytest.raises(ValueError, match="at least 1"):
+                run(g0, k, window)
     for k, window in [(2.5, (1, 5)), (2, (1.5, 5)), (2, (1, 5.0))]:
         with pytest.raises(ValueError, match="must be integers"):
             brute_force_tcq(g0, k, window)

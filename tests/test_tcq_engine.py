@@ -120,7 +120,6 @@ def test_exhaustive_walk_on_the_worked_example(g0):
     assert cat.stats.cells_total == 15
     assert cat.stats.cells_visited == 15
     assert cat.stats.decompositions == 15
-    assert cat.stats.nonempty_inductions == 4
     assert cat.stats.distinct_cores == 3
     assert list(cat.cores) == [TimeInterval(1, 3), TimeInterval(1, 5), TimeInterval(2, 5)]
     assert sorted(g0.label_of(v) for v in cat.cores[TimeInterval(1, 3)].vertices) == ["a", "b", "c"]

@@ -238,8 +238,13 @@ def test_spec_coerces_window_and_validates(g0):
         for run in (run_tcd, run_otcd, run_otcd_star):
             with pytest.raises(ValueError, match="must be integers"):
                 run(g0, k, window)
-    with pytest.raises(ValueError):
-        QuerySpec(k=0, window=(1, 5))
+    # a k below 1 is refused whether or not the window holds a stamp
+    for k, window in [(0, (1, 5)), (-1, (1, 5)), (0, (8, 9)), (-1, (8, 9))]:
+        with pytest.raises(ValueError, match="at least 1"):
+            QuerySpec(k, window)
+        for run in (run_tcd, run_otcd, run_otcd_star):
+            with pytest.raises(ValueError, match="at least 1"):
+                run(g0, k, window)
     with pytest.raises(ValueError):
         QuerySpec(k=2, window=(1, 5), mode="rank")
     with pytest.raises(ValueError):
@@ -298,19 +303,19 @@ def test_each_core_is_captured_once_per_zone(monkeypatch):
     # index captures a core on its first read and hands that snapshot to
     # every later query of the (graph, k)
     walk_captures, index_captures = [], []
-    capture, read = TEL.snapshot, CoreIndex.capture
+    capture, read = TEL.snapshot, CoreIndex._first_read
 
     def counted(tel):
         walk_captures.append(tel.tti())
         return capture(tel)
 
     def counted_read(index, *args):
-        snap = read(index, *args)
-        index_captures.append(snap.tti)
-        return snap
+        entry = read(index, *args)
+        index_captures.append(entry[0].tti)
+        return entry
 
     monkeypatch.setattr(TEL, "snapshot", counted)
-    monkeypatch.setattr(CoreIndex, "capture", counted_read)
+    monkeypatch.setattr(CoreIndex, "_first_read", counted_read)
     rng = random.Random(4242)
     for trial in range(20):
         g = random_instance(rng, 7000 + trial)
@@ -553,6 +558,22 @@ def test_keys_compare_member_sets_without_listing_them(monkeypatch):
 def test_enumerate_key_leaves_the_index_snapshots_unexpanded():
     g = generate_synthetic(60, 900, 12, model="planted-community", seed=5)
     spec = QuerySpec(2, g.time_range())
+    sizes = {e.zone.tti: len(e.zone.core.vertices) for e in brute_force_txcq(g, spec).entries}
+    # `size` and `growth_rate` read the vertex count, and no route builds a vertex set for them
+    for measure, mode, sigma in (("size", "optimize", None), ("growth_rate", "constrain", 1)):
+        measured = QuerySpec(2, spec.window, get_measure(measure), mode, sigma)
+        index, walk = run_txcq(g, measured), run_txcq_walk(g, measured)
+        assert index.entries and canon(index, mode) == canon(walk, mode)
+        for e in index.entries + walk.entries:
+            assert "vertices" not in vars(e.zone.core) and e.zone.core.vertex_count == sizes[e.zone.tti]
+    # an index capture and a walk capture of one core are equal and hash
+    # alike before either builds its set, once one has, and once both have
+    walked = {e.zone.tti: e.zone.core for e in walk.entries}
+    for e in index.entries:
+        a, b = e.zone.core, walked[e.zone.tti]
+        assert hash(a) == hash(b)
+        assert a.vertices and "vertices" not in vars(b) and hash(a) == hash(b)
+        assert a == b == a and "vertices" in vars(b) and hash(a) == hash(b)
     res = run_txcq(g, spec)
     assert res.stats.algorithm == "core-index"
     assert canon(res, "enumerate") == canon(run_txcq_walk(g, spec), "enumerate")
