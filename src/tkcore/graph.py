@@ -294,6 +294,7 @@ class CoreSnapshot:
     """
 
     _graph = None  # the graph a capture was induced from
+    engagement_order = None  # kept by `engagement` on first use: its vertices by ascending degree bound
 
     def __init__(self, vertices: frozenset, edges, tti: TimeInterval | None, k: int | None = None):
         self.vertices = vertices  # fills the lazy view

@@ -13,9 +13,12 @@ Values are exact: plain ints or `fractions.Fraction`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
+from operator import itemgetter, truediv
 from typing import Callable, Mapping
 
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
@@ -169,18 +172,42 @@ def _burstiness(core, w, ctx):
 
 
 def _engagement(core, w, ctx):
-    if ctx.graph is None:
+    g = ctx.graph
+    if g is None:
         raise ContractViolation("engagement needs the source graph in the context")
-    # the least ratio is kept as an integer pair and compared by
-    # cross-multiplication, so only the result becomes a Fraction
-    degree_in = ctx.graph.degree_in
-    n, d = None, 1
-    for v, inner in core.degrees.items():
+    # A vertex's window degree is at most its distinct neighbors over the
+    # whole graph, so its ratio is at least inner / that count, its bound.
+    # The core keeps its vertices by ascending bound, and the scan stops at
+    # the first bound past the least ratio found, which no later vertex can
+    # undercut.  A float of an int ratio is correctly rounded, so a float
+    # bound past the float of the least ratio is past it exactly, and
+    # vertices whose floats tie are all scanned.  The stop is taken only
+    # when the window holds the TTI, where every core vertex has a neighbor,
+    # so a vertex with none still raises wherever the full scan would.  The
+    # least ratio is kept as an integer pair and compared by
+    # cross-multiplication, so only the result becomes a Fraction.
+    order = core.engagement_order
+    if order is None:  # built in C, as a walk's cores are new to every query
+        vertices, inners = tuple(core.degrees), tuple(core.degrees.values())
+        timelines = map(g._timelines.get, vertices, repeat(((), (), ())))
+        counts = tuple(map(len, map(itemgetter(2), timelines)))
+        bounds = tuple(map(truediv, inners, counts))  # a vertex with no timeline raises, as its scan would
+        by_bound = sorted(range(len(bounds)), key=bounds.__getitem__)
+        order = tuple(tuple(map(seq.__getitem__, by_bound)) for seq in (vertices, inners, counts))
+        core.engagement_order = order
+    degree_in = g.degree_in
+    holds = w.ts <= core.tti.ts and core.tti.te <= w.te
+    n, d, cut = None, 1, math.inf
+    for v, inner, count in zip(*order):
+        if inner / count > cut:
+            break
         outer = degree_in(v, w)
         if not outer:
             raise ZeroDivisionError(f"engagement: vertex {v} has no neighbor in {tuple(w)}")
         if n is None or inner * d < n * outer:
             n, d = inner, outer
+            if holds:
+                cut = n / d
     return Fraction(n, d)
 
 

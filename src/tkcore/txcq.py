@@ -30,18 +30,23 @@ where its declared sensitivity requires: once per zone for insensitive
 measures (`ti_ls`), at the zone's tightest or loosest intervals for
 monotonic measures (`tmo_ls`), or along the decision boundary of the
 zone's qualifying region for monotonic threshold queries (`tmc_ls`), which
-walks in one direction, an expand-improving measure in negated time, and
-settles a member box whose columns share one first qualifying start with
-one probe of its far column, paying at most that one evaluation more when
-they do not.  One loop runs the search zone by zone, counts its
-evaluations and keeps the optimum across zones.  Nonmonotonic measures,
-which have no usable structure, take the same phase 1 and `all_ls`, which
-evaluates every member of every zone.  Such a query refuses a window of
-more than MAX_TCD_STAR_CELLS raw cells before phase 1, since a gap of G
-raw stamps alone holds O(G^2) of them.  `run_tcd_star`, the paper's
-exhaustive baseline, runs `all_ls` on the zones of the exhaustive TCD walk
-under the same refusal.  Every route builds its zones and answers with the
-same helpers.
+searches in one direction, an expand-improving measure in negated time.
+It gallops and bisects up each column to its first qualifying start and
+along the ends to that start's last qualifying column, so a straight run of
+the boundary costs about twice the logarithm of its length, and it settles
+a member box whose columns share one start with one probe of its far
+column.  A gallop or a failed probe may cost one evaluation more than
+stepping, so each is taken only while the zone's budget (the paper's: the
+sum of its rectangles' widths and heights) spares it, and a zone never
+costs more than that budget.  One loop runs the search zone by zone,
+counts its evaluations and keeps the optimum across zones.  Nonmonotonic
+measures, which have no usable structure, take the same phase 1 and
+`all_ls`, which evaluates every member of every zone.  Such a query
+refuses a window of more than MAX_TCD_STAR_CELLS raw cells before phase 1,
+since a gap of G raw stamps alone holds O(G^2) of them.  `run_tcd_star`,
+the paper's exhaustive baseline, runs `all_ls` on the zones of the
+exhaustive TCD walk under the same refusal.  Every route builds its zones
+and answers with the same helpers.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import coreindex
@@ -71,10 +77,10 @@ class MemberSet:
 
     Two sets are equal when they hold the same intervals, however they are
     cut into boxes, and comparing or hashing them never lists an interval:
-    they are equal when they hold as many intervals and each box of one is
-    covered by the other's boxes, whose overlaps with it, being disjoint,
-    add up to its size.  The hash is the count and the sums of the starts
-    and of the ends, each worked out box by box."""
+    `==` sweeps the sorted start edges of both sets' boxes once and compares
+    the ends each set holds between two edges, in O(b log b) for b boxes.
+    The hash is the count and the sums of the starts and of the ends, each
+    worked out box by box."""
 
     boxes: tuple[tuple[int, int, int, int], ...]
 
@@ -93,15 +99,33 @@ class MemberSet:
             return NotImplemented
         if self.boxes == other.boxes:
             return True
-        if len(self) != len(other):
-            return False
-        return all(
-            sum(
-                max(0, min(b, q) - max(a, p) + 1) * max(0, min(d, s) - max(c, r) + 1)
-                for p, q, r, s in other.boxes
-            ) == (b - a + 1) * (d - c + 1)
-            for a, b, c, d in self.boxes
-        )
+        # Sweep the starts.  Over each run of starts that no box edge cuts,
+        # the ends each set holds are the union of its boxes' end ranges,
+        # which are disjoint, so the union is given by the +1 at c and -1 at
+        # d + 1 of each range [c, d]; the sets are equal when those counts
+        # agree over every run.  `edges` holds this set's counts less the
+        # other's, and `uneven` how many of them are not 0.
+        events = sorted(chain(
+            ((a, 1, c, d) for a, _, c, d in self.boxes),
+            ((b + 1, -1, c, d) for _, b, c, d in self.boxes),
+            ((a, -1, c, d) for a, _, c, d in other.boxes),
+            ((b + 1, 1, c, d) for _, b, c, d in other.boxes),
+        ), key=itemgetter(0))
+        edges: dict = {}
+        uneven = 0
+        at = None
+        for ts, by, c, d in events:
+            if ts != at:
+                if uneven:
+                    return False  # the starts from `at` to ts - 1 hold different ends
+                at = ts
+            was = edges.get(c, 0)
+            edges[c] = now = was + by
+            uneven += (now != 0) - (was != 0)
+            was = edges.get(d + 1, 0)
+            edges[d + 1] = now = was - by
+            uneven += (now != 0) - (was != 0)
+        return True  # past the last edge no box is open
 
     def __hash__(self) -> int:
         starts = ends = 0
@@ -322,59 +346,108 @@ def all_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
 
 
 def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
-    """Monotonic threshold search: walk the decision boundary of the
-    qualifying region inside the zone.
+    """Monotonic threshold search: find the boundary of the zone's
+    qualifying region by galloping and bisecting along it.
 
-    Qualification is monotone along both axes inside a zone.  The walk is
+    Qualification is monotone along both axes inside a zone.  The search is
     written for a shrink-improving measure; an expand-improving one takes
     it in negated time, where a box (a, b, c, d) is (-b, -a, -d, -c) and a
     cell (ts, te) is evaluated at (-ts, -te), and its settled boxes are
-    negated back.  The walk takes the columns (one end each) from the
-    earliest end and steps each column's start from its earliest; the
-    first success settles the rest of the column.  A failed start fails in
-    every later column, so the next column resumes there.  Columns settle
-    in adjacent order, and a column whose starts match the previous box's
-    widens that box.  Once a box's first column settles at start q, one
-    probe of q in the box's last column decides the rest: if it qualifies,
-    so does q in every column between (their earlier starts failed in a
-    better column), and the box settles whole.  Evaluated cells are kept in
-    a memo, whose size is the zone's evaluation count, so a failed probe is
-    not paid again in the last column: a box costs at most one evaluation
-    more than the plain walk, and two when its columns settle at one start.
+    negated back.  The member boxes are taken by ascending end (one column
+    per end), so no column's first qualifying start comes before the
+    previous column's.  The search gallops up the column from where the
+    previous one left off, probing 0, 1, 3, 7, ... starts past it, and
+    bisects the last gap to the column's first qualifying start q.  Every
+    column from there up to q's last qualifying one settles at q; that last
+    column is found the same way along the ends, after one probe of q in
+    the box's last column when q settles the box's first.  The settled
+    columns form one box, which widens the previous box when their starts
+    match, and the next column resumes at q + 1, since q fails there.  A
+    column that fails throughout ends its box.
+
+    A gallop costs at most one evaluation more than stepping cell by cell
+    to the same place, and only when it lands two cells on (a gap of at
+    most 4 is stepped through, not bisected); a far-column probe that fails
+    costs one more too.  Stepping on from column te at start ts costs at
+    most the columns and starts left, so each is taken only while the
+    paper's budget, the sum of the zone's rectangle widths and heights,
+    spares one evaluation beyond those made and that stepping.  A gallop
+    along the ends at a box's last start needs none, since its failure ends
+    the box.  So no zone costs more than its budget.  Evaluated cells are
+    kept in a memo, whose size is the zone's evaluation count, so no cell
+    is paid twice.
     """
-    measure = spec.measure
+    measure, core, sigma = spec.measure, zone.core, spec.sigma
     sign = -1 if measure.improves_on == "expand" else 1  # the walk's time is sign * time
     memo = {}  # (ts, te) in the walk's time -> qualifies
-    found = []
 
     def qualifies(ts, te) -> bool:
-        if (ts, te) not in memo:
-            value = evaluate(measure, zone.core, TimeInterval(sign * ts, sign * te), ctx)
-            memo[ts, te] = satisfies(measure, value, spec.sigma)
-        return memo[ts, te]
+        ok = memo.get((ts, te))
+        if ok is None:
+            value = evaluate(measure, core, TimeInterval(sign * ts, sign * te), ctx)
+            ok = memo[ts, te] = satisfies(measure, value, sigma)
+        return ok
 
-    def turned(a, b, c, d):  # a box into the walk's time, or back out of it
-        return (a, b, c, d) if sign > 0 else (-b, -a, -d, -c)
-
-    def settle(ts, ts_hi, te_lo, te_hi):  # columns settle by ascending end
-        if found and found[-1][:2] == (ts, ts_hi):
-            te_lo = found.pop()[2]
-        found.append((ts, ts_hi, te_lo, te_hi))
-
-    ts = -math.inf  # no start tried yet
-    boxes = sorted((turned(*b) for b in zone.members.boxes), key=lambda b: b[2])
-    for ts_lo, ts_hi, te_lo, te_hi in boxes:
-        for te in range(te_lo, te_hi + 1):
-            ts = max(ts, ts_lo)  # the failed start, or the column's earliest
-            while ts <= ts_hi and not qualifies(ts, te):
-                ts += 1
-            if ts > ts_hi:
-                break  # this column failed throughout, so does every later one of the box
-            if te == te_lo < te_hi and qualifies(ts, te_hi):
-                settle(ts, ts_hi, te_lo, te_hi)
-                break
-            settle(ts, ts_hi, te, te)
-    return MemberSet(tuple(turned(*b) for b in found)), None, len(memo)
+    # the member boxes (ZoneRecord.members) by ascending end, and the budget
+    s, e = zone.tti
+    boxes, after, spare = [], e, 0
+    for l in reversed(zone.ltis):  # each LTI's box takes the ends from `after` to its own
+        boxes.append((l.ts, s, after, l.te))
+        spare += l.te - e + s - l.ts + 2
+        after = l.te + 1
+    if sign < 0:
+        boxes = [(-b, -a, -d, -c) for a, b, c, d in reversed(boxes)]
+    _, top, _, te_end = boxes[-1]
+    spare -= te_end + 1 + top  # what the budget spares at column te and start ts: spare + te + ts - len(memo)
+    found = []  # settled boxes in the walk's time, by ascending end
+    ts = -math.inf  # every earlier start fails in the current column
+    for ts_lo, ts_hi, te, te_hi in boxes:
+        first = te
+        ts = max(ts, ts_lo)
+        while te <= te_hi and ts <= ts_hi:
+            # the column's first qualifying start: gallop up from ts, then bisect
+            grow = 2 if spare + te + ts > len(memo) else 1
+            lo, hi, step = ts - 1, ts, 1  # lo fails or lies below the box
+            while hi < ts_hi and not qualifies(hi, te):
+                lo, hi, step = hi, min(hi + step, ts_hi), step * grow
+            if not qualifies(hi, te):
+                ts = hi + 1
+                break  # this column fails throughout, and so does every later one of the box
+            short = hi - lo <= 4
+            while hi - lo > 1:
+                mid = lo + 1 if short else (lo + hi) // 2
+                if qualifies(mid, te):
+                    hi = mid
+                else:
+                    lo = mid
+            q = hi
+            # the last column q qualifies in: probe the box's last column,
+            # then gallop along the ends and bisect
+            lo, hi = te, te_hi + 1  # hi fails or lies past the box
+            if te == first < te_hi and spare + te + 1 + q > len(memo):
+                if qualifies(q, te_hi):
+                    lo = te_hi
+                else:
+                    hi = te_hi
+            grow = 2 if q == ts_hi or spare + te + 1 + q > len(memo) else 1
+            probe, step = lo + 1, 1
+            while probe < hi and qualifies(q, probe):
+                lo, probe, step = probe, probe + step, step * grow
+            hi = min(hi, probe)
+            short = hi - lo <= 4
+            while hi - lo > 1:
+                mid = lo + 1 if short else (lo + hi) // 2
+                if qualifies(q, mid):
+                    lo = mid
+                else:
+                    hi = mid
+            if found and found[-1][:2] == (q, ts_hi):
+                te = found.pop()[2]
+            found.append((q, ts_hi, te, lo))
+            te, ts = lo + 1, q + (lo < te_hi)
+    if sign < 0:
+        found = [(-b, -a, -d, -c) for a, b, c, d in found]
+    return MemberSet(tuple(found)), None, len(memo)
 
 
 def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search) -> list[ResultEntry]:

@@ -179,6 +179,51 @@ def test_degree_in_and_engagement_match_an_edge_scan(slice_per_neighbor, case):
             assert evaluate(m, core, w, ctx) == want
 
 
+@pytest.mark.parametrize("slice_per_neighbor", [0, tkcore.graph.SLICE_PER_NEIGHBOR, 10**9])
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_bounded_engagement_matches_an_unbounded_scan(slice_per_neighbor, seed):
+    # every zone's core, at its TTI, at windows that hold it and at windows
+    # that do not: the scan stops early only on the first two, and its value
+    # is the least ratio over every vertex, off an edge scan, either way
+    rng = random.Random(seed)
+    g = random_instance(rng, seed, max_vertices=16, max_edges=120)
+    zones = run_otcd_star(g, rng.choice((1, 2, 3)), (g.min_t, g.max_t))
+    m, ctx = get_measure("engagement"), EvalContext(graph=g)
+    with mock.patch.object(tkcore.graph, "SLICE_PER_NEIGHBOR", slice_per_neighbor):
+        for core in (z.core for z in zones):
+            (ts, te), lo, hi = core.tti, g.min_t - 2, g.max_t + 2
+            for w in (core.tti, (rng.randint(lo, ts), rng.randint(te, hi)), (rng.randint(ts + 1, hi), hi)):
+                ambient = {v: set() for v in core.vertices}
+                for u, v, t in g.edges:
+                    if w[0] <= t <= w[1]:
+                        for x, y in ((u, v), (v, u)):
+                            if x in ambient:
+                                ambient[x].add(y)
+                if not all(ambient.values()):
+                    with pytest.raises(ZeroDivisionError):
+                        evaluate(m, core, w, ctx)
+                else:
+                    want = min(Fraction(len(core.neighbors(v)), len(ambient[v])) for v in core.vertices)
+                    assert evaluate(m, core, w, ctx) == want, (core.tti, w)
+
+
+def test_engagement_stops_at_a_bound_past_the_least_ratio():
+    # a triangle at t=1 whose vertex 0 also meets vertex 3 there: 0's ratio
+    # 2/3 is the least, and the bounds of 1 and 2 (2/2) exceed it, so their
+    # window degrees are never read
+    g = TemporalGraph.from_edges(4, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1), (1, 2, 5)])
+    core = reference_core(g, 2, (1, 1))
+    read = []
+    with mock.patch.object(TemporalGraph, "degree_in", lambda self, v, w: read.append(v) or (3 if v == 0 else 2)):
+        assert evaluate(get_measure("engagement"), core, (1, 1), EvalContext(graph=g)) == Fraction(2, 3)
+        assert read == [0]
+        # a window that does not hold the TTI reads every vertex
+        read.clear()
+        assert evaluate(get_measure("engagement"), core, (2, 5), EvalContext(graph=g)) == Fraction(2, 3)
+        assert sorted(read) == [0, 1, 2]
+
+
 def test_engagement_has_no_value_where_a_core_vertex_has_no_neighbor(g0):
     # the triangle at [1, 3]: in window [4, 4] only c has a neighbor
     core = reference_core(g0, 2, (1, 3))

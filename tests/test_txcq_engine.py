@@ -487,10 +487,101 @@ def test_boundary_walk_settles_a_box_at_one_start_with_one_probe(g0, direction, 
     ],
 )
 def test_boundary_walk_after_a_failed_probe_costs_one_more_at_most(g0, direction, sigma, advance, evals):
+    # the box's budget is its 19 columns and 6 starts, 25, and stepping on
+    # from the failed probe may cost all that is left of it, so the walk
+    # steps: a gallop could cost one evaluation more than stepping
     _, got, cells = walk_one_box(g0, direction, sigma)
     assert got == evals
     assert got <= 19 + advance + 1  # columns, starts stepped past, the probe
     assert len(set(cells)) == len(cells)  # the probed cell is not evaluated again
+
+
+def lateness_walk(g0, direction, columns, first):
+    """`tmc_ls` on a one-box zone 53 starts tall (8..60) and `columns`
+    ends wide (60 on), under a measure that qualifies every column from
+    one start on, the `first` start the walk meets that qualifies."""
+    cells = []
+
+    def lateness(core, w, ctx):
+        cells.append(w)
+        return w.ts if direction == "shrink" else -w.ts
+
+    measure = MeasureDescriptor("lateness", "monotonic", "higher", lateness, improves_on=direction)
+    zone = ZoneRecord(reference_core(g0, 2, (1, 3)), TimeInterval(60, 60), (TimeInterval(8, 59 + columns),))
+    sigma = first if direction == "shrink" else -(68 - first)
+    qualifying, _, evals = tmc_ls(zone, QuerySpec(2, (8, 80), measure, "constrain", sigma),
+                                  EvalContext(graph=g0, zone=zone))
+    assert evals == len(cells) == len(set(cells))
+    lo, hi = (first, 60) if direction == "shrink" else (8, 68 - first)
+    assert qualifying.boxes == ((lo, hi, 60, 59 + columns),)
+    return evals
+
+
+@pytest.mark.parametrize("direction", ["shrink", "expand"])
+def test_boundary_walk_gallops_up_a_tall_box(g0, direction):
+    # galloping up the column and bisecting costs about twice log2 of the
+    # height, wherever the first qualifying start lies
+    assert max(lateness_walk(g0, direction, 1, first) for first in range(8, 61)) <= 14
+    # with 20 columns, one probe of the far column settles the other 19;
+    # a gallop that lands two starts up costs one evaluation more than
+    # stepping there, which spends the one evaluation the budget (73) spares
+    # a one-box zone, so the far probe is skipped and the columns are stepped
+    evals = {first: lateness_walk(g0, direction, 20, first) for first in range(8, 61)}
+    assert evals.pop(10) == 4 + 19 <= 20 + 53
+    assert max(evals.values()) <= 14
+
+
+@st.composite
+def staircase_zones(draw):
+    """A zone of TTI (13, 13) with one to four LTIs no more than 12 stamps
+    out, and a qualifying region bounded by a nondecreasing threshold per
+    end."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    out = st.lists(st.integers(min_value=0, max_value=12), min_size=m, max_size=m, unique=True)
+    ups, rights = sorted(draw(out), reverse=True), sorted(draw(out))
+    ltis = tuple(reversed([TimeInterval(13 - up, 13 + right) for up, right in zip(ups, rights)]))
+    rises = draw(st.lists(st.integers(min_value=0, max_value=4), min_size=13, max_size=13))
+    offset = draw(st.integers(min_value=-2, max_value=16))
+    return ltis, [offset + sum(rises[: i + 1]) for i in range(13)]
+
+
+@pytest.mark.parametrize("direction", ["shrink", "expand"])
+@given(case=staircase_zones())
+@settings(max_examples=300, deadline=None)
+def test_boundary_walk_stays_within_the_rectangle_budget(direction, case):
+    # any monotone qualifying region: the walk answers it exactly, and its
+    # evaluations stay within the sum of the rectangles' widths and heights
+    ltis, threshold = case  # threshold[te - 13] is nondecreasing in te
+    if direction == "shrink":  # a start qualifies from the threshold on
+        def qualifies(ts, te):
+            return ts >= threshold[te - 13]
+    else:  # a start qualifies up to the threshold
+        def qualifies(ts, te):
+            return ts <= threshold[te - 13] - 12
+
+    measure = MeasureDescriptor(
+        "staircase", "monotonic", "higher", lambda core, w, ctx: int(qualifies(*w)), improves_on=direction
+    )
+    g = TemporalGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+    zone = ZoneRecord(reference_core(g, 2, (1, 1)), TimeInterval(13, 13), ltis)
+    spec = QuerySpec(2, (0, 30), measure, "constrain", 1)
+    qualifying, _, evals = tmc_ls(zone, spec, EvalContext(graph=g, zone=zone))
+    assert set(qualifying) == {w for w in zone.members if qualifies(*w)}
+    assert evals <= sum(w + h for w, h in rect_dims(zone))
+
+
+def test_gap_repro_costs_a_few_bisections():
+    """Two triangles a million stamps apart: the zone at 10^6 is one column
+    of about 10^6 starts, and the zone at 1 one row of as many ends.  The
+    walk gallops along both instead of stepping."""
+    far = 10**6
+    g = TemporalGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 1, far), (1, 2, far), (0, 2, far)])
+    for sigma, members in ((Fraction(3, 1000), 2000), (4, 0)):
+        spec = QuerySpec(2, (1, far), get_measure("growth_rate"), "constrain", sigma)
+        res = run_txcq(g, spec)
+        assert res.stats.x_evaluations <= 200
+        assert sum(len(e.qualifying) for e in res.entries) == members
+        assert canon(res, "constrain") == canon(run_txcq_walk(g, spec), "constrain")
 
 
 # -- dispatch and the exhaustive fallback ------------------------------------
