@@ -13,15 +13,16 @@ index per (graph, k) answers every window (after the PHC index of Yu et al.,
 Build: the row head core([s, last]) is induced decrementally, row by row.
 When its TTI starts at t > s, rows s..t hold the same cores (PoU), so they
 share one row.  A row is swept from its head down: each step reads the
-content's TTI end b (a breakpoint) and records the edge count and the
-vertex count, then cuts column b off and peels only from the endpoints
-that cut touched, noting the vertices that left.  The cores of one sweep
-nest, so the sweep keeps one vertex order, the last vertex to leave first,
-and each of its cores is a prefix of it.  The sweep stops at the first core
-with no edge stamped s: its TTI (t, b) says that row s equals row t from
-column b down, and row t, swept later, supplies that tail.  So the build
-steps over at most ranks x pair runs runs, and stores at most one vertex
-per sweep and vertex of the graph.
+content's TTI end b (a breakpoint) and records the edge count, the
+distinct-pair count and the vertex count, which the TEL keeps as it goes,
+then cuts column b off and peels only from the endpoints that cut touched,
+noting the vertices that left.  The cores of one sweep nest, so the sweep
+keeps one vertex order, the last vertex to leave first, and each of its
+cores is a prefix of it.  The sweep stops at the first core with no edge
+stamped s: its TTI (t, b) says that row s equals row t from column b down,
+and row t, swept later, supplies that tail.  So the build steps over at
+most ranks x pair runs runs, and stores at most one vertex per sweep and
+vertex of the graph.
 
 Lookup: the zones of a window are the distinct cores whose TTI lies inside
 it.  For r <= s and c >= b, core([r, c]) contains core([s, b]) and equals
@@ -30,22 +31,24 @@ the columns from b up to the next breakpoint of row r past b, while row r's
 edge count at b still equals the zone's.  On a core's first read its rows
 are walked upward from s once, bisecting each row's breakpoints: that gives
 the zone's loosest time intervals (LTIs) over the whole schedule, in ranks.
-The core's snapshot keeps the sweep's order and the core's vertex count; it
-builds its vertex set off the order, and reads its edges and degrees off
-the graph's pair runs inside its TTI, each on first use.  Neither the LTIs
-nor the snapshot depend on a window, so both are kept for every later query
-of the (graph, k).  A window's rows lo..hi then keep the LTIs whose rows
-reach lo, cut them at row lo and column hi, and merge those the cut leaves
-in one column.  A row's distinct cores are kept ascending by TTI end, so a
-lookup stops reading a row at its first core that ends past the window, and
-reads nothing else of the rows.  The walk's counters of a window (cells
-visited, and pruned by `PoR` or `Empty`) are worked out from the rows'
-breakpoints only when a caller asks for them (`CoreIndex.counters`).
+The core's snapshot keeps the sweep's order, the core's vertex count and
+its distinct-pair count, which `burstiness` reads; it builds its vertex set
+off the order, and reads its edges and degrees off the graph's pair runs
+inside its TTI, each on first use.  Neither the LTIs nor the snapshot
+depend on a window, so both are kept for every later query of the
+(graph, k).  A window's rows lo..hi then keep the LTIs whose rows reach
+lo, cut them at row lo and column hi, and merge those the cut leaves in
+one column.  A row's distinct cores are kept ascending by TTI end, so a lookup stops
+reading a row at its first core that ends past the window, and reads
+nothing else of the rows.  The walk's counters of a window (cells visited,
+and pruned by `PoR` or `Empty`) are worked out from the rows' breakpoints
+only when a caller asks for them (`CoreIndex.counters`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 
 from .graph import CoreSnapshot, TemporalGraph, TimeInterval
 from .tcq import EngineStats, loosest_cell
@@ -63,11 +66,12 @@ class CoreIndex:
 
     `cols[r]` lists row r's breakpoints ascending and `edges[r]` the edge
     count of the core at each; rows with the same cores share both lists.
-    `cores[r]` holds `(b, edge_count, order, n)` for each distinct core
-    with TTI (r, b), ascending by b: its vertices are `order[:n]`, where
-    `order` is the vertex order of the sweep that found it, shared by all
-    of that sweep's cores.  `read[(s, b)]` holds `(snapshot, ltis)` for
-    each core read so far: its snapshot, captured off `order` and `n`, and
+    `cores[r]` holds `(b, edge_count, pairs, order, n)` for each distinct
+    core with TTI (r, b), ascending by b: `pairs` counts its distinct
+    adjacent vertex pairs, and its vertices are `order[:n]`, where `order`
+    is the vertex order of the sweep that found it, shared by all of that
+    sweep's cores.  `read[(s, b)]` holds `(snapshot, ltis)` for each core
+    read so far: its snapshot, captured off `order`, `n` and `pairs`, and
     its loosest rank cells over the whole schedule.
     """
 
@@ -109,7 +113,7 @@ class CoreIndex:
         is returned as (t, b), else None."""
         stamps, k = self.graph.timestamps, self.k
         mult = walker.neighbor_mult
-        cols, edges, sizes = [], [], []
+        cols, edges, pairs, sizes = [], [], [], []
         left = []  # the vertices that left, in the order they left
         tail = None
         while walker.edge_count:
@@ -120,6 +124,7 @@ class CoreIndex:
                 break
             cols.append(b)
             edges.append(walker.edge_count)
+            pairs.append(walker.pairs)
             sizes.append(len(mult))
             if b == s:
                 break
@@ -130,7 +135,7 @@ class CoreIndex:
         order = (*mult, *reversed(left))
         cols.reverse()
         edges.reverse()
-        cores = [(b, m, order, n) for b, m, n in zip(cols, edges, reversed(sizes))]
+        cores = list(zip(cols, edges, reversed(pairs), repeat(order), reversed(sizes)))
         return cols, edges, cores, tail
 
     def locate(self, window) -> list:
@@ -186,7 +191,7 @@ class CoreIndex:
         stats.distinct_cores = zones
         return stats
 
-    def _first_read(self, s: int, b: int, edge_count: int, order: tuple, n: int) -> tuple:
+    def _first_read(self, s: int, b: int, edge_count: int, pairs: int, order: tuple, n: int) -> tuple:
         """Capture the core with rank TTI (s, b) off its sweep's order, walk
         its LTIs, and keep both."""
         last = len(self.cols) - 1
@@ -202,7 +207,7 @@ class CoreIndex:
             else:
                 ltis.append((r, c))
         tti = TimeInterval(self.graph.timestamps[s], self.graph.timestamps[b])
-        snap = CoreSnapshot.captured(order, n, tti, self.k, edge_count, None, self.graph)
+        snap = CoreSnapshot.captured(order, n, tti, self.k, edge_count, pairs, None, self.graph)
         entry = self.read[s, b] = snap, tuple(ltis)
         return entry
 

@@ -279,12 +279,14 @@ class CoreSnapshot:
     A core is the subgraph its vertices induce inside its TTI, so its edges
     are exactly the graph edges with a timestamp in the TTI and both ends in
     `vertices`.  A capture (`captured`, from a TEL or a core-time index)
-    keeps its vertex count, the vertex order its source holds (its vertices
-    come first) and its graph, and builds `vertices`, `edges`, `pair_counts`,
+    keeps its vertex count, its distinct-pair count (`pair_count`, half
+    the degree sum), the vertex order its source holds (its vertices come
+    first) and its graph, and builds `vertices`, `edges`, `pair_counts`,
     `degrees` (distinct neighbors per vertex, a read-only mapping) and
     `neighbor_sets` on first use, the last four off the graph's pair runs
     inside its TTI.  `CoreSnapshot(vertices, edges, tti, k)` takes an
-    explicit vertex set and edge tuple instead.  A snapshot is shared by
+    explicit vertex set and edge tuple instead, and counts `pair_count` off
+    the edges on first use.  A snapshot is shared by
     every evaluation of its core and must not be modified, and one read off
     a core-time index (`coreindex`) by every later query of its graph and k.
 
@@ -305,15 +307,17 @@ class CoreSnapshot:
         self.edge_count = len(edges)
 
     @classmethod
-    def captured(cls, order, n, tti, k, edge_count, degrees, graph) -> "CoreSnapshot":
-        """The core of the first `n` of `order` inside `tti`, whose edges stay
-        in `graph`'s pair runs.  `degrees` None is left to the first use."""
+    def captured(cls, order, n, tti, k, edge_count, pairs, degrees, graph) -> "CoreSnapshot":
+        """The core of the first `n` of `order` inside `tti`, with `pairs`
+        distinct adjacent pairs, whose edges stay in `graph`'s pair runs.
+        `degrees` None is left to the first use."""
         snap = cls.__new__(cls)
         snap._order = order
         snap.vertex_count = n
         snap.tti = tti
         snap.k = k
         snap.edge_count = edge_count
+        snap.pair_count = pairs
         if degrees is not None:
             snap.__dict__["degrees"] = MappingProxyType(degrees)
         snap._graph = graph
@@ -358,6 +362,10 @@ class CoreSnapshot:
     @cached_property
     def edges(self) -> tuple[TemporalEdge, ...]:
         return _expand(self._pair_runs())
+
+    @cached_property
+    def pair_count(self) -> int:
+        return len({(u, v) for u, v, _, _ in self._pair_runs()})
 
     @cached_property
     def degrees(self) -> MappingProxyType:

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter, truediv
+from operator import ge, gt, itemgetter, le, lt, truediv
 from typing import Callable, Mapping
 
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
@@ -45,23 +45,38 @@ class EvalContext:
     params: Mapping = field(default_factory=dict)
 
     def with_zone(self, zone) -> "EvalContext":
-        return EvalContext(self.graph, zone, self.all_zones, self.params)
+        # one dict copy, not the frozen __init__'s setattr per field
+        ctx = object.__new__(EvalContext)
+        ctx.__dict__.update(self.__dict__, zone=zone)
+        return ctx
+
+
+# the order of each orientation: (beats, reaches), strictly better and no worse
+_ORDERS = {"higher": (gt, ge), "lower": (lt, le)}
 
 
 @dataclass(frozen=True)
 class MeasureDescriptor:
+    """A measure's declaration.  `beats` and `reaches` are the operators of
+    its orientation, `>` and `>=` when higher is better, `<` and `<=` when
+    lower is; every comparison of its values goes through them."""
+
     name: str
     sensitivity: str
     better: str  # "higher" | "lower"
     evaluator: Callable[[CoreSnapshot, TimeInterval, EvalContext], object]
     improves_on: str | None = None  # shrink | expand, monotonic only
     params: Mapping = field(default_factory=dict)
+    beats: Callable = field(init=False, repr=False, compare=False)
+    reaches: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sensitivity not in SENSITIVITIES:
             raise ValueError(f"unknown sensitivity: {self.sensitivity!r}")
-        if self.better not in ("higher", "lower"):
+        if self.better not in _ORDERS:
             raise ValueError(f"better must be 'higher' or 'lower', got {self.better!r}")
+        object.__setattr__(self, "beats", _ORDERS[self.better][0])
+        object.__setattr__(self, "reaches", _ORDERS[self.better][1])
         if self.sensitivity == "monotonic":
             if self.improves_on not in DIRECTIONS:
                 raise ValueError("monotonic measures must declare improves_on shrink|expand")
@@ -82,39 +97,45 @@ class MeasureDescriptor:
 def evaluate(measure: MeasureDescriptor, core: CoreSnapshot, window, ctx: EvalContext):
     """The measure's value on `core` over `window`.  A float NaN has no
     order, so no search could place it; it is refused here, where it is
-    produced, whether or not anything compares it."""
-    if core.is_empty:
+    produced, whether or not anything compares it.  So a value that leaves
+    here needs one comparison by `beats` or `reaches` to be placed."""
+    if not core.edge_count:
         raise UndefinedMeasureValue(f"{measure.name} is undefined on an empty core")
     if not isinstance(window, TimeInterval):
         window = TimeInterval(*window)
     value = measure.evaluator(core, window, ctx)
-    if _is_nan(value):
+    if isinstance(value, float) and value != value:
         raise MeasureValueError(f"{measure.name} has a NaN value on {tuple(window)}")
     return value
 
 
 def compare(measure: MeasureDescriptor, a, b) -> str:
-    """Orient `a` against `b`: 'better', 'equal', or 'worse'.  A float NaN
-    has no order, so it is refused rather than called better or worse."""
+    """Orient `a` against `b` by the measure's `beats`: 'better', 'equal',
+    or 'worse'.  Values that neither match nor order, such as a float NaN
+    or values of unrelated kinds, are refused rather than called better or
+    worse."""
     try:
         if a == b:
             return "equal"
-        bigger = a > b
+        if measure.beats(a, b):
+            return "better"
+        if measure.beats(b, a):
+            return "worse"
     except TypeError as exc:
         raise MeasureValueError(f"cannot compare {a!r} with {b!r}") from exc
-    if not bigger and (_is_nan(a) or _is_nan(b)):  # NaN is neither equal nor bigger
-        raise MeasureValueError(f"cannot order a NaN measure value: {a!r} against {b!r}")
-    if measure.better == "higher":
-        return "better" if bigger else "worse"
-    return "worse" if bigger else "better"
-
-
-def _is_nan(x) -> bool:
-    return isinstance(x, float) and x != x
+    raise MeasureValueError(f"cannot order {a!r} against {b!r}")
 
 
 def satisfies(measure: MeasureDescriptor, value, sigma) -> bool:
-    """True when `value` is no worse than the threshold `sigma`."""
+    """True when `value` is no worse than the threshold `sigma`: one
+    comparison by the measure's `reaches`, and `compare` only for values
+    that comparison cannot settle (equal values that do not order pass,
+    a NaN or an unrelated kind is refused)."""
+    try:
+        if measure.reaches(value, sigma):
+            return True
+    except TypeError:
+        pass
     return compare(measure, value, sigma) != "worse"
 
 
@@ -163,12 +184,13 @@ def _periodicity(core, w, ctx):
 
 
 def _growth_rate(core, w, ctx):
-    return Fraction(core.vertex_count, w.duration)
+    # w.te - w.ts + 1 is `w.duration` without a property call
+    return Fraction(core.vertex_count, w.te - w.ts + 1)
 
 
 def _burstiness(core, w, ctx):
     # the degree sum counts every adjacent vertex pair twice
-    return Fraction(sum(core.degrees.values()), w.duration)
+    return Fraction(2 * core.pair_count, w.te - w.ts + 1)
 
 
 def _engagement(core, w, ctx):

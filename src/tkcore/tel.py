@@ -8,7 +8,9 @@ neighbor inside that window (`neighbor_mult`).  A vertex survives while it
 has an entry.  The content is, by invariant, the window's edges whose two
 endpoints both survive: truncating and peeling always leave exactly the
 subgraph that the surviving vertices induce inside the window, so nothing
-else is stored.
+else is stored.  Its number of distinct adjacent pairs (`pairs`, half the
+degree sum) is counted once on building and lowered by one subtraction per
+truncation and per peeled vertex, so a capture reads it in O(1).
 
 The unit of work is a pair run, so n parallel edges at one timestamp cost
 one step.  Building adds each run's n to its pair's count; truncating
@@ -44,9 +46,11 @@ class TEL:
     invariant is that the content lies within that window's projection and
     contains that window's k-core, so any sub-window's core can still be
     induced from it.  `decompose` tightens the content to exactly the core.
+    `edge_count` counts the content's edges and `pairs` its distinct
+    adjacent vertex pairs.
     """
 
-    def __init__(self, graph, lo, hi, neighbor_mult, edge_count, represents, k_applied=None):
+    def __init__(self, graph, lo, hi, neighbor_mult, edge_count, pairs, represents, k_applied=None):
         self.graph: TemporalGraph = graph
         # the graph's pair runs, which the window `_lo:_hi` indexes
         self.runs = graph.pair_runs
@@ -54,6 +58,7 @@ class TEL:
         self._hi = hi
         self.neighbor_mult: dict = neighbor_mult
         self.edge_count = edge_count
+        self.pairs = pairs
         self.represents: TimeInterval | None = represents
         self.k_applied: int | None = k_applied
 
@@ -81,7 +86,8 @@ class TEL:
             if mv is None:
                 mv = mult[v] = {}
             mu[v] = mv[u] = mu.get(v, 0) + n
-        return cls(g, lo, hi, mult, edge_count, represents)
+        pairs = sum(map(len, mult.values())) >> 1  # each pair sits in both endpoints' maps
+        return cls(g, lo, hi, mult, edge_count, pairs, represents)
 
     def clone(self) -> "TEL":
         """Independent copy of the pair counts; mutations never cross over."""
@@ -91,6 +97,7 @@ class TEL:
             self._hi,
             {a: dict(m) for a, m in self.neighbor_mult.items()},
             self.edge_count,
+            self.pairs,
             self.represents,
             self.k_applied,
         )
@@ -124,6 +131,7 @@ class TEL:
                 del mult[u]
             if not mv:
                 del mult[v]
+        self.pairs -= len(touched) >> 1  # two endpoints per pair dropped
         if self.edge_count != before:
             self.k_applied = None
         if self.represents is None:
@@ -148,18 +156,21 @@ class TEL:
             doomed = [v for v, m in mult.items() if len(m) < k]
         else:
             doomed = list({v for v in touched if v in mult and len(mult[v]) < k})
-        dropped = 0
+        dropped = gone = 0
         peeled = []
         while doomed:
             v = doomed.pop()
             peeled.append(v)
-            for b, count in mult.pop(v).items():
+            mv = mult.pop(v)
+            gone += len(mv)
+            for b, count in mv.items():
                 mb = mult[b]
                 del mb[v]
                 if len(mb) == k - 1:  # b just fell below k, and only now
                     doomed.append(b)
                 dropped += count
         self.edge_count -= dropped
+        self.pairs -= gone
         self.k_applied = k
         return peeled
 
@@ -202,7 +213,8 @@ class TEL:
                 yield from repeat(TemporalEdge(u, v, t), n)
 
     def snapshot(self) -> CoreSnapshot:
-        """Capture the content in O(|V|): its TTI and its degrees by vertex.
+        """Capture the content in O(|V|): its TTI, its degrees by vertex and
+        its distinct-pair count.
 
         The content is always the subgraph its vertices induce inside its
         TTI (truncating and peeling both keep that), so the edges are left
@@ -210,14 +222,16 @@ class TEL:
         """
         degrees = {v: len(m) for v, m in self.neighbor_mult.items()}  # distinct neighbors
         return CoreSnapshot.captured(
-            degrees, len(degrees), self.tti(), self.k_applied, self.edge_count, degrees, self.graph
+            degrees, len(degrees), self.tti(), self.k_applied, self.edge_count, self.pairs, degrees,
+            self.graph,
         )
 
     # -- test support ---------------------------------------------------
 
     def validate(self) -> None:
-        """Recount the pair runs and compare, and check that every run
-        between survivors inside `represents` is content."""
+        """Recount the pair runs, edges and distinct pairs and compare, and
+        check that every run between survivors inside `represents` is
+        content."""
         runs, lo, hi = self.runs, self._lo, self._hi
         if not 0 <= lo <= hi <= len(runs):
             raise AssertionError("window out of range")
@@ -233,6 +247,8 @@ class TEL:
             raise AssertionError("edge count out of sync")
         if mult != alive:
             raise AssertionError("neighbor counts out of sync")
+        if sum(map(len, mult.values())) != 2 * self.pairs:
+            raise AssertionError("distinct pair count out of sync")
         if self.represents is not None:
             a, b = _window_bounds(runs, *self.represents)
             if lo < hi and (lo < a or hi > b):

@@ -12,41 +12,47 @@ NamedTuples, so they unpack and compare like tuples.
 Phase 1 has two routes.  `run_txcq` reads the zones off the graph's
 core-time index at k (`coreindex.CoreIndex`), built on the first query of
 that (graph, k) and cached on the graph; it keeps each core it has read,
-snapshot and LTIs, for the later queries, and a snapshot reads its degrees
-off the graph's pair runs when a measure first asks.  A graph whose ranks
-x pair runs exceed `coreindex.MAX_CORE_INDEX_SIZE` gets no index, and
-`run_txcq` walks.  That size rule bounds the build, and it also keeps the
-index's first reads of cores off large graphs, where a first query can
-cost over ten times the walk (README.md has the measurements).  The walk
-is `run_otcd_star`, which visits only LTI cells plus whatever empties it
-takes to get there, pruning each discovered rectangle wholesale.  It stays
-the paper's engine and the index's reference: `run_otcd_star` and
+snapshot and LTIs, for the later queries.  A snapshot carries the counts
+its sweep recorded (edges, vertices, distinct adjacent pairs), and reads
+its degrees off the graph's pair runs only when a measure first asks.  A
+graph whose ranks x pair runs exceed `coreindex.MAX_CORE_INDEX_SIZE` gets
+no index, and `run_txcq` walks.  That size rule bounds the build, and it
+also keeps the index's first reads of cores off large graphs, where a first
+query can cost over ten times the walk (README.md has the measurements).
+The walk is `run_otcd_star`, which visits only LTI cells plus whatever
+empties it takes to get there, pruning each discovered rectangle wholesale.
+It stays the paper's engine and the index's reference: `run_otcd_star` and
 `run_txcq_walk` always walk, and so does the CLI, whose output carries the
-walk's own counters (cells visited and prune counters), which an index
-read would replace with its own.
+walk's own counters (cells visited and prune counters), which an index read
+would replace with its own.
 
 Phase 2 runs a local search inside each zone, evaluating the measure only
 where its declared sensitivity requires: once per zone for insensitive
-measures (`ti_ls`), at the zone's tightest or loosest intervals for
-monotonic measures (`tmo_ls`), or along the decision boundary of the
-zone's qualifying region for monotonic threshold queries (`tmc_ls`), which
-searches in one direction, an expand-improving measure in negated time.
-It gallops and bisects up each column to its first qualifying start and
-along the ends to that start's last qualifying column, so a straight run of
-the boundary costs about twice the logarithm of its length, and it settles
-a member box whose columns share one start with one probe of its far
-column.  A gallop or a failed probe may cost one evaluation more than
-stepping, so each is taken only while the zone's budget (the paper's: the
-sum of its rectangles' widths and heights) spares it, and a zone never
-costs more than that budget.  One loop runs the search zone by zone,
-counts its evaluations and keeps the optimum across zones.  Nonmonotonic
+measures (`ti_ls`) and for shrink-improving optimizes (`tmo_ls`, at the
+TTI), at the zone's loosest intervals for expand-improving optimizes, or
+along the decision boundary of the zone's qualifying region for monotonic
+threshold queries (`tmc_ls`), which searches in one direction, an expand-
+improving measure in negated time.  It gallops and bisects up each column
+to its first qualifying start and along the ends to that start's last
+qualifying column, so a straight run of the boundary costs about twice the
+logarithm of its length, and it settles a member box whose columns share
+one start with one probe of its far column.  A gallop or a failed probe may
+cost one evaluation more than stepping, so each is taken only while the
+zone's budget (the paper's: the sum of its rectangles' widths and heights)
+spares it, and a zone never costs more than that budget.  One loop runs the
+search zone by zone, counts its evaluations and keeps the optimum across
+zones.  Every value is placed by the measure's own operator pair
+(`MeasureDescriptor.beats` and `reaches`), fixed for the query: a threshold
+test or a worse value costs one comparison, and `evaluate` has already
+refused a NaN, so a one-cell zone of `burstiness` costs one read of the
+core's pair count, one evaluator call and one comparison.  Nonmonotonic
 measures, which have no usable structure, take the same phase 1 and
-`all_ls`, which evaluates every member of every zone.  Such a query
-refuses a window of more than MAX_TCD_STAR_CELLS raw cells before phase 1,
-since a gap of G raw stamps alone holds O(G^2) of them.  `run_tcd_star`,
-the paper's exhaustive baseline, runs `all_ls` on the zones of the
-exhaustive TCD walk under the same refusal.  Every route builds its zones
-and answers with the same helpers.
+`all_ls`, which evaluates every member of every zone.  Such a query refuses
+a window of more than MAX_TCD_STAR_CELLS raw cells before phase 1, since a
+gap of G raw stamps alone holds O(G^2) of them.  `run_tcd_star`, the
+paper's exhaustive baseline, runs `all_ls` on the zones of the exhaustive
+TCD walk under the same refusal.  Every route builds its zones and answers
+with the same helpers.
 """
 
 from __future__ import annotations
@@ -310,33 +316,62 @@ def run_otcd_star(g: TemporalGraph, k: int, window) -> list[ZoneRecord]:
 def ti_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     """Time-insensitive search: one evaluation, at the TTI, whose value
     every member of the zone shares."""
-    value = evaluate(spec.measure, zone.core, zone.tti, ctx)
-    qualifies = spec.mode == "optimize" or satisfies(spec.measure, value, spec.sigma)
-    return zone.members if qualifies else MemberSet(()), value, 1
+    measure = spec.measure
+    value = evaluate(measure, zone.core, zone.tti, ctx)
+    if spec.mode == "constrain":
+        try:
+            qualifies = measure.reaches(value, spec.sigma)
+        except TypeError:  # `satisfies` settles values that do not order
+            qualifies = satisfies(measure, value, spec.sigma)
+        if not qualifies:
+            return MemberSet(()), value, 1
+    return zone.members, value, 1
 
 
 def _scan(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext, cells):
     """Evaluate the measure on each of the zone's `cells`; keep those that
     reach the zone's optimum (optimize) or the threshold (constrain)."""
-    measure = spec.measure
+    measure, core, sigma = spec.measure, zone.core, spec.sigma
+    beats, reaches = measure.beats, measure.reaches
+    constrain = spec.mode == "constrain"
     best, winning = None, []
     for cell in cells:
-        val = evaluate(measure, zone.core, cell, ctx)
-        if spec.mode == "constrain":
-            if satisfies(measure, val, spec.sigma):
+        val = evaluate(measure, core, cell, ctx)
+        if constrain:
+            try:
+                qualifies = reaches(val, sigma)
+            except TypeError:
+                qualifies = satisfies(measure, val, sigma)
+            if qualifies:
                 winning.append(cell)
-        elif best is None or compare(measure, val, best) == "better":
+            continue
+        if best is None:
             best, winning = val, [cell]
-        elif val == best:
+            continue
+        try:
+            if not reaches(val, best):
+                continue  # worse
+            better = beats(val, best)
+        except TypeError:  # `compare` ties equal values that do not order, and refuses others
+            place = compare(measure, val, best)
+            if place == "worse":
+                continue
+            better = place == "better"
+        if better:
+            best, winning = val, [cell]
+        else:
             winning.append(cell)
     return MemberSet(tuple((c.ts, c.ts, c.te, c.te) for c in winning)), best, len(cells)
 
 
 def tmo_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     """Monotonic optimization: the optimum over a zone sits at its TTI when
-    the measure improves on shrinking, or at one of its LTIs when it
-    improves on expanding, so only those cells are evaluated."""
-    return _scan(zone, spec, ctx, [zone.tti] if spec.measure.improves_on == "shrink" else zone.ltis)
+    the measure improves on shrinking, which one evaluation reads, or at one
+    of its LTIs when it improves on expanding, which are scanned."""
+    if spec.measure.improves_on == "expand":
+        return _scan(zone, spec, ctx, zone.ltis)
+    s, e = tti = zone.tti
+    return MemberSet(((s, s, e, e),)), evaluate(spec.measure, zone.core, tti, ctx), 1
 
 
 def all_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
@@ -378,6 +413,7 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     is paid twice.
     """
     measure, core, sigma = spec.measure, zone.core, spec.sigma
+    reaches = measure.reaches
     sign = -1 if measure.improves_on == "expand" else 1  # the walk's time is sign * time
     memo = {}  # (ts, te) in the walk's time -> qualifies
 
@@ -385,7 +421,11 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
         ok = memo.get((ts, te))
         if ok is None:
             value = evaluate(measure, core, TimeInterval(sign * ts, sign * te), ctx)
-            ok = memo[ts, te] = satisfies(measure, value, sigma)
+            try:
+                ok = reaches(value, sigma)
+            except TypeError:  # `satisfies` settles values that do not order
+                ok = satisfies(measure, value, sigma)
+            memo[ts, te] = ok
         return ok
 
     # the member boxes (ZoneRecord.members) by ascending end, and the budget
@@ -454,18 +494,31 @@ def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search)
     """Run the local `search` in every zone; it returns the zone's members,
     value and evaluations.  Count the evaluations, and in an optimize hold
     only the zones that reach the best value so far."""
+    measure = spec.measure
+    beats, reaches = measure.beats, measure.reaches
+    optimize = spec.mode == "optimize"
     best, entries = None, []
     for zone in zones:
         members, value, evals = search(zone, spec, ctx.with_zone(zone))
         stats.zone_eval_counts[zone.tti] = evals
         stats.x_evaluations += evals
-        if spec.mode == "optimize":
-            if best is None or compare(spec.measure, value, best) == "better":
+        if optimize:
+            if best is None:
+                better = True
+            else:
+                try:
+                    if not reaches(value, best):
+                        continue  # worse
+                    better = beats(value, best)
+                except TypeError:  # `compare` ties equal values that do not order, and refuses others
+                    place = compare(measure, value, best)
+                    if place == "worse":
+                        continue
+                    better = place == "better"
+            if better:
                 best = value
                 entries.clear()
-            elif value != best:
-                continue
-        if members:
+        if members.boxes:
             entries.append(ResultEntry(zone, members, value))
     return entries
 

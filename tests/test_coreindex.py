@@ -82,6 +82,40 @@ def test_index_zones_match_the_walk_and_the_oracle(g, k, gaps, ends):
     assert c["decompositions"] == 0 and c["distinct_cores"] == len(got)
 
 
+@given(
+    g=st.one_of(small_graphs(), small_graphs(max_repeat=5), staircases(), staircases(max_repeat=5)),
+    k=st.sampled_from((1, 2, 3)),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_index_core_counts_its_distinct_pairs(g, k):
+    # the sweep records the TEL's pair count at each breakpoint: every
+    # core's count is half its degree sum, read off the graph's pair runs
+    index = coreindex.CoreIndex(g, k)
+    for s, row in enumerate(index.cores):
+        for core in row:
+            snap, _ = index.read.get((s, core[0])) or index._first_read(s, *core)
+            assert 2 * snap.pair_count == sum(snap.degrees.values())
+
+
+@pytest.mark.parametrize("graph", [
+    ("planted-community", 400, 6000, 30, 42),
+    ("uniform", 200, 400, 60, 1),
+])
+def test_burstiness_leaves_no_degrees_on_the_index(graph):
+    # burstiness reads each core's distinct-pair count, so a full-window
+    # optimize builds no degree dict (nor vertex set) on the index's cores
+    model, n, m, t, seed = graph
+    g = generate_synthetic(n, m, t, model, seed)
+    spec = QuerySpec(2, g.time_range(), get_measure("burstiness"), "optimize")
+    res = run_txcq(g, spec)
+    assert res.stats.index == "built" and res.entries
+    read = g.core_indexes[2].read
+    assert len(read) == res.stats.walk.distinct_cores
+    for snap, _ in read.values():
+        assert "degrees" not in vars(snap) and "vertices" not in vars(snap)
+    assert answer(res) == answer(run_txcq_walk(g, spec))  # compares the cores, building their sets
+
+
 def test_the_size_rule_routes_by_ranks_times_pair_runs(monkeypatch):
     g = generate_synthetic(60, 600, 20, "planted-community", 1)
     size = len(g.timestamps) * len(g.pair_runs)
@@ -188,7 +222,7 @@ def test_graphs_whose_cores_outgrow_the_size_rule_get_an_index(monkeypatch, shap
         if spec.mode == "enumerate":
             assert [geometry(e.zone) for e in res.entries] == [geometry(e.zone) for e in walk.entries]
     index = g.core_indexes[2]
-    orders = {id(order): order for row in index.cores for _, _, order, _ in row}
+    orders = {id(order): order for row in index.cores for *_, order, _ in row}
     assert all(len(set(order)) == len(order) for order in orders.values())
     assert len(orders) <= len(g.timestamps)
     assert sum(n for row in index.cores for *_, n in row) > size

@@ -224,6 +224,44 @@ def test_captured_edges_equal_the_content(g, k, a, b):
         assert snap.degrees == {v: len(n) for v, n in snap.neighbor_sets.items()}
 
 
+@given(
+    g=graphs,
+    k=st.integers(min_value=1, max_value=4),
+    ops=st.lists(
+        st.tuples(st.sampled_from(("truncate", "decompose", "clone")), st.integers(1, 8), st.integers(1, 8)),
+        max_size=6,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_distinct_pair_count_is_half_the_degree_sum(g, k, ops):
+    # `pairs` follows every truncate and peel, and a clone copies it: a
+    # capture's `pair_count`, and that of an explicit snapshot of the same
+    # core, which counts it off the edges, are half the degree sum
+    tel = TEL.from_graph(g)
+    for op, a, b in [("build", 0, 0), *ops]:
+        if op == "truncate":
+            tel.truncate((min(a, b), max(a, b)))
+        elif op == "decompose":
+            tel.decompose(k)
+        elif op == "clone":
+            tel = tel.clone()
+        tel.validate()
+        snap = tel.snapshot()
+        assert 2 * snap.pair_count == 2 * tel.pairs == sum(snap.degrees.values())
+        explicit = CoreSnapshot(snap.vertices, snap.edges, snap.tti, k)
+        assert "pair_count" not in vars(explicit)  # counted on first read
+        assert 2 * explicit.pair_count == sum(explicit.degrees.values())
+        assert explicit.pair_count == snap.pair_count
+
+
+def test_validate_recounts_the_distinct_pairs(tel_fixture_graph):
+    tel = TEL.from_graph(tel_fixture_graph)
+    tel.validate()
+    tel.pairs += 1
+    with pytest.raises(AssertionError, match="distinct pair count"):
+        tel.validate()
+
+
 def test_captured_core_is_read_only_and_compares_by_content(tel_fixture_graph):
     tel = TEL.from_graph(tel_fixture_graph)
     tel.decompose(2)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tkcore import (
     ContractViolation,
@@ -547,6 +547,11 @@ def staircase_zones(draw):
 
 @pytest.mark.parametrize("direction", ["shrink", "expand"])
 @given(case=staircase_zones())
+# one box whose first column qualifies two starts up and each later one a
+# start later: the gallop spends the box's one spare evaluation and the rest
+# of the walk costs all the budget has left, so a probe of the far column
+# at two starts up, which fails there, would take the walk one past it
+@example(case=((TimeInterval(1, 25),), [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 13, 13]))
 @settings(max_examples=300, deadline=None)
 def test_boundary_walk_stays_within_the_rectangle_budget(direction, case):
     # any monotone qualifying region: the walk answers it exactly, and its
