@@ -38,9 +38,11 @@ inside its TTI, each on first use.  Neither the LTIs nor the snapshot
 depend on a window, so both are kept for every later query of the
 (graph, k).  A window's rows lo..hi then keep the LTIs whose rows reach
 lo, cut them at row lo and column hi, and merge those the cut leaves in
-one column.  A row's distinct cores are kept ascending by TTI end, so a lookup stops
-reading a row at its first core that ends past the window, and reads
-nothing else of the rows.  The walk's counters of a window (cells visited,
+one column.  A row's distinct cores are kept ascending by TTI end, so a
+lookup stops reading a row at its first core that ends past the window,
+and reads nothing else of the rows.  The lookup cuts each core's LTIs in
+the same loop and hands over one `txcq.ZoneRecord` per zone, which the
+query reads as is.  The walk's counters of a window (cells visited,
 and pruned by `PoR` or `Empty`) are worked out from the rows' breakpoints
 only when a caller asks for them (`CoreIndex.counters`).
 """
@@ -50,8 +52,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 
+from . import txcq
 from .graph import CoreSnapshot, TemporalGraph, TimeInterval
-from .tcq import EngineStats, loosest_cell
+from .tcq import EngineStats
 from .tel import TEL
 
 # a graph gets an index only if its ranks x pair runs are at most this: a
@@ -139,27 +142,46 @@ class CoreIndex:
         return cols, edges, cores, tail
 
     def locate(self, window) -> list:
-        """Every distinct nonempty core of `window` with its LTIs (raw,
-        descending), ascending by TTI.  These are the cores of the window's
-        rows lo..hi whose TTI ends by hi; a row's cores ascend by TTI end,
-        so its read stops at the first that ends past hi.  The read's
-        counters are not kept; `counters` works them out on request."""
+        """Every distinct nonempty core of `window` as a `ZoneRecord`, ascending
+        by TTI, with its LTIs raw and by descending te.  These are the cores
+        of the window's rows lo..hi whose TTI ends by hi; a row's cores ascend
+        by TTI end, so its read stops at the first that ends past hi.
+
+        A core's LTIs are its loosest rank cells over the whole schedule
+        (`read`), by descending row and column, each the topmost of the rows
+        that end in its column.  They are cut at row lo and column hi, and
+        each is widened to the raw stamps around it: a cell reaches from
+        just past the previous stamp (or the window's start) to just before
+        the next one (or the window's end).  The cells cut at hi come first,
+        and the topmost of them contains the rest, so it replaces them.  The
+        read's counters are not kept; `counters` works them out on request."""
         stamps = self.graph.timestamps
         ts, te = window
         lo, hi = bisect_left(stamps, ts), bisect_right(stamps, te) - 1
-        found: list = []
+        zones: list = []
         if lo > hi:
-            return found
-        w = TimeInterval(max(ts, stamps[0]), min(te, stamps[-1]))
-        read, cores = self.read, self.cores
+            return zones
+        first, end = max(ts, stamps[0]), min(te, stamps[-1])
+        read, cores, zone = self.read, self.cores, txcq.ZoneRecord
         for s in range(lo, hi + 1):
             for core in cores[s]:
                 b = core[0]
                 if b > hi:
                     break
                 snap, ltis = read.get((s, b)) or self._first_read(s, *core)
-                found.append((snap, _window_ltis(ltis, stamps, w, lo, hi)))
-        return found
+                cells: list = []
+                for r, c in ltis:
+                    cell = TimeInterval(
+                        first if r <= lo else stamps[r - 1] + 1, end if c >= hi else stamps[c + 1] - 1
+                    )
+                    if c >= hi and cells:
+                        cells[-1] = cell
+                    else:
+                        cells.append(cell)
+                    if r <= lo:
+                        break
+                zones.append(zone(snap, snap.tti, tuple(cells)))
+        return zones
 
     def counters(self, window) -> EngineStats:
         """The counters of `window`'s read, accounted as a walk would: of
@@ -211,20 +233,3 @@ class CoreIndex:
         entry = self.read[s, b] = snap, tuple(ltis)
         return entry
 
-
-def _window_ltis(ltis, stamps, w: TimeInterval, lo: int, hi: int) -> tuple:
-    """A zone's LTIs inside window `w`, raw, whose stamps are stamps[lo..hi],
-    read off `ltis`: its loosest rank cells over the whole schedule, by
-    descending row and column, each the topmost of the rows that end in its
-    column.  The cells are cut at row lo and column hi; those cut at hi come
-    first, and the topmost of them contains the rest."""
-    out: list = []
-    for r, c in ltis:
-        cell = loosest_cell(stamps, w, lo, hi, max(r, lo), min(c, hi))
-        if c >= hi and out:
-            out[-1] = cell
-        else:
-            out.append(cell)
-        if r <= lo:
-            break
-    return tuple(out)

@@ -18,8 +18,9 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
-from operator import ge, gt, itemgetter, le, lt, truediv
-from typing import Callable, Mapping
+from operator import attrgetter, ge, gt, itemgetter, le, lt, truediv
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval
 
@@ -35,24 +36,32 @@ class MeasureValueError(TypeError):
     """Measure values could not be compared."""
 
 
-@dataclass(frozen=True)
-class EvalContext:
-    """Read-only handles an evaluator may need beyond the core itself."""
+class EvalContext(NamedTuple):
+    """Read-only handles an evaluator may need beyond the core itself.  A
+    query makes one per zone, so it is a plain tuple."""
 
     graph: TemporalGraph | None = None
     zone: object | None = None
     all_zones: tuple | None = None
-    params: Mapping = field(default_factory=dict)
+    params: Mapping = MappingProxyType({})
 
     def with_zone(self, zone) -> "EvalContext":
-        # one dict copy, not the frozen __init__'s setattr per field
-        ctx = object.__new__(EvalContext)
-        ctx.__dict__.update(self.__dict__, zone=zone)
-        return ctx
+        return EvalContext(self.graph, zone, self.all_zones, self.params)
 
 
 # the order of each orientation: (beats, reaches), strictly better and no worse
 _ORDERS = {"higher": (gt, ge), "lower": (lt, le)}
+
+# The integer parts (numerator, denominator > 0) of a value whose type is
+# exactly one of these, read without a Python call: `Fraction.numerator` is
+# a property, so its slots are read instead.  Two such values order as the
+# cross products of their parts, n1 * d2 against n2 * d1, which costs no
+# `Fraction` comparison.  `bool` and subclasses are left out, since a
+# subclass may order its values otherwise.
+EXACT_PARTS = {
+    int: attrgetter("numerator", "denominator"),
+    Fraction: attrgetter("_numerator", "_denominator"),
+}
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,17 @@ cost one evaluation more than stepping, so each is taken only while the
 zone's budget (the paper's: the sum of its rectangles' widths and heights)
 spares it, and a zone never costs more than that budget.  One loop runs the
 search zone by zone, counts its evaluations and keeps the optimum across
-zones.  Every value is placed by the measure's own operator pair
-(`MeasureDescriptor.beats` and `reaches`), fixed for the query: a threshold
-test or a worse value costs one comparison, and `evaluate` has already
-refused a NaN, so a one-cell zone of `burstiness` costs one read of the
-core's pair count, one evaluator call and one comparison.  Nonmonotonic
+zones.  A search hands back the zone's qualifying boxes as a plain tuple
+(None when every member qualifies), its value and its evaluation count;
+the loop keeps those of the zones it keeps, and builds the `MemberSet`s and
+entries at the end, for the answer's entries only.  Every value is placed
+by the measure's own operator pair (`MeasureDescriptor.beats` and
+`reaches`), fixed for the query, over the cross products of the integer
+parts when both values are exactly `int` or `Fraction`, and over the values
+otherwise: a threshold test or a worse value costs one comparison, and
+`evaluate` has already refused a NaN.  So a one-cell zone of `burstiness`
+that the optimize drops costs one read of the core's pair count, one
+evaluator call and one integer comparison, and builds nothing.  Nonmonotonic
 measures, which have no usable structure, take the same phase 1 and
 `all_ls`, which evaluates every member of every zone.  Such a query refuses
 a window of more than MAX_TCD_STAR_CELLS raw cells before phase 1, since a
@@ -67,7 +73,7 @@ from typing import Callable, NamedTuple
 
 from . import coreindex
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval, integer_query
-from .measures import EvalContext, MeasureDescriptor, compare, evaluate, satisfies
+from .measures import EXACT_PARTS, EvalContext, MeasureDescriptor, compare, evaluate, satisfies
 from .tcq import EngineStats, clamp_window, rectangle_prune, walk_schedule
 
 MODES = ("enumerate", "optimize", "constrain")
@@ -181,10 +187,14 @@ class QuerySpec:
     measure: MeasureDescriptor | None = None
     mode: str = "enumerate"
     sigma: object = None
+    # the threshold's integer parts when it is exact (`EXACT_PARTS`), else None
+    sigma_parts: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k, window = integer_query(self.k, self.window)
         object.__setattr__(self, "window", window)
+        parts = EXACT_PARTS.get(type(self.sigma))
+        object.__setattr__(self, "sigma_parts", None if parts is None else parts(self.sigma))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.mode != "enumerate" and self.measure is None:
@@ -313,55 +323,80 @@ def run_otcd_star(g: TemporalGraph, k: int, window) -> list[ZoneRecord]:
 # -- phase 2: local searches, one zone each ----------------------------------
 
 
+def _reaches(spec: QuerySpec, value) -> bool:
+    """Whether `value` is no worse than the query's threshold: one `reaches`
+    over the cross products of the integer parts when both are exact
+    (`EXACT_PARTS`), over the values otherwise, and `satisfies` for values
+    that do not order."""
+    parts, at = EXACT_PARTS.get(type(value)), spec.sigma_parts
+    if parts is not None and at is not None:
+        n, d = parts(value)
+        return spec.measure.reaches(n * at[1], at[0] * d)
+    try:
+        return spec.measure.reaches(value, spec.sigma)
+    except TypeError:  # `satisfies` settles values that do not order
+        return satisfies(spec.measure, value, spec.sigma)
+
+
+def _keep_best(measure: MeasureDescriptor, placed) -> tuple[object, list]:
+    """The best value of `placed`, (value, item) pairs, and the items that
+    reach it, in order.  Each value is placed against the best so far by
+    the measure's `beats` and `reaches`: over the cross products of the
+    integer parts when both are exact (`EXACT_PARTS`), over the values
+    otherwise, and by `compare`, which ties equal values that do not order
+    and refuses others, when those do not order.  So a worse value costs
+    one comparison."""
+    beats, reaches, exact = measure.beats, measure.reaches, EXACT_PARTS.get
+    best = at = None  # the best value so far, and its integer parts when it is exact
+    kept = []
+    for value, item in placed:
+        parts = exact(type(value))
+        here = None if parts is None else parts(value)
+        if best is None:
+            better = True
+        elif here is not None and at is not None:
+            mine, theirs = here[0] * at[1], at[0] * here[1]
+            if not reaches(mine, theirs):
+                continue  # worse
+            better = beats(mine, theirs)
+        else:
+            try:
+                if not reaches(value, best):
+                    continue  # worse
+                better = beats(value, best)
+            except TypeError:
+                place = compare(measure, value, best)
+                if place == "worse":
+                    continue
+                better = place == "better"
+        if better:
+            best, at = value, here
+            kept.clear()
+        kept.append(item)
+    return best, kept
+
+
 def ti_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     """Time-insensitive search: one evaluation, at the TTI, whose value
-    every member of the zone shares."""
-    measure = spec.measure
-    value = evaluate(measure, zone.core, zone.tti, ctx)
-    if spec.mode == "constrain":
-        try:
-            qualifies = measure.reaches(value, spec.sigma)
-        except TypeError:  # `satisfies` settles values that do not order
-            qualifies = satisfies(measure, value, spec.sigma)
-        if not qualifies:
-            return MemberSet(()), value, 1
-    return zone.members, value, 1
+    every member of the zone shares, so every member qualifies (None) or
+    none does."""
+    value = evaluate(spec.measure, zone.core, zone.tti, ctx)
+    if spec.mode == "constrain" and not _reaches(spec, value):
+        return (), value, 1
+    return None, value, 1
 
 
 def _scan(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext, cells):
     """Evaluate the measure on each of the zone's `cells`; keep those that
-    reach the zone's optimum (optimize) or the threshold (constrain)."""
-    measure, core, sigma = spec.measure, zone.core, spec.sigma
-    beats, reaches = measure.beats, measure.reaches
-    constrain = spec.mode == "constrain"
-    best, winning = None, []
-    for cell in cells:
-        val = evaluate(measure, core, cell, ctx)
-        if constrain:
-            try:
-                qualifies = reaches(val, sigma)
-            except TypeError:
-                qualifies = satisfies(measure, val, sigma)
-            if qualifies:
-                winning.append(cell)
-            continue
-        if best is None:
-            best, winning = val, [cell]
-            continue
-        try:
-            if not reaches(val, best):
-                continue  # worse
-            better = beats(val, best)
-        except TypeError:  # `compare` ties equal values that do not order, and refuses others
-            place = compare(measure, val, best)
-            if place == "worse":
-                continue
-            better = place == "better"
-        if better:
-            best, winning = val, [cell]
-        else:
-            winning.append(cell)
-    return MemberSet(tuple((c.ts, c.ts, c.te, c.te) for c in winning)), best, len(cells)
+    reach the zone's optimum (optimize) or the threshold (constrain), as
+    one-cell boxes, and the optimum."""
+    measure, core = spec.measure, zone.core
+    placed = ((evaluate(measure, core, cell, ctx), cell) for cell in cells)
+    if spec.mode == "constrain":
+        best, winning = None, [cell for value, cell in placed if _reaches(spec, value)]
+    else:
+        best, winning = _keep_best(measure, placed)
+    return tuple((ts, ts, te, te) for ts, te in winning), best, len(cells)
 
 
 def tmo_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
@@ -371,7 +406,7 @@ def tmo_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     if spec.measure.improves_on == "expand":
         return _scan(zone, spec, ctx, zone.ltis)
     s, e = tti = zone.tti
-    return MemberSet(((s, s, e, e),)), evaluate(spec.measure, zone.core, tti, ctx), 1
+    return ((s, s, e, e),), evaluate(spec.measure, zone.core, tti, ctx), 1
 
 
 def all_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
@@ -412,8 +447,7 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     kept in a memo, whose size is the zone's evaluation count, so no cell
     is paid twice.
     """
-    measure, core, sigma = spec.measure, zone.core, spec.sigma
-    reaches = measure.reaches
+    measure, core = spec.measure, zone.core
     sign = -1 if measure.improves_on == "expand" else 1  # the walk's time is sign * time
     memo = {}  # (ts, te) in the walk's time -> qualifies
 
@@ -421,11 +455,7 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
         ok = memo.get((ts, te))
         if ok is None:
             value = evaluate(measure, core, TimeInterval(sign * ts, sign * te), ctx)
-            try:
-                ok = reaches(value, sigma)
-            except TypeError:  # `satisfies` settles values that do not order
-                ok = satisfies(measure, value, sigma)
-            memo[ts, te] = ok
+            ok = memo[ts, te] = _reaches(spec, value)
         return ok
 
     # the member boxes (ZoneRecord.members) by ascending end, and the budget
@@ -487,40 +517,36 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
             te, ts = lo + 1, q + (lo < te_hi)
     if sign < 0:
         found = [(-b, -a, -d, -c) for a, b, c, d in found]
-    return MemberSet(tuple(found)), None, len(memo)
+    return tuple(found), None, len(memo)
 
 
 def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search) -> list[ResultEntry]:
-    """Run the local `search` in every zone; it returns the zone's members,
-    value and evaluations.  Count the evaluations, and in an optimize hold
-    only the zones that reach the best value so far."""
-    measure = spec.measure
-    beats, reaches = measure.beats, measure.reaches
-    optimize = spec.mode == "optimize"
-    best, entries = None, []
-    for zone in zones:
-        members, value, evals = search(zone, spec, ctx.with_zone(zone))
-        stats.zone_eval_counts[zone.tti] = evals
-        stats.x_evaluations += evals
-        if optimize:
-            if best is None:
-                better = True
-            else:
-                try:
-                    if not reaches(value, best):
-                        continue  # worse
-                    better = beats(value, best)
-                except TypeError:  # `compare` ties equal values that do not order, and refuses others
-                    place = compare(measure, value, best)
-                    if place == "worse":
-                        continue
-                    better = place == "better"
-            if better:
-                best = value
-                entries.clear()
-        if members.boxes:
-            entries.append(ResultEntry(zone, members, value))
-    return entries
+    """Run the local `search` in every zone and answer from the zones kept.
+
+    A search returns the zone's qualifying boxes, its value and its
+    evaluation count.  The boxes are a plain tuple, empty when no member
+    qualifies, or None when every member does.  The evaluations are
+    counted, and the zones kept: in an optimize those whose value is the
+    best (`_keep_best`), in a constrain those with a qualifying member.
+    The `MemberSet`s and entries are built last, for the kept zones only,
+    so a dropped zone builds neither."""
+    counts = stats.zone_eval_counts
+
+    def searched():
+        for zone in zones:
+            boxes, value, evals = search(zone, spec, ctx.with_zone(zone))
+            counts[zone.tti] = evals
+            stats.x_evaluations += evals
+            yield value, (zone, boxes, value)
+
+    if spec.mode == "optimize":
+        _, kept = _keep_best(spec.measure, searched())
+    else:  # a constrain keeps the zones with a qualifying member
+        kept = [item for _, item in searched() if item[1] != ()]
+    return [
+        ResultEntry(zone, zone.members if boxes is None else MemberSet(boxes), value)
+        for zone, boxes, value in kept
+    ]
 
 
 # -- dispatch ---------------------------------------------------------------
@@ -547,9 +573,8 @@ def _phase1(g: TemporalGraph, k: int, window, use_index: bool) -> tuple[list, Qu
     if index is None:
         zones, walk = _locate(g, k, window, "otcd-star", rectangle_prune)
         return zones, QueryStats.from_walk(walk, index=how, index_build_ms=build_ms)
-    found = index.locate(window)
+    zones = index.locate(window)
     phase1_ms = (time.perf_counter() - started) * 1000.0
-    zones = [ZoneRecord(core=core, tti=core.tti, ltis=ltis) for core, ltis in found]
     return zones, QueryStats(
         "core-index", phase1_ms, index=how, index_build_ms=build_ms,
         counters=partial(index.counters, window),

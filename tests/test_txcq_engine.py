@@ -34,9 +34,10 @@ from tkcore import (
     run_txcq,
     run_txcq_walk,
 )
+from tkcore import txcq
 from tkcore.txcq import tmc_ls
 
-from conftest import random_instance, rect_dims
+from conftest import random_instance, rect_dims, small_graphs
 
 
 def canon(result_or_none, mode):
@@ -458,7 +459,8 @@ def walk_one_box(g0, direction, sigma):
     zone = ZoneRecord(reference_core(g0, 2, (1, 3)), TimeInterval(10, 12), (TimeInterval(5, 30),))
     assert zone.members.boxes == ((5, 10, 12, 30),)
     spec = QuerySpec(2, (5, 30), measure, "constrain", sigma)
-    qualifying, _, evals = tmc_ls(zone, spec, EvalContext(graph=g0, zone=zone))
+    boxes, _, evals = tmc_ls(zone, spec, EvalContext(graph=g0, zone=zone))
+    qualifying = MemberSet(boxes)
     assert evals == len(cells)
     want = {(ts, te) for ts in range(5, 11) for te in range(12, 31)
             if (te - ts + 1 <= sigma if direction == "shrink" else te - ts + 1 >= sigma)}
@@ -509,8 +511,9 @@ def lateness_walk(g0, direction, columns, first):
     measure = MeasureDescriptor("lateness", "monotonic", "higher", lateness, improves_on=direction)
     zone = ZoneRecord(reference_core(g0, 2, (1, 3)), TimeInterval(60, 60), (TimeInterval(8, 59 + columns),))
     sigma = first if direction == "shrink" else -(68 - first)
-    qualifying, _, evals = tmc_ls(zone, QuerySpec(2, (8, 80), measure, "constrain", sigma),
-                                  EvalContext(graph=g0, zone=zone))
+    boxes, _, evals = tmc_ls(zone, QuerySpec(2, (8, 80), measure, "constrain", sigma),
+                             EvalContext(graph=g0, zone=zone))
+    qualifying = MemberSet(boxes)
     assert evals == len(cells) == len(set(cells))
     lo, hi = (first, 60) if direction == "shrink" else (8, 68 - first)
     assert qualifying.boxes == ((lo, hi, 60, 59 + columns),)
@@ -570,7 +573,8 @@ def test_boundary_walk_stays_within_the_rectangle_budget(direction, case):
     g = TemporalGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
     zone = ZoneRecord(reference_core(g, 2, (1, 1)), TimeInterval(13, 13), ltis)
     spec = QuerySpec(2, (0, 30), measure, "constrain", 1)
-    qualifying, _, evals = tmc_ls(zone, spec, EvalContext(graph=g, zone=zone))
+    boxes, _, evals = tmc_ls(zone, spec, EvalContext(graph=g, zone=zone))
+    qualifying = MemberSet(boxes)
     assert set(qualifying) == {w for w in zone.members if qualifies(*w)}
     assert evals <= sum(w + h for w, h in rect_dims(zone))
 
@@ -587,6 +591,87 @@ def test_gap_repro_costs_a_few_bisections():
         assert res.stats.x_evaluations <= 200
         assert sum(len(e.qualifying) for e in res.entries) == members
         assert canon(res, "constrain") == canon(run_txcq_walk(g, spec), "constrain")
+
+
+# -- phase 2: placing values and building answers ----------------------------
+
+
+class Tenths(Fraction):
+    """A `Fraction` subclass: phase 2 places its values by their own
+    operators, not by their integer parts."""
+
+
+exact_values = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=2)),
+    st.builds(Tenths, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=2)),
+    st.booleans(),
+)
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+@pytest.mark.parametrize("mode", ["optimize", "constrain"])
+@given(g=small_graphs(), values=st.lists(exact_values, min_size=1, max_size=8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_values_are_placed_as_compare_places_them(better, mode, g, values, data):
+    # drawn ints, Fractions, a Fraction subclass and bools, negative and
+    # often equal: phase 2 places two ints or Fractions by their integer
+    # parts and the rest by their operators, and answers as the oracle
+    # does, which places every value by `compare` and `satisfies`; the
+    # threshold is often one of the values
+    sigma = data.draw(st.one_of(exact_values, st.sampled_from(values)))
+
+    def key(core):
+        return core.tti.ts * 7 + core.tti.te
+
+    def constant(core, w, ctx):  # one value per core
+        return values[key(core) % len(values)]
+
+    best_first = sorted(values, reverse=better == "higher")
+
+    def ladder(steps):  # a step worse (or better) per stamp the window grows past the core's TTI
+        def value(core, w, ctx):
+            return steps[min(w.duration - core.tti.duration + key(core) % 3, len(steps) - 1)]
+        return value
+
+    measures = [
+        MeasureDescriptor("constant", "insensitive", better, constant),
+        MeasureDescriptor("constant", "nonmonotonic", better, constant),
+        MeasureDescriptor("ladder", "monotonic", better, ladder(best_first), improves_on="shrink"),
+        MeasureDescriptor("ladder", "monotonic", better, ladder(best_first[::-1]), improves_on="expand"),
+    ]
+    for measure in measures:
+        spec = QuerySpec(2, (1, 8), measure, mode, sigma if mode == "constrain" else None)
+        want = canon(brute_force_txcq(g, spec), mode)
+        assert canon(run_txcq(g, spec), mode) == want
+        assert canon(run_txcq_walk(g, spec), mode) == want
+
+
+def test_a_dropped_zone_builds_no_member_set(monkeypatch):
+    # a zone's members are built only for an entry of the answer: an
+    # optimize builds one set per winning zone, a constrain one per
+    # qualifying zone, however many zones were searched
+    built = []
+
+    class Counting(MemberSet):
+        def __init__(self, boxes):
+            built.append(boxes)
+            super().__init__(boxes)
+
+    g = generate_synthetic(40, 300, 16, model="uniform", seed=3)
+    optimize = QuerySpec(2, (1, 16), get_measure("burstiness"), "optimize")
+    constrain = QuerySpec(2, (1, 16), get_measure("growth_rate"), "constrain", 6)
+    for spec in (optimize, constrain):
+        run_txcq(g, spec)  # warm: the index is built and every core read
+    monkeypatch.setattr(txcq, "MemberSet", Counting)
+    res = run_txcq(g, optimize)
+    assert (len(res.stats.zone_eval_counts), len(res.entries)) == (123, 1)
+    assert len(built) == 1
+    built.clear()
+    res = run_txcq(g, constrain)
+    assert (len(res.stats.zone_eval_counts), len(res.entries)) == (123, 64)
+    assert len(built) == 64
+    assert all(type(e.qualifying) is Counting for e in res.entries)
 
 
 # -- dispatch and the exhaustive fallback ------------------------------------
