@@ -59,8 +59,8 @@ from .tel import TEL
 
 # a graph gets an index only if its ranks x pair runs are at most this: a
 # build then steps over at most that many runs, and the first reads of the
-# cores of a larger graph, which can cost over ten times its walk (README),
-# stay off the index
+# cores of a larger graph, which cost a first `engagement` query about 2.5
+# times its walk (README), stay off the index
 MAX_CORE_INDEX_SIZE = 300_000
 
 

@@ -8,7 +8,8 @@ evaluation schedule from that declaration, so a mislabeled measure produces
 wrong answers; `check_measure_sensitivity` spot-checks a declaration on
 real zones.
 
-Values are exact: plain ints or `fractions.Fraction`.
+The built-in measures' values are exact: plain ints or `fractions.Fraction`.
+This module alone orders values, for every route and the oracle alike.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from operator import attrgetter, ge, gt, itemgetter, le, lt, truediv
 from types import MappingProxyType
@@ -68,7 +70,8 @@ EXACT_PARTS = {
 class MeasureDescriptor:
     """A measure's declaration.  `beats` and `reaches` are the operators of
     its orientation, `>` and `>=` when higher is better, `<` and `<=` when
-    lower is; every comparison of its values goes through them."""
+    lower is; every comparison of its values goes through them, in this
+    module alone, and values they leave unordered are refused."""
 
     name: str
     sensitivity: str
@@ -136,16 +139,66 @@ def compare(measure: MeasureDescriptor, a, b) -> str:
 
 
 def satisfies(measure: MeasureDescriptor, value, sigma) -> bool:
-    """True when `value` is no worse than the threshold `sigma`: one
-    comparison by the measure's `reaches`, and `compare` only for values
-    that comparison cannot settle (equal values that do not order pass,
-    a NaN or an unrelated kind is refused)."""
-    try:
-        if measure.reaches(value, sigma):
-            return True
-    except TypeError:
-        pass
+    """True when `value` is no worse than the threshold `sigma` by `compare`,
+    which refuses a NaN or an unrelated kind."""
     return compare(measure, value, sigma) != "worse"
+
+
+def threshold_test(measure: MeasureDescriptor, sigma) -> Callable[[object], bool]:
+    """`satisfies` against `sigma`, made once per query: one `reaches` over
+    the cross products of the integer parts when both values are exact
+    (`EXACT_PARTS`), `satisfies` for any other value.  A threshold that is
+    not finite is refused with ValueError."""
+    try:
+        finite = math.isfinite(sigma)
+    except (OverflowError, TypeError):  # beyond float range, or not a real number
+        finite = True
+    if not finite:
+        raise ValueError(f"threshold must be finite, got {sigma!r}")
+    parts = EXACT_PARTS.get(type(sigma))
+    if parts is None:
+        return partial(satisfies, measure, sigma=sigma)
+    return partial(_reaches_exact, measure, sigma, *parts(sigma))
+
+
+def _reaches_exact(measure, sigma, at_n, at_d, value) -> bool:
+    parts = EXACT_PARTS.get(type(value))
+    if parts is None:
+        return satisfies(measure, value, sigma)
+    n, d = parts(value)
+    return measure.reaches(n * at_d, at_n * d)
+
+
+def keep_best(measure: MeasureDescriptor, placed) -> tuple[object, list]:
+    """The best value of `placed`, (value, item) pairs, and the items that
+    reach it, in order.  Each value is placed against the best so far: by
+    the measure's `reaches` and `beats` over the cross products of the
+    integer parts when both are exactly `int` or `Fraction` (`EXACT_PARTS`),
+    so a worse value costs one comparison, and by `compare` otherwise,
+    which ties equal values and refuses values that do not order."""
+    beats, reaches, exact = measure.beats, measure.reaches, EXACT_PARTS.get
+    best = at = None  # the best value so far, and its integer parts when it is exact
+    kept = []
+    for value, item in placed:
+        parts = exact(type(value))
+        here = None if parts is None else parts(value)
+        if best is None:
+            better = True
+        elif here is not None and at is not None:
+            mine, theirs = here[0] * at[1], at[0] * here[1]
+            if not reaches(mine, theirs):
+                continue  # worse
+            better = beats(mine, theirs)
+        else:
+            place = compare(measure, value, best)
+            if place == "worse":
+                continue
+            better = place == "better"
+        if better:
+            best, at = value, here
+            kept.clear()
+        kept.append(item)
+    return best, kept
 
 
 # -- built-in evaluators ------------------------------------------------

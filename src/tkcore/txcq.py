@@ -18,7 +18,8 @@ its degrees off the graph's pair runs only when a measure first asks.  A
 graph whose ranks x pair runs exceed `coreindex.MAX_CORE_INDEX_SIZE` gets
 no index, and `run_txcq` walks.  That size rule bounds the build, and it
 also keeps the index's first reads of cores off large graphs, where a first
-query can cost over ten times the walk (README.md has the measurements).
+`engagement` query costs about 2.5 times the walk (README.md has the
+measurements).
 The walk is `run_otcd_star`, which visits only LTI cells plus whatever
 empties it takes to get there, pruning each discovered rectangle wholesale.
 It stays the paper's engine and the index's reference: `run_otcd_star` and
@@ -44,14 +45,14 @@ search zone by zone, counts its evaluations and keeps the optimum across
 zones.  A search hands back the zone's qualifying boxes as a plain tuple
 (None when every member qualifies), its value and its evaluation count;
 the loop keeps those of the zones it keeps, and builds the `MemberSet`s and
-entries at the end, for the answer's entries only.  Every value is placed
-by the measure's own operator pair (`MeasureDescriptor.beats` and
-`reaches`), fixed for the query, over the cross products of the integer
-parts when both values are exactly `int` or `Fraction`, and over the values
-otherwise: a threshold test or a worse value costs one comparison, and
-`evaluate` has already refused a NaN.  So a one-cell zone of `burstiness`
-that the optimize drops costs one read of the core's pair count, one
-evaluator call and one integer comparison, and builds nothing.  Nonmonotonic
+entries at the end, for the answer's entries only.  `measures` places the
+values (`keep_best`, and `QuerySpec.passes` against a threshold): two that
+are exactly `int` or `Fraction` over the cross products of their integer
+parts, so a threshold test or a worse value costs one comparison, and any
+other by `compare` or `satisfies`, which refuse, as the oracle does, values
+that do not order.  So a one-cell zone of `burstiness` that the optimize
+drops costs one read of the core's pair count, one evaluator call and one
+integer comparison, and builds nothing.  Nonmonotonic
 measures, which have no usable structure, take the same phase 1 and
 `all_ls`, which evaluates every member of every zone.  Such a query refuses
 a window of more than MAX_TCD_STAR_CELLS raw cells before phase 1, since a
@@ -73,7 +74,7 @@ from typing import Callable, NamedTuple
 
 from . import coreindex
 from .graph import ContractViolation, CoreSnapshot, TemporalGraph, TimeInterval, integer_query
-from .measures import EXACT_PARTS, EvalContext, MeasureDescriptor, compare, evaluate, satisfies
+from .measures import EvalContext, MeasureDescriptor, evaluate, keep_best, threshold_test
 from .tcq import EngineStats, clamp_window, rectangle_prune, walk_schedule
 
 MODES = ("enumerate", "optimize", "constrain")
@@ -173,13 +174,6 @@ class ZoneRecord(NamedTuple):
         return MemberSet(tuple((l.ts, s, after + 1, l.te) for l, after in zip(self.ltis, ends)))
 
 
-def _is_finite(x) -> bool:
-    try:
-        return math.isfinite(x)
-    except (OverflowError, TypeError):  # beyond float range, or not a real number
-        return True
-
-
 @dataclass(frozen=True)
 class QuerySpec:
     k: int
@@ -187,22 +181,20 @@ class QuerySpec:
     measure: MeasureDescriptor | None = None
     mode: str = "enumerate"
     sigma: object = None
-    # the threshold's integer parts when it is exact (`EXACT_PARTS`), else None
-    sigma_parts: tuple | None = field(init=False, repr=False, compare=False)
+    # whether a value is no worse than the threshold (`measures.threshold_test`)
+    passes: Callable[[object], bool] | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         k, window = integer_query(self.k, self.window)
         object.__setattr__(self, "window", window)
-        parts = EXACT_PARTS.get(type(self.sigma))
-        object.__setattr__(self, "sigma_parts", None if parts is None else parts(self.sigma))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.mode != "enumerate" and self.measure is None:
             raise ValueError(f"mode {self.mode!r} needs a measure")
         if self.mode == "constrain" and self.sigma is None:
             raise ValueError("constrain mode needs a threshold")
-        if self.sigma is not None and not _is_finite(self.sigma):
-            raise ValueError(f"threshold must be finite, got {self.sigma!r}")
+        if self.sigma is not None:
+            object.__setattr__(self, "passes", threshold_test(self.measure, self.sigma))
 
 
 class ResultEntry(NamedTuple):
@@ -323,65 +315,12 @@ def run_otcd_star(g: TemporalGraph, k: int, window) -> list[ZoneRecord]:
 # -- phase 2: local searches, one zone each ----------------------------------
 
 
-def _reaches(spec: QuerySpec, value) -> bool:
-    """Whether `value` is no worse than the query's threshold: one `reaches`
-    over the cross products of the integer parts when both are exact
-    (`EXACT_PARTS`), over the values otherwise, and `satisfies` for values
-    that do not order."""
-    parts, at = EXACT_PARTS.get(type(value)), spec.sigma_parts
-    if parts is not None and at is not None:
-        n, d = parts(value)
-        return spec.measure.reaches(n * at[1], at[0] * d)
-    try:
-        return spec.measure.reaches(value, spec.sigma)
-    except TypeError:  # `satisfies` settles values that do not order
-        return satisfies(spec.measure, value, spec.sigma)
-
-
-def _keep_best(measure: MeasureDescriptor, placed) -> tuple[object, list]:
-    """The best value of `placed`, (value, item) pairs, and the items that
-    reach it, in order.  Each value is placed against the best so far by
-    the measure's `beats` and `reaches`: over the cross products of the
-    integer parts when both are exact (`EXACT_PARTS`), over the values
-    otherwise, and by `compare`, which ties equal values that do not order
-    and refuses others, when those do not order.  So a worse value costs
-    one comparison."""
-    beats, reaches, exact = measure.beats, measure.reaches, EXACT_PARTS.get
-    best = at = None  # the best value so far, and its integer parts when it is exact
-    kept = []
-    for value, item in placed:
-        parts = exact(type(value))
-        here = None if parts is None else parts(value)
-        if best is None:
-            better = True
-        elif here is not None and at is not None:
-            mine, theirs = here[0] * at[1], at[0] * here[1]
-            if not reaches(mine, theirs):
-                continue  # worse
-            better = beats(mine, theirs)
-        else:
-            try:
-                if not reaches(value, best):
-                    continue  # worse
-                better = beats(value, best)
-            except TypeError:
-                place = compare(measure, value, best)
-                if place == "worse":
-                    continue
-                better = place == "better"
-        if better:
-            best, at = value, here
-            kept.clear()
-        kept.append(item)
-    return best, kept
-
-
 def ti_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     """Time-insensitive search: one evaluation, at the TTI, whose value
     every member of the zone shares, so every member qualifies (None) or
     none does."""
     value = evaluate(spec.measure, zone.core, zone.tti, ctx)
-    if spec.mode == "constrain" and not _reaches(spec, value):
+    if spec.mode == "constrain" and not spec.passes(value):
         return (), value, 1
     return None, value, 1
 
@@ -393,9 +332,10 @@ def _scan(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext, cells):
     measure, core = spec.measure, zone.core
     placed = ((evaluate(measure, core, cell, ctx), cell) for cell in cells)
     if spec.mode == "constrain":
-        best, winning = None, [cell for value, cell in placed if _reaches(spec, value)]
+        passes = spec.passes
+        best, winning = None, [cell for value, cell in placed if passes(value)]
     else:
-        best, winning = _keep_best(measure, placed)
+        best, winning = keep_best(measure, placed)
     return tuple((ts, ts, te, te) for ts, te in winning), best, len(cells)
 
 
@@ -447,7 +387,7 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     kept in a memo, whose size is the zone's evaluation count, so no cell
     is paid twice.
     """
-    measure, core = spec.measure, zone.core
+    measure, core, passes = spec.measure, zone.core, spec.passes
     sign = -1 if measure.improves_on == "expand" else 1  # the walk's time is sign * time
     memo = {}  # (ts, te) in the walk's time -> qualifies
 
@@ -455,7 +395,7 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
         ok = memo.get((ts, te))
         if ok is None:
             value = evaluate(measure, core, TimeInterval(sign * ts, sign * te), ctx)
-            ok = memo[ts, te] = _reaches(spec, value)
+            ok = memo[ts, te] = passes(value)
         return ok
 
     # the member boxes (ZoneRecord.members) by ascending end, and the budget
@@ -527,7 +467,7 @@ def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search)
     evaluation count.  The boxes are a plain tuple, empty when no member
     qualifies, or None when every member does.  The evaluations are
     counted, and the zones kept: in an optimize those whose value is the
-    best (`_keep_best`), in a constrain those with a qualifying member.
+    best (`keep_best`), in a constrain those with a qualifying member.
     The `MemberSet`s and entries are built last, for the kept zones only,
     so a dropped zone builds neither."""
     counts = stats.zone_eval_counts
@@ -540,7 +480,7 @@ def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search)
             yield value, (zone, boxes, value)
 
     if spec.mode == "optimize":
-        _, kept = _keep_best(spec.measure, searched())
+        _, kept = keep_best(spec.measure, searched())
     else:  # a constrain keeps the zones with a qualifying member
         kept = [item for _, item in searched() if item[1] != ()]
     return [

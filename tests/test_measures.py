@@ -322,6 +322,25 @@ def test_a_nan_measure_value_is_refused(g0, run, better, mode, sigma):
     assert compare(nan, float("inf"), float("inf")) == "equal"
 
 
+@pytest.mark.parametrize("sensitivity", ["insensitive", "nonmonotonic"])
+@pytest.mark.parametrize("mode, sigma", [("optimize", None), ("constrain", frozenset({1}))])
+def test_values_that_do_not_order_are_refused_on_every_route(sensitivity, mode, sigma):
+    # sets order by inclusion, so {1} and {5} are neither equal nor either
+    # above the other: the oracle cannot place them, and no engine may
+    # answer where it refuses.  The zones at (1, 1), (1, 5) and (5, 5) take
+    # {1}, {1} and {5}, so an optimize meets {5} against {1}, and a
+    # constrain places {5} against the threshold {1}
+    g = TemporalGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 1, 5), (1, 2, 5), (0, 2, 5)])
+    start = MeasureDescriptor("start", sensitivity, "higher", lambda core, w, ctx: frozenset({core.tti.ts}))
+    spec = QuerySpec(2, (1, 5), start, mode, sigma)
+    routes = [run_txcq, run_txcq_walk, brute_force_txcq]
+    if sensitivity == "nonmonotonic":
+        routes.append(run_tcd_star)
+    for run in routes:
+        with pytest.raises(MeasureValueError):
+            run(g, spec)
+
+
 def test_descriptor_declaration_is_validated():
     ok = MeasureDescriptor("udf_ok", "monotonic", "higher", lambda c, w, x: 1, improves_on="shrink")
     assert ok.improves_on == "shrink"

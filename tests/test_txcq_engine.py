@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import truediv
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -597,8 +598,8 @@ def test_gap_repro_costs_a_few_bisections():
 
 
 class Tenths(Fraction):
-    """A `Fraction` subclass: phase 2 places its values by their own
-    operators, not by their integer parts."""
+    """A `Fraction` subclass: phase 2 places its values by `compare` and
+    `satisfies`, not by their integer parts."""
 
 
 exact_values = st.one_of(
@@ -606,6 +607,8 @@ exact_values = st.one_of(
     st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=2)),
     st.builds(Tenths, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=2)),
     st.booleans(),
+    st.builds(truediv, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=2)),
+    st.floats(min_value=-2, max_value=2),
 )
 
 
@@ -614,11 +617,11 @@ exact_values = st.one_of(
 @given(g=small_graphs(), values=st.lists(exact_values, min_size=1, max_size=8), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_exact_values_are_placed_as_compare_places_them(better, mode, g, values, data):
-    # drawn ints, Fractions, a Fraction subclass and bools, negative and
-    # often equal: phase 2 places two ints or Fractions by their integer
-    # parts and the rest by their operators, and answers as the oracle
-    # does, which places every value by `compare` and `satisfies`; the
-    # threshold is often one of the values
+    # drawn ints, Fractions, a Fraction subclass, bools and finite floats,
+    # negative and often equal: phase 2 places two ints or Fractions by
+    # their integer parts and the rest by `compare` and `satisfies`, and
+    # answers as the oracle does, which places every value by those two;
+    # the threshold is often one of the values
     sigma = data.draw(st.one_of(exact_values, st.sampled_from(values)))
 
     def key(core):
