@@ -282,13 +282,18 @@ class CoreSnapshot:
     keeps its vertex count, its distinct-pair count (`pair_count`, half
     the degree sum), the vertex order its source holds (its vertices come
     first) and its graph, and builds `vertices`, `edges`, `pair_counts`,
+    `least_pair_count` (the least of them, which `frequency` reads),
     `degrees` (distinct neighbors per vertex, a read-only mapping) and
-    `neighbor_sets` on first use, the last four off the graph's pair runs
+    `neighbor_sets` on first use, the last five off the graph's pair runs
     inside its TTI.  `CoreSnapshot(vertices, edges, tti, k)` takes an
     explicit vertex set and edge tuple instead, and counts `pair_count` off
-    the edges on first use.  A snapshot is shared by
-    every evaluation of its core and must not be modified, and one read off
-    a core-time index (`coreindex`) by every later query of its graph and k.
+    the edges on first use.  `engagement` keeps two values on a capture:
+    its vertices by degree bound, and its value at the core's own TTI,
+    which depends on nothing but the graph, the core and the TTI.  An
+    explicit snapshot never keeps the second.  A snapshot is
+    shared by every evaluation of its core and must not be modified
+    otherwise, and one read off a core-time index (`coreindex`) by every
+    later query of its graph and k.
 
     Cores compare by TTI, `edge_count` and `vertex_count`, which settle most
     comparisons in O(1), then by `vertices`, and hash by those three.
@@ -297,6 +302,7 @@ class CoreSnapshot:
 
     _graph = None  # the graph a capture was induced from
     engagement_order = None  # kept by `engagement` on first use: its vertices by ascending degree bound
+    engagement_at_tti = None  # kept by `engagement` on a capture's first evaluation at its TTI: the value there
 
     def __init__(self, vertices: frozenset, edges, tti: TimeInterval | None, k: int | None = None):
         self.vertices = vertices  # fills the lazy view
@@ -387,6 +393,14 @@ class CoreSnapshot:
         for u, v, _, n in self._pair_runs():
             counts[u, v] += n
         return counts
+
+    @cached_property
+    def least_pair_count(self) -> int:
+        """The least of `pair_counts`, counted in a dict that is not kept."""
+        counts: dict = {}
+        for u, v, _, n in self._pair_runs():
+            counts[u, v] = counts.get((u, v), 0) + n
+        return min(counts.values())
 
     def neighbors(self, v) -> frozenset:
         return self.neighbor_sets[v]

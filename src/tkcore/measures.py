@@ -10,6 +10,11 @@ real zones.
 
 The built-in measures' values are exact: plain ints or `fractions.Fraction`.
 This module alone orders values, for every route and the oracle alike.
+Evaluators read what a captured core keeps: `burstiness` its distinct-pair
+count, `frequency` its least parallel-edge count, and `engagement` its
+vertices by degree bound and its value at its own TTI, which a capture
+keeps on its first evaluation there, so a core-time index answers every
+later evaluation at a TTI from the core itself.
 """
 
 from __future__ import annotations
@@ -215,7 +220,7 @@ def _size(core, w, ctx):
 
 
 def _frequency(core, w, ctx):
-    return min(core.pair_counts.values())
+    return core.least_pair_count
 
 
 def _time_span(core, w, ctx):
@@ -259,6 +264,13 @@ def _engagement(core, w, ctx):
     g = ctx.graph
     if g is None:
         raise ContractViolation("engagement needs the source graph in the context")
+    # The value at the core's own TTI depends on the graph, the core and
+    # the TTI alone, so a capture keeps it for every later evaluation there
+    # (a shrink-improving optimize reads only the TTI).  An explicit
+    # snapshot has no graph of its own, so it keeps nothing.
+    at_tti = g is core._graph and w == core.tti
+    if at_tti and core.engagement_at_tti is not None:
+        return core.engagement_at_tti
     # A vertex's window degree is at most its distinct neighbors over the
     # whole graph, so its ratio is at least inner / that count, its bound.
     # The core keeps its vertices by ascending bound, and the scan stops at
@@ -292,7 +304,10 @@ def _engagement(core, w, ctx):
             n, d = inner, outer
             if holds:
                 cut = n / d
-    return Fraction(n, d)
+    value = Fraction(n, d)
+    if at_tti:
+        core.engagement_at_tti = value
+    return value
 
 
 BUILTIN_MEASURES = (

@@ -325,10 +325,10 @@ def ti_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     return None, value, 1
 
 
-def _scan(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext, cells):
-    """Evaluate the measure on each of the zone's `cells`; keep those that
-    reach the zone's optimum (optimize) or the threshold (constrain), as
-    one-cell boxes, and the optimum."""
+def _scan(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext, cells, count: int):
+    """Evaluate the measure on each of the zone's `count` `cells`; keep
+    those that reach the zone's optimum (optimize) or the threshold
+    (constrain), as one-cell boxes, and the optimum."""
     measure, core = spec.measure, zone.core
     placed = ((evaluate(measure, core, cell, ctx), cell) for cell in cells)
     if spec.mode == "constrain":
@@ -336,7 +336,7 @@ def _scan(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext, cells):
         best, winning = None, [cell for value, cell in placed if passes(value)]
     else:
         best, winning = keep_best(measure, placed)
-    return tuple((ts, ts, te, te) for ts, te in winning), best, len(cells)
+    return tuple((ts, ts, te, te) for ts, te in winning), best, count
 
 
 def tmo_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
@@ -344,15 +344,30 @@ def tmo_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     the measure improves on shrinking, which one evaluation reads, or at one
     of its LTIs when it improves on expanding, which are scanned."""
     if spec.measure.improves_on == "expand":
-        return _scan(zone, spec, ctx, zone.ltis)
+        return _scan(zone, spec, ctx, zone.ltis, len(zone.ltis))
     s, e = tti = zone.tti
     return ((s, s, e, e),), evaluate(spec.measure, zone.core, tti, ctx), 1
 
 
 def all_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     """Exhaustive search: every member of the zone is evaluated, so it is
-    exact for any measure, nonmonotonic ones included."""
-    return _scan(zone, spec, ctx, zone.members)
+    exact for any measure, nonmonotonic ones included.  The members are
+    read off the zone's LTIs in the order `MemberSet` iterates them,
+    ascending by (ts, te), and no `MemberSet` is built."""
+    s, e = zone.tti
+    rows, after, count = [], e, 0  # per LTI by ascending end: its first start and its box's ends
+    for l in reversed(zone.ltis):
+        rows.append((l.ts, range(after, l.te + 1)))
+        count += (s - l.ts + 1) * (l.te - after + 1)
+        after = l.te + 1
+    cells = (
+        TimeInterval(ts, te)
+        for ts in range(rows[0][0], s + 1)
+        for first, ends in rows
+        if first <= ts  # a start reaches the boxes of a prefix of the rows
+        for te in ends
+    )
+    return _scan(zone, spec, ctx, cells, count)
 
 
 def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):

@@ -116,6 +116,36 @@ def test_burstiness_leaves_no_degrees_on_the_index(graph):
     assert answer(res) == answer(run_txcq_walk(g, spec))  # compares the cores, building their sets
 
 
+def test_a_warm_engagement_optimize_reads_no_window_degree(monkeypatch):
+    # each zone's core keeps its value at its TTI on the first optimize, so
+    # the second reads no degree and counts the same evaluations as the
+    # first and as the walk
+    g = generate_synthetic(300, 4000, 40, "planted-community", 3)
+    spec = QuerySpec(2, g.time_range(), get_measure("engagement"), "optimize")
+    first = run_txcq(g, spec)
+    read = []
+    real = TemporalGraph.degree_in
+    monkeypatch.setattr(TemporalGraph, "degree_in", lambda self, v, w: read.append(v) or real(self, v, w))
+    second = run_txcq(g, spec)
+    assert second.stats.index == "reused" and len(second.stats.zone_eval_counts) > 10
+    assert read == []
+    walk = run_txcq_walk(g, spec)
+    assert read  # the walk's cores are new to the query
+    assert answer(first) == answer(second) == answer(walk)
+
+
+def test_frequency_keeps_one_count_per_core_on_the_index():
+    # a full-window frequency optimize keeps no pair Counter on the index
+    g = generate_synthetic(400, 6000, 30, "planted-community", 42)
+    spec = QuerySpec(2, g.time_range(), get_measure("frequency"), "optimize")
+    res = run_txcq(g, spec)
+    read = g.core_indexes[2].read
+    assert res.stats.index == "built" and len(read) == len(res.stats.zone_eval_counts)
+    for snap, _ in read.values():
+        assert "pair_counts" not in vars(snap) and "least_pair_count" in vars(snap)
+    assert answer(res) == answer(run_txcq_walk(g, spec))
+
+
 def test_the_size_rule_routes_by_ranks_times_pair_runs(monkeypatch):
     g = generate_synthetic(60, 600, 20, "planted-community", 1)
     size = len(g.timestamps) * len(g.pair_runs)

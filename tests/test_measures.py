@@ -224,6 +224,84 @@ def test_engagement_stops_at_a_bound_past_the_least_ratio():
         assert sorted(read) == [0, 1, 2]
 
 
+def least_ratio_by_edge_scan(g, core, w):
+    ambient = {v: set() for v in core.vertices}
+    for u, v, t in g.edges:
+        if w[0] <= t <= w[1]:
+            for x, y in ((u, v), (v, u)):
+                if x in ambient:
+                    ambient[x].add(y)
+    return min(Fraction(len(core.neighbors(v)), len(ambient[v])) for v in core.vertices)
+
+
+def counting_degree_in(read):
+    real = TemporalGraph.degree_in
+    return mock.patch.object(TemporalGraph, "degree_in", lambda self, v, w: read.append(v) or real(self, v, w))
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_engagement_keeps_its_value_at_each_core_tti(seed):
+    # on both routes, a zone's core keeps its value at its own TTI: the
+    # second evaluation there reads no window degree, and both equal the
+    # least ratio off an edge scan
+    rng = random.Random(seed)
+    g = random_instance(rng, seed, max_vertices=16, max_edges=120)
+    k, full, m = rng.choice((1, 2, 3)), (g.min_t, g.max_t), get_measure("engagement")
+    res = run_txcq(g, QuerySpec(k, full))
+    assert res.stats.algorithm == "core-index"
+    for zones in (tuple(e.zone for e in res.entries), tuple(run_otcd_star(g, k, full))):
+        for zone in zones:
+            ctx = ctx_for(g, zones, m, zone)
+            read = []
+            with counting_degree_in(read):
+                first = evaluate(m, zone.core, zone.tti, ctx)
+                made = len(read)
+                second = evaluate(m, zone.core, zone.tti, ctx)
+            assert first == second == least_ratio_by_edge_scan(g, zone.core, zone.tti)
+            assert made and len(read) == made
+
+
+def test_engagement_keeps_nothing_off_the_core_own_graph(g0):
+    # an explicit snapshot has no graph of its own, and a capture evaluated
+    # against another graph (here, one with the same edges) must not keep
+    # that graph's value: both read every needed degree on each evaluation
+    m = get_measure("engagement")
+    explicit = reference_core(g0, 2, (1, 3))
+    captured = next(z.core for z in run_otcd_star(g0, 2, (1, 3)) if z.tti == (1, 3))
+    twin = TemporalGraph.from_edges(g0.vertex_count, g0.edges)
+    for core, g in ((explicit, g0), (captured, twin)):
+        read = []
+        with counting_degree_in(read):
+            values = [evaluate(m, core, core.tti, EvalContext(graph=g)) for _ in range(2)]
+        assert values == [Fraction(1)] * 2
+        assert read and read[: len(read) // 2] * 2 == read
+        assert "engagement_at_tti" not in vars(core)
+    evaluate(m, captured, captured.tti, EvalContext(graph=g0))
+    assert vars(captured)["engagement_at_tti"] == Fraction(1)
+    # a window that holds the TTI but is not it keeps nothing either
+    evaluate(m, explicit, (1, 4), EvalContext(graph=g0))
+    assert "engagement_at_tti" not in vars(explicit)
+
+
+def test_frequency_reads_one_count_per_core():
+    # frequency reads the least parallel-edge count, which equals the least
+    # of `pair_counts` on captured and explicit snapshots, and builds no
+    # Counter
+    rng = random.Random(1618)
+    m = get_measure("frequency")
+    for trial in range(20):
+        g = random_instance(rng, 5200 + trial, max_vertices=10, max_edges=80)
+        zones = tuple(run_otcd_star(g, 2, (g.min_t, g.max_t)))
+        for zone in zones:
+            core = zone.core
+            explicit = reference_core(g, 2, zone.tti)
+            got = evaluate(m, core, zone.tti, ctx_for(g, zones, m, zone))
+            assert "pair_counts" not in vars(core)
+            assert got == explicit.least_pair_count == min(core.pair_counts.values())
+            assert min(explicit.pair_counts.values()) == got
+
+
 def test_engagement_has_no_value_where_a_core_vertex_has_no_neighbor(g0):
     # the triangle at [1, 3]: in window [4, 4] only c has a neighbor
     core = reference_core(g0, 2, (1, 3))

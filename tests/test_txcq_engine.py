@@ -662,19 +662,45 @@ def test_a_dropped_zone_builds_no_member_set(monkeypatch):
             super().__init__(boxes)
 
     g = generate_synthetic(40, 300, 16, model="uniform", seed=3)
-    optimize = QuerySpec(2, (1, 16), get_measure("burstiness"), "optimize")
-    constrain = QuerySpec(2, (1, 16), get_measure("growth_rate"), "constrain", 6)
-    for spec in (optimize, constrain):
+    specs = (  # (spec, entries): a monotonic and a nonmonotonic measure in each mode
+        (QuerySpec(2, (1, 16), get_measure("burstiness"), "optimize"), 1),
+        (QuerySpec(2, (1, 16), get_measure("growth_rate"), "constrain", 6), 64),
+        (QuerySpec(2, (1, 16), UNIMODAL, "optimize"), 1),
+        (QuerySpec(2, (1, 16), UNIMODAL, "constrain", 6), 85),
+    )
+    for spec, _ in specs:
         run_txcq(g, spec)  # warm: the index is built and every core read
     monkeypatch.setattr(txcq, "MemberSet", Counting)
-    res = run_txcq(g, optimize)
-    assert (len(res.stats.zone_eval_counts), len(res.entries)) == (123, 1)
-    assert len(built) == 1
-    built.clear()
-    res = run_txcq(g, constrain)
-    assert (len(res.stats.zone_eval_counts), len(res.entries)) == (123, 64)
-    assert len(built) == 64
-    assert all(type(e.qualifying) is Counting for e in res.entries)
+    for spec, entries in specs:
+        built.clear()
+        res = run_txcq(g, spec)
+        assert (len(res.stats.zone_eval_counts), len(res.entries)) == (123, entries)
+        assert len(built) == entries
+        assert all(type(e.qualifying) is Counting for e in res.entries)
+
+
+UNIMODAL = MeasureDescriptor(
+    "unimodal", "nonmonotonic", "higher",
+    lambda core, w, ctx: Fraction(core.vertex_count, 1 + abs(w.duration - 4)),
+)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_the_exhaustive_search_evaluates_each_member_once_in_order(seed):
+    # `all_ls` reads the members off the LTIs in the order a zone's
+    # `MemberSet` iterates them, and counts them as its length
+    rng = random.Random(seed)
+    g = random_instance(rng, seed)
+    seen = []
+    spec = QuerySpec(2, (g.min_t, g.max_t), MeasureDescriptor(
+        "seen", "nonmonotonic", "higher", lambda core, w, ctx: seen.append(w) or 1
+    ), "optimize")
+    for zone in run_otcd_star(g, 2, spec.window):
+        seen.clear()
+        boxes, value, evals = txcq.all_ls(zone, spec, EvalContext(graph=g, zone=zone))
+        assert seen == list(zone.members) and evals == len(seen) == len(zone.members)
+        assert boxes == tuple((ts, ts, te, te) for ts, te in seen) and value == 1
 
 
 # -- dispatch and the exhaustive fallback ------------------------------------
