@@ -262,7 +262,7 @@ def test_engagement_keeps_its_value_at_each_core_tti(seed):
             assert made and len(read) == made
 
 
-def test_engagement_keeps_nothing_off_the_core_own_graph(g0):
+def test_engagement_keeps_nothing_off_the_cores_own_graph(g0):
     # an explicit snapshot has no graph of its own, and a capture evaluated
     # against another graph (here, one with the same edges) must not keep
     # that graph's value: both read every needed degree on each evaluation
