@@ -19,6 +19,7 @@ import io
 import json
 import sys
 import time
+import zlib
 from fractions import Fraction
 from itertools import repeat
 
@@ -182,7 +183,7 @@ def _load_graph(args) -> TemporalGraph:
     else:
         try:
             g = load_edge_list(spec)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:  # unreadable, not UTF-8, cut or corrupt
             raise InputError(f"cannot read {spec}: {exc}") from None
     if g.edge_count == 0:
         raise InputError("input graph has no edges")

@@ -28,6 +28,10 @@ from typing import Iterable, NamedTuple
 # break even near 8.
 SLICE_PER_NEIGHBOR = 8
 
+# `parse_edge_list` reads this many lines at a time and splits each distinct
+# line of a block once, so a block bounds what it holds beyond the counts.
+_BLOCK_LINES = 1 << 14
+
 
 class ContractViolation(ValueError):
     """An operation was called outside its stated precondition."""
@@ -354,12 +358,14 @@ class CoreSnapshot:
         return self.edge_count == 0
 
     def _pair_runs(self) -> list:
-        """The core's pair runs (u, v, t, n), sorted by (t, u, v); none for
-        an empty core."""
+        """The core's pair runs (u, v, t, n) with u < v, none for an empty
+        core: a capture's sorted by (t, u, v), an explicit snapshot's
+        counted off its edges, in either endpoint order, as first seen."""
         if self.is_empty:
             return []
         if self._graph is None:
-            return [(*e, n) for e, n in Counter(self.edges).items()]
+            ends = ((u, v, t) if u < v else (v, u, t) for u, v, t in self.edges)
+            return [(*e, n) for e, n in Counter(ends).items()]
         vs = self.vertices
         runs = self._graph.pair_runs
         lo, hi = _window_bounds(runs, *self.tti)
@@ -426,31 +432,54 @@ def parse_edge_list(lines: Iterable[str]) -> TemporalGraph:
     appearance, and self-loops are dropped but tallied on the result.
     Parallel edges are counted as they are read, so the graph holds one
     pair run per distinct timestamped pair and never one record per line.
+
+    The lines are read in blocks of _BLOCK_LINES.  Each block's repeats
+    are counted first, and each distinct line of a block is split once,
+    adding its count to its pair run, so beyond the pair-run counts the
+    parser holds at most one block of lines.  A block's distinct lines
+    are taken in order of first appearance, so ids and the line number of
+    the first malformed line are those of a line-by-line read.
     """
     label_ids: dict = {}
-    assign = label_ids.setdefault
+    label = label_ids.get
     counts: dict = {}
+    count = counts.get
     loops = 0
-    for line_no, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) < 3:
-            raise ParseError(line_no, f"expected 'src dst timestamp', got {raw.strip()!r}")
-        try:
-            t = int(parts[2])
-        except ValueError:
-            raise ParseError(line_no, f"timestamp is not an integer: {parts[2]!r}") from None
-        u = assign(parts[0], len(label_ids))
-        v = assign(parts[1], len(label_ids))
-        if u < v:
-            key = (t, u, v)
-        elif v < u:
-            key = (t, v, u)
-        else:
-            loops += 1
-            continue
-        counts[key] = counts.get(key, 0) + 1
+    start = 0  # lines read before this block
+    read = iter(lines)
+    while block := list(islice(read, _BLOCK_LINES)):
+        for raw, n in Counter(block).items():
+            parts = raw.split()
+            try:
+                a, b, t = parts
+            except ValueError:  # blank, comment, short, or extra fields
+                if not parts or parts[0][0] == "#":
+                    continue
+                if len(parts) < 3:
+                    raise ParseError(start + block.index(raw) + 1,
+                                     f"expected 'src dst timestamp', got {raw.strip()!r}") from None
+                a, b, t = parts[:3]
+            if a[0] == "#":
+                continue
+            try:
+                t = int(t)
+            except ValueError:
+                raise ParseError(start + block.index(raw) + 1, f"timestamp is not an integer: {t!r}") from None
+            u = label(a)
+            if u is None:
+                u = label_ids[a] = len(label_ids)
+            v = label(b)
+            if v is None:
+                v = label_ids[b] = len(label_ids)
+            if u < v:
+                key = (t, u, v)
+            elif v < u:
+                key = (t, v, u)
+            else:
+                loops += n
+                continue
+            counts[key] = count(key, 0) + n
+        start += len(block)
     if not label_ids:
         raise ParseError(0, "no edges in input")
     return TemporalGraph._of_runs(len(label_ids), _runs_of(counts), tuple(label_ids), loops)

@@ -252,6 +252,26 @@ def test_io_errors_exit_3(g0_file, tmp_path, capsys):
     assert "cannot write" in err
 
 
+def test_a_non_utf8_edge_list_exits_3(tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(G0_TEXT.encode() + b"caf\xe9 d 6\n")
+    code, out, err = run_cli(capsys, "query", "--input", str(bad), "--k", "2")
+    assert (code, out) == (3, "")
+    assert f"cannot read {bad}" in err and "utf-8" in err
+
+
+def test_a_truncated_or_corrupt_gzip_edge_list_exits_3(tmp_path, capsys):
+    packed = gzip.compress(G0_TEXT.encode() * 20, mtime=0)
+    cut = tmp_path / "cut.txt.gz"
+    cut.write_bytes(packed[: len(packed) // 2])
+    corrupt = tmp_path / "corrupt.txt.gz"
+    corrupt.write_bytes(packed[:10] + bytes([packed[10] ^ 0xFF]) + packed[11:])  # a bad deflate block header
+    for path, why in ((cut, "end-of-stream"), (corrupt, "decompressing")):
+        code, out, err = run_cli(capsys, "query", "--input", str(path), "--k", "2")
+        assert (code, out) == (3, ""), path
+        assert f"cannot read {path}" in err and why in err
+
+
 def test_argparse_plumbing(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

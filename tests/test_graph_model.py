@@ -3,6 +3,7 @@
 import gzip
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,8 @@ from tkcore import (
     run_txcq,
     run_txcq_walk,
 )
+from tkcore import graph as graph_module
+from tkcore.graph import _runs_of
 
 
 def test_from_edges_sorts_canonically_and_keeps_parallel_edges():
@@ -170,6 +173,92 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as info:
         parse_edge_list(["# only a comment"])
     assert info.value.line_no == 0
+
+
+def _reference_parse(lines) -> TemporalGraph:
+    """The line-by-line parser `parse_edge_list` replaced: it splits every
+    line, repeats included."""
+    label_ids: dict = {}
+    assign = label_ids.setdefault
+    counts: dict = {}
+    loops = 0
+    for line_no, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) < 3:
+            raise ParseError(line_no, f"expected 'src dst timestamp', got {raw.strip()!r}")
+        try:
+            t = int(parts[2])
+        except ValueError:
+            raise ParseError(line_no, f"timestamp is not an integer: {parts[2]!r}") from None
+        u = assign(parts[0], len(label_ids))
+        v = assign(parts[1], len(label_ids))
+        if u < v:
+            key = (t, u, v)
+        elif v < u:
+            key = (t, v, u)
+        else:
+            loops += 1
+            continue
+        counts[key] = counts.get(key, 0) + 1
+    if not label_ids:
+        raise ParseError(0, "no edges in input")
+    return TemporalGraph._of_runs(len(label_ids), _runs_of(counts), tuple(label_ids), loops)
+
+
+def _outcome(parse, lines):
+    """A parse's graph key, or the line number and message it refused with."""
+    try:
+        g = parse(lines)
+    except ParseError as exc:
+        return "refused", exc.line_no, str(exc)
+    return "parsed", g.vertex_count, g.labels, g.pair_runs, g.self_loops_dropped
+
+
+_readable_lines = st.sampled_from([
+    "a b 1", "b a 1", "a b 2", "c a 1", "c c 3", "b d 2 extra", " d a  1\n", "a b 1\n", "e d 10000000000",
+    "", "  ", "\n", "# a b 1", "#x y 4", "  # 1 2 3",
+])
+_malformed_lines = st.sampled_from(["a", "a b", " b c\n", "a b x", "c d 1.5", "d c -"])
+
+
+@given(
+    st.lists(_readable_lines, max_size=60),
+    st.lists(st.tuples(st.integers(0, 60), _malformed_lines), max_size=3),
+    st.sampled_from([1, 2, 3, 5, 8, graph_module._BLOCK_LINES]),
+)
+@settings(max_examples=400, deadline=None)
+def test_parse_agrees_with_the_line_by_line_reference(lines, malformed, block):
+    # the pools are small, so most lines repeat an earlier one
+    for at, line in malformed:
+        lines.insert(at, line)
+    with mock.patch.object(graph_module, "_BLOCK_LINES", block):
+        got = _outcome(parse_edge_list, lines)
+        assert got == _outcome(parse_edge_list, iter(lines))
+    assert got == _outcome(_reference_parse, lines)
+
+
+def test_a_malformed_repeat_first_seen_in_the_second_block_keeps_its_line_number():
+    block = graph_module._BLOCK_LINES
+    good = [f"v{i % 50} w{i % 7} {i % 11}" for i in range(block + 500)]
+    lines = good[: block + 123] + ["a b when"] + good[block + 123 :] + ["a b when"] * 3
+    assert lines[:block].count("a b when") == 0
+    for source in (lines, (line for line in lines)):
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(source)
+        assert info.value.line_no == block + 124
+        assert str(info.value) == f"line {block + 124}: timestamp is not an integer: 'when'"
+    assert _outcome(parse_edge_list, lines) == _outcome(_reference_parse, lines)
+
+
+def test_parse_reads_a_one_pass_generator_across_blocks():
+    block = graph_module._BLOCK_LINES
+    lines = [f"{i % 97} {(i * 7) % 89 + 100} {i % 13}" for i in range(2 * block + 321)] + ["5 5 1"] * 4
+    g = parse_edge_list(line for line in lines)
+    assert _outcome(parse_edge_list, lines)[1:] == (g.vertex_count, g.labels, g.pair_runs, g.self_loops_dropped)
+    assert g == _reference_parse(lines)
+    assert g.edge_count == 2 * block + 321 and g.self_loops_dropped == 4
 
 
 def test_load_edge_list_reads_gzip(tmp_path):

@@ -273,6 +273,19 @@ def test_captured_core_is_read_only_and_compares_by_content(tel_fixture_graph):
     assert snap != CoreSnapshot(snap.vertices, snap.edges[1:], snap.tti)
 
 
+@pytest.mark.parametrize("first", [(0, 1, 1), (1, 0, 1)])
+@pytest.mark.parametrize("second", [(0, 1, 2), (1, 0, 2)])
+def test_an_explicit_snapshot_counts_a_pair_in_either_endpoint_order(first, second):
+    tel = TEL.from_graph(TemporalGraph(2, [first, second]))
+    tel.decompose(1)
+    capture = tel.snapshot()
+    explicit = CoreSnapshot(frozenset({0, 1}), [first, second], TimeInterval(1, 2))
+    assert capture == explicit
+    for name in ("pair_count", "degrees", "pair_counts", "least_pair_count", "neighbor_sets"):
+        assert getattr(explicit, name) == getattr(capture, name), name
+    assert (explicit.pair_count, explicit.least_pair_count, dict(explicit.degrees)) == (1, 2, {0: 1, 1: 1})
+
+
 def test_windowed_build_equals_build_then_truncate(tel_fixture_graph):
     for window in ((2, 6), (3, 5), (5, 6), (4, 4), (7, 9)):
         fused = TEL.from_graph(tel_fixture_graph, window)
