@@ -45,15 +45,22 @@ class MeasureValueError(TypeError):
 
 class EvalContext(NamedTuple):
     """Read-only handles an evaluator may need beyond the core itself.  A
-    query makes one per zone, so it is a plain tuple."""
+    query makes one per zone, so it is a plain tuple.
+
+    `memo` is one dict per query, shared by the contexts of all its zones
+    (`with_zone` carries it), in which a built-in evaluator keeps what it
+    works out once per query from `all_zones` and `params`: `periodicity`
+    keeps the zones grouped by vertex set.  A context without one (None,
+    the default) is answered by each evaluation alone."""
 
     graph: TemporalGraph | None = None
     zone: object | None = None
     all_zones: tuple | None = None
     params: Mapping = MappingProxyType({})
+    memo: dict | None = None
 
     def with_zone(self, zone) -> "EvalContext":
-        return EvalContext(self.graph, zone, self.all_zones, self.params)
+        return EvalContext(self.graph, zone, self.all_zones, self.params, self.memo)
 
 
 # the order of each orientation: (beats, reaches), strictly better and no worse
@@ -234,20 +241,57 @@ def _persistence(core, w, ctx):
 
 
 def _periodicity(core, w, ctx):
-    if ctx.all_zones is None:
+    zones = ctx.all_zones
+    if zones is None:
         raise ContractViolation("periodicity needs the full zone list in the context")
     gap = ctx.params.get("p", 1)
-    ttis = sorted(
-        (z.tti for z in ctx.all_zones if z.core.vertices == core.vertices),
-        key=lambda iv: iv.te,
-    )
-    count = 0
-    last_end = None
-    for tti in ttis:
+    if ctx.memo is None:  # each evaluation scans every zone
+        return _chain_count([z.tti for z in zones if z.core.vertices == core.vertices], gap)
+    groups = ctx.memo.get("periodicity")
+    if groups is None:
+        groups = ctx.memo["periodicity"] = _periodicity_groups(zones, gap)
+    alone, shared = groups
+    lone = alone.get(core.vertex_count)
+    if lone is None:
+        return shared.get(core.vertices, 0)
+    return 1 if lone is core or lone.vertices == core.vertices else 0
+
+
+_END = attrgetter("te")
+
+
+def _chain_count(ttis, gap) -> int:
+    """The longest chain of `ttis`, taken greedily by ascending end, in
+    which each starts at least `gap` past the end of the one before."""
+    count, last_end = 0, None
+    for tti in sorted(ttis, key=_END):
         if last_end is None or tti.ts - last_end >= gap:
             count += 1
             last_end = tti.te
     return count
+
+
+def _periodicity_groups(zones, gap) -> tuple[dict, dict]:
+    """`periodicity` of every zone's core, worked out once per query.
+
+    The zones are bucketed by vertex count, so vertex sets are built and
+    compared only where counts collide.  A count held by one zone maps to
+    its core, whose value is 1; the others' zones are grouped by vertex
+    set, and each set maps to its group's `_chain_count`.  Hashing groups
+    them, so the comparisons grow with the zones, not with their pairs."""
+    by_count: dict = {}
+    for z in zones:
+        by_count.setdefault(z.core.vertex_count, []).append(z)
+    alone, by_set = {}, {}
+    for n, same in by_count.items():
+        if len(same) == 1:
+            alone[n] = same[0].core
+        else:
+            for z in same:
+                by_set.setdefault(z.core.vertices, []).append(z.tti)
+    for vertices, ttis in by_set.items():  # a loop, not a comprehension frame
+        by_set[vertices] = _chain_count(ttis, gap)
+    return alone, by_set
 
 
 def _growth_rate(core, w, ctx):
@@ -274,14 +318,20 @@ def _engagement(core, w, ctx):
     # A vertex's window degree is at most its distinct neighbors over the
     # whole graph, so its ratio is at least inner / that count, its bound.
     # The core keeps its vertices by ascending bound, and the scan stops at
-    # the first bound past the least ratio found, which no later vertex can
-    # undercut.  A float of an int ratio is correctly rounded, so a float
-    # bound past the float of the least ratio is past it exactly, and
-    # vertices whose floats tie are all scanned.  The stop is taken only
-    # when the window holds the TTI, where every core vertex has a neighbor,
-    # so a vertex with none still raises wherever the full scan would.  The
-    # least ratio is kept as an integer pair and compared by
-    # cross-multiplication, so only the result becomes a Fraction.
+    # the first bound that reaches the least ratio found: neither that
+    # vertex nor a later one can undercut it.  The stop is taken only when
+    # the window holds the TTI, where every core vertex has a neighbor, so
+    # a vertex with none still raises wherever the full scan would, and
+    # every ratio and bound lies in [0, 1].  Floats of int ratios are
+    # correctly rounded, so each lies within 2**-54 of its ratio, and two
+    # distinct ratios whose denominators are at most 2**26 differ by at
+    # least 2**-52.  So while the graph has at most 2**26 vertices the
+    # floats order the bounds and the stop exactly, and `cut` is the float
+    # just below the least ratio's, which a bound reaching it passes.  On a
+    # larger graph `cut` is the least ratio's float, so only a bound past
+    # it stops, and vertices whose floats tie are all scanned.  The least
+    # ratio is kept as an integer pair and compared by cross-multiplication,
+    # so only the result becomes a Fraction.
     order = core.engagement_order
     if order is None:  # built in C, as a walk's cores are new to every query
         vertices, inners = tuple(core.degrees), tuple(core.degrees.values())
@@ -293,6 +343,7 @@ def _engagement(core, w, ctx):
         core.engagement_order = order
     degree_in = g.degree_in
     holds = w.ts <= core.tti.ts and core.tti.te <= w.te
+    reach = g.vertex_count <= 2**26  # the floats order every ratio exactly
     n, d, cut = None, 1, math.inf
     for v, inner, count in zip(*order):
         if inner / count > cut:
@@ -303,7 +354,7 @@ def _engagement(core, w, ctx):
         if n is None or inner * d < n * outer:
             n, d = inner, outer
             if holds:
-                cut = n / d
+                cut = math.nextafter(n / d, -math.inf) if reach else n / d
     value = Fraction(n, d)
     if at_tti:
         core.engagement_at_tti = value

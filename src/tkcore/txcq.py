@@ -40,12 +40,16 @@ logarithm of its length, and it settles a member box whose columns share
 one start with one probe of its far column.  A gallop or a failed probe may
 cost one evaluation more than stepping, so each is taken only while the
 zone's budget (the paper's: the sum of its rectangles' widths and heights)
-spares it, and a zone never costs more than that budget.  One loop runs the
-search zone by zone, counts its evaluations and keeps the optimum across
-zones.  A search hands back the zone's qualifying boxes as a plain tuple
-(None when every member qualifies), its value and its evaluation count;
-the loop keeps those of the zones it keeps, and builds the `MemberSet`s and
-entries at the end, for the answer's entries only.  `measures` places the
+spares it, and a zone never costs more than that budget.  Phase 2 is one
+loop in `_answer`, which runs the search zone by zone, counts its
+evaluations and keeps the zones of the answer; per zone it runs no Python
+frame but the search and what the search calls, since each zone's
+`EvalContext` is built by `tuple.__new__`.  Every zone's context shares one
+per-query `memo` dict, in which `periodicity` groups the query's zones once.
+A search hands back the zone's qualifying boxes as a plain tuple (None when
+every member qualifies), its value and its evaluation count; the loop keeps
+those of the zones it keeps, and builds the `MemberSet`s and entries at the
+end, for the answer's entries only.  `measures` places the
 values (`keep_best`, and `QuerySpec.passes` against a threshold): two that
 are exactly `int` or `Fraction` over the cross products of their integer
 parts, so a threshold test or a worse value costs one comparison, and any
@@ -170,8 +174,12 @@ class ZoneRecord(NamedTuple):
         covers the ends past the next LTI's end and every start from its own
         start to the TTI's."""
         s, e = self.tti
-        ends = [l.te for l in self.ltis[1:]] + [e - 1]
-        return MemberSet(tuple((l.ts, s, after + 1, l.te) for l, after in zip(self.ltis, ends)))
+        boxes, after = [], e - 1  # built from the last LTI up, without comprehension frames
+        for l in reversed(self.ltis):
+            boxes.append((l.ts, s, after + 1, l.te))
+            after = l.te
+        boxes.reverse()
+        return MemberSet(tuple(boxes))
 
 
 @dataclass(frozen=True)
@@ -475,35 +483,6 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
     return tuple(found), None, len(memo)
 
 
-def _search(zones, spec: QuerySpec, ctx: EvalContext, stats: QueryStats, search) -> list[ResultEntry]:
-    """Run the local `search` in every zone and answer from the zones kept.
-
-    A search returns the zone's qualifying boxes, its value and its
-    evaluation count.  The boxes are a plain tuple, empty when no member
-    qualifies, or None when every member does.  The evaluations are
-    counted, and the zones kept: in an optimize those whose value is the
-    best (`keep_best`), in a constrain those with a qualifying member.
-    The `MemberSet`s and entries are built last, for the kept zones only,
-    so a dropped zone builds neither."""
-    counts = stats.zone_eval_counts
-
-    def searched():
-        for zone in zones:
-            boxes, value, evals = search(zone, spec, ctx.with_zone(zone))
-            counts[zone.tti] = evals
-            stats.x_evaluations += evals
-            yield value, (zone, boxes, value)
-
-    if spec.mode == "optimize":
-        _, kept = keep_best(spec.measure, searched())
-    else:  # a constrain keeps the zones with a qualifying member
-        kept = [item for _, item in searched() if item[1] != ()]
-    return [
-        ResultEntry(zone, zone.members if boxes is None else MemberSet(boxes), value)
-        for zone, boxes, value in kept
-    ]
-
-
 # -- dispatch ---------------------------------------------------------------
 
 
@@ -596,12 +575,40 @@ def _refuse_large_triangle(g: TemporalGraph, window, who: str) -> None:
 def _answer(g: TemporalGraph, spec: QuerySpec, zones, stats: QueryStats, search) -> QueryResult:
     """Phase 2: answer with `search` from the zones that phase 1 located,
     counting into phase 1's `stats`; an enumerate query (`search` None)
-    reports the zones."""
+    reports the zones.
+
+    One loop runs the search in every zone, counts its evaluations and
+    keeps the zones: in an optimize those whose value is the best
+    (`keep_best`), in a constrain those with a qualifying member.  A search
+    returns the zone's qualifying boxes, its value and its evaluation
+    count; the boxes are a plain tuple, empty when no member qualifies, or
+    None when every member does.  The `MemberSet`s and entries are built
+    last, for the kept zones only, so a dropped zone builds neither.  Each
+    zone's context, the entries and the result are built by `tuple.__new__`,
+    which runs no Python frame; the contexts share the query's zones,
+    parameters and memo."""
+    new = tuple.__new__
     stats.exhaustive = search is all_ls
     if search is None:
-        return QueryResult(tuple(ResultEntry(z, None, None) for z in zones), stats)
-    ctx = EvalContext(graph=g, all_zones=tuple(zones), params=dict(spec.measure.params))
+        return new(QueryResult, (tuple([new(ResultEntry, (z, None, None)) for z in zones]), stats))
+    all_zones, params, memo = tuple(zones), dict(spec.measure.params), {}
+    counts, evaluations = stats.zone_eval_counts, 0
     started = time.perf_counter()
-    entries = _search(zones, spec, ctx, stats, search)  # zones come ascending by TTI
+    optimize = spec.mode == "optimize"
+    kept = []  # an optimize's (value, zone's item) pairs, or a constrain's kept items
+    for zone in zones:  # zones come ascending by TTI
+        boxes, value, evals = search(zone, spec, new(EvalContext, (g, zone, all_zones, params, memo)))
+        counts[zone.tti] = evals
+        evaluations += evals
+        if optimize:
+            kept.append((value, (zone, boxes, value)))
+        elif boxes != ():
+            kept.append((zone, boxes, value))
+    stats.x_evaluations += evaluations
+    if optimize:
+        _, kept = keep_best(spec.measure, kept)
+    entries = []
+    for zone, boxes, value in kept:
+        entries.append(new(ResultEntry, (zone, zone.members if boxes is None else MemberSet(boxes), value)))
     stats.phase2_ms = (time.perf_counter() - started) * 1000.0
-    return QueryResult(tuple(entries), stats)
+    return new(QueryResult, (tuple(entries), stats))

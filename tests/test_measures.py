@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tkcore.graph
+import tkcore.txcq
 
 from tkcore import (
     ContractViolation,
+    CoreSnapshot,
     EvalContext,
     MeasureDescriptor,
     MeasureValueError,
@@ -20,6 +22,7 @@ from tkcore import (
     UndefinedMeasureValue,
     ZoneRecord,
     brute_force_txcq,
+    canonical_result,
     check_measure_sensitivity,
     compare,
     evaluate,
@@ -224,6 +227,21 @@ def test_engagement_stops_at_a_bound_past_the_least_ratio():
         assert sorted(read) == [0, 1, 2]
 
 
+def test_engagement_stops_at_a_bound_that_ties_the_least_ratio():
+    # a triangle at t=1 where vertex 0 also meets 3 at t=1 and vertex 1
+    # meets 4 at t=9: both bound at 2/3, and 0's ratio at (1, 1) is 2/3, so
+    # the scan stops at 1, whose ratio cannot undercut it; past 2**26
+    # vertices floats may tie distinct ratios, and a tied bound is scanned
+    g = TemporalGraph.from_edges(5, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1), (1, 4, 9)])
+    core, m = reference_core(g, 2, (1, 1)), get_measure("engagement")
+    for vertex_count, reads in ((5, [0]), (2**26 + 1, [0, 1])):
+        g.__dict__["vertex_count"] = vertex_count  # the count alone selects the stop
+        read = []
+        with counting_degree_in(read):
+            assert evaluate(m, core, (1, 1), EvalContext(graph=g)) == Fraction(2, 3)
+        assert read == reads
+
+
 def least_ratio_by_edge_scan(g, core, w):
     ambient = {v: set() for v in core.vertices}
     for u, v, t in g.edges:
@@ -284,6 +302,30 @@ def test_engagement_keeps_nothing_off_the_cores_own_graph(g0):
     assert "engagement_at_tti" not in vars(explicit)
 
 
+@pytest.mark.parametrize("mode", ["optimize", "constrain"])
+@given(g=small_graphs(max_repeat=2), sigma=st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1)))
+@settings(max_examples=60, deadline=None)
+def test_engagement_equals_a_full_scan_at_every_evaluated_window(mode, g, sigma):
+    # every window a query evaluates, on both routes, holds its zone's TTI,
+    # so the scan may stop early at each; its value is the least ratio over
+    # every core vertex all the same
+    m = get_measure("engagement")
+    real = tkcore.txcq.evaluate
+    seen = []
+
+    def checked(measure, core, w, ctx):
+        value = real(measure, core, w, ctx)
+        seen.append((core, w, value))
+        return value
+
+    spec = QuerySpec(2, (1, 8), m, mode, sigma if mode == "constrain" else None)
+    with mock.patch.object(tkcore.txcq, "evaluate", checked):
+        for run in (run_txcq, run_txcq_walk):
+            run(g, spec)
+    for core, w, value in seen:
+        assert value == least_ratio_by_edge_scan(g, core, w), (core.tti, w)
+
+
 def test_frequency_reads_one_count_per_core():
     # frequency reads the least parallel-edge count, which equals the least
     # of `pair_counts` on captured and explicit snapshots, and builds no
@@ -332,6 +374,103 @@ def test_periodicity_counts_gap_separated_repeats(g0):
     crowded = (zone_at(1, 4), zone_at(5, 6))  # gap of 1 < p
     ctx = EvalContext(graph=g0, all_zones=crowded, params=dict(m.params)).with_zone(crowded[0])
     assert evaluate(m, core, (1, 4), ctx) == 1
+
+
+def scanned_periodicity(core, zones, p):
+    """`periodicity` as each evaluation once worked it out: every zone of
+    the query with the core's vertex set, by ascending TTI end, taken
+    greedily at gaps of at least `p`."""
+    ttis = sorted((z.tti for z in zones if z.core.vertices == core.vertices), key=lambda iv: iv.te)
+    count, last_end = 0, None
+    for tti in ttis:
+        if last_end is None or tti.ts - last_end >= p:
+            count += 1
+            last_end = tti.te
+    return count
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), p=st.integers(min_value=0, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_periodicity_with_and_without_a_memo_equals_the_scan(seed, p):
+    # each zone's core, and cores absent from the zones (other k, other
+    # windows), whose vertex set may match some zones' or none: a context
+    # without a memo scans, one with a query's memo reads the grouping, and
+    # both give the scan's value
+    rng = random.Random(seed)
+    g = random_instance(rng, seed, max_vertices=10, max_edges=80)
+    k = rng.choice((1, 2))
+    m = get_measure("periodicity").with_params(p=p)
+    zones = tuple(run_otcd_star(g, k, (g.min_t, g.max_t)))
+    absent = [reference_core(g, k + rng.choice((0, 1)), (ts, rng.randint(ts, g.max_t)))
+              for ts in (rng.randint(g.min_t, g.max_t) for _ in range(4))]
+    absent = [core for core in absent if core.edge_count and all(core is not z.core for z in zones)]
+    base = EvalContext(graph=g, all_zones=zones, params=dict(m.params))
+    shared = base._replace(memo={})
+    for core in [z.core for z in zones] + absent:
+        want = scanned_periodicity(core, zones, p)
+        assert evaluate(m, core, core.tti, base) == want
+        assert evaluate(m, core, core.tti, shared) == want
+
+
+class CountedSet(frozenset):
+    """A vertex set that counts its `==` comparisons."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        CountedSet.compared += 1
+        return frozenset.__eq__(self, other)
+
+    __hash__ = frozenset.__hash__
+
+
+def test_periodicity_compares_vertex_sets_linearly_in_zones():
+    # z zones over four vertex sets of three vertices each, every core with
+    # its own set object: one query's evaluations compare sets once per zone
+    # to group them and once per zone to read a group, where a scan per
+    # evaluation compares every pair
+    m = get_measure("periodicity")
+    for z in (40, 80, 160):
+        zones = []
+        for i in range(z):
+            vertices = CountedSet({0, 1, 2 + i % 4})
+            tti = TimeInterval(3 * i + 1, 3 * i + 2)
+            core = CoreSnapshot(vertices, [(0, 1, 3 * i + 1)], tti)
+            zones.append(ZoneRecord(core, tti, (tti,)))
+        base = EvalContext(all_zones=tuple(zones), params=dict(m.params))
+
+        def comparisons(memo):
+            CountedSet.compared = 0
+            ctx = base._replace(memo=memo)
+            values = [evaluate(m, zone.core, zone.tti, ctx.with_zone(zone)) for zone in zones]
+            assert values == [z // 4] * z
+            return CountedSet.compared
+
+        assert comparisons({}) <= 2 * z
+        assert comparisons(None) == z * z
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@given(
+    stamps=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6, unique=True),
+    noise=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 12)), max_size=12),
+    sigma=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=50, deadline=None)
+def test_periodicity_agrees_with_the_oracle_where_zones_share_a_vertex_set(p, stamps, noise, sigma):
+    # one triangle at several stamps, plus noise edges: many zones share the
+    # triangle's vertex set, and the noise adds zones that collide with it
+    # in vertex count or not
+    edges = [(u, v, t) for t in stamps for u, v in ((0, 1), (1, 2), (0, 2))]
+    edges += [(u, v, t) for u, v, t in noise if u != v]
+    g = TemporalGraph.from_edges(6, edges)
+    m = get_measure("periodicity").with_params(p=p)
+    for mode in ("optimize", "constrain"):
+        spec = QuerySpec(2, (1, 12), m, mode, sigma if mode == "constrain" else None)
+        want = canonical_result(brute_force_txcq(g, spec), mode)
+        index, walk = run_txcq(g, spec), run_txcq_walk(g, spec)
+        assert canonical_result(index, mode) == canonical_result(walk, mode) == want, mode
+        assert [(e.zone.tti, e.x_value) for e in index.entries] == [(e.zone.tti, e.x_value) for e in walk.entries]
 
 
 def test_persistence_takes_the_best_loose_interval(g0):

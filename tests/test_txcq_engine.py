@@ -1,6 +1,7 @@
 """Zone location and the measured query strategies."""
 
 import random
+import sys
 from fractions import Fraction
 from operator import truediv
 
@@ -677,6 +678,83 @@ def test_a_dropped_zone_builds_no_member_set(monkeypatch):
         assert (len(res.stats.zone_eval_counts), len(res.entries)) == (123, entries)
         assert len(built) == entries
         assert all(type(e.qualifying) is Counting for e in res.entries)
+
+
+def test_phase_two_runs_only_the_search_per_zone(monkeypatch):
+    # phase 2 is one loop: per zone it runs the search and what the search
+    # calls (`evaluate`, the evaluator and a constrain's threshold test),
+    # and no other Python frame (no context constructor, no generator, no
+    # comprehension); what it builds for the answer is one set of frames
+    # per entry
+    def spread(core, w, ctx):
+        return core.edge_count + w.te - w.ts
+
+    g = generate_synthetic(40, 300, 16, model="uniform", seed=3)
+    insensitive = MeasureDescriptor("spread", "insensitive", "higher", spread)
+    cases = (  # (measure, mode, threshold, the frames each zone runs)
+        (insensitive, "optimize", None, {"ti_ls", "evaluate", "spread"}),
+        (insensitive, "constrain", 10**6, {"ti_ls", "evaluate", "spread", "_reaches_exact"}),
+        (MeasureDescriptor("spread", "monotonic", "higher", spread, improves_on="shrink"), "optimize", None,
+         {"tmo_ls", "evaluate", "spread"}),
+    )
+    real = txcq._answer
+    for measure, mode, sigma, searched in cases:
+        spec = QuerySpec(2, (1, 16), measure, mode, sigma)
+        run_txcq(g, spec)  # warm: the index is built and every core read
+        frames = {}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames[frame.f_code] = frames.get(frame.f_code, 0) + 1
+
+        def answer(*args):
+            sys.setprofile(profile)
+            try:
+                return real(*args)
+            finally:
+                sys.setprofile(None)
+
+        monkeypatch.setattr(txcq, "_answer", answer)
+        res = run_txcq(g, spec)
+        monkeypatch.setattr(txcq, "_answer", real)
+        zones = len(res.stats.zone_eval_counts)
+        assert zones == 123 and res.stats.x_evaluations == zones
+        per_zone = {code.co_name: n for code, n in frames.items() if n >= zones}
+        assert per_zone == dict.fromkeys(searched, zones)
+        assert all(n <= len(res.entries) + 1 for code, n in frames.items() if n < zones)
+
+
+@pytest.mark.parametrize("run", [run_txcq, run_txcq_walk])
+def test_phase_two_evaluates_through_the_module_global(monkeypatch, run):
+    # the searches look `evaluate` up in `txcq` at call time, so a wrapper
+    # there (a tracer's, say) sees every evaluation a query counts
+    g = generate_synthetic(40, 300, 16, model="uniform", seed=3)
+    real, calls = txcq.evaluate, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(txcq, "evaluate", counted)
+    specs = (
+        QuerySpec(2, (1, 16), get_measure("size"), "optimize"),
+        QuerySpec(2, (1, 16), get_measure("periodicity"), "constrain", 2),
+        QuerySpec(2, (1, 16), get_measure("burstiness"), "optimize"),
+        QuerySpec(2, (1, 16), get_measure("engagement"), "constrain", Fraction(1, 2)),
+        QuerySpec(2, (1, 16), EXPANDING, "optimize"),
+        QuerySpec(2, (1, 16), EXPANDING, "constrain", 12),
+        QuerySpec(2, (4, 9), UNIMODAL, "optimize"),
+    )
+    for spec in specs:
+        calls.clear()
+        res = run(g, spec)
+        assert len(calls) == res.stats.x_evaluations > 0, spec.measure.name
+        assert sum(res.stats.zone_eval_counts.values()) == len(calls)
+
+
+EXPANDING = MeasureDescriptor(
+    "span", "monotonic", "higher", lambda core, w, ctx: w.te - w.ts, improves_on="expand",
+)
 
 
 UNIMODAL = MeasureDescriptor(
