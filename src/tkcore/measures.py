@@ -50,8 +50,10 @@ class EvalContext(NamedTuple):
     `memo` is one dict per query, shared by the contexts of all its zones
     (`with_zone` carries it), in which a built-in evaluator keeps what it
     works out once per query from `all_zones` and `params`: `periodicity`
-    keeps the zones grouped by vertex set.  A context without one (None,
-    the default) is answered by each evaluation alone."""
+    keeps the zones grouped by vertex set, with the zones and gap it grouped
+    them for, so a context that replaces either rebuilds the groups.  A
+    context without one (None, the default) is answered by each evaluation
+    alone."""
 
     graph: TemporalGraph | None = None
     zone: object | None = None
@@ -245,16 +247,15 @@ def _periodicity(core, w, ctx):
     if zones is None:
         raise ContractViolation("periodicity needs the full zone list in the context")
     gap = ctx.params.get("p", 1)
-    if ctx.memo is None:  # each evaluation scans every zone
+    memo = ctx.memo
+    if memo is None:  # each evaluation scans every zone
         return _chain_count([z.tti for z in zones if z.core.vertices == core.vertices], gap)
-    groups = ctx.memo.get("periodicity")
-    if groups is None:
-        groups = ctx.memo["periodicity"] = _periodicity_groups(zones, gap)
-    alone, shared = groups
-    lone = alone.get(core.vertex_count)
-    if lone is None:
-        return shared.get(core.vertices, 0)
-    return 1 if lone is core or lone.vertices == core.vertices else 0
+    # the groups are kept with the zones and gap they were built from, so a
+    # context that shares the memo but replaces either rebuilds them
+    kept = memo.get("periodicity")
+    if kept is None or kept[0] is not zones or kept[1] != gap:
+        kept = memo["periodicity"] = (zones, gap, _periodicity_groups(zones, gap))
+    return kept[2].get(core.vertices, 0)
 
 
 _END = attrgetter("te")
@@ -271,27 +272,17 @@ def _chain_count(ttis, gap) -> int:
     return count
 
 
-def _periodicity_groups(zones, gap) -> tuple[dict, dict]:
-    """`periodicity` of every zone's core, worked out once per query.
-
-    The zones are bucketed by vertex count, so vertex sets are built and
-    compared only where counts collide.  A count held by one zone maps to
-    its core, whose value is 1; the others' zones are grouped by vertex
-    set, and each set maps to its group's `_chain_count`.  Hashing groups
-    them, so the comparisons grow with the zones, not with their pairs."""
-    by_count: dict = {}
+def _periodicity_groups(zones, gap) -> dict:
+    """`periodicity` of every zone's core, worked out once per query: the
+    zones grouped by vertex set, each set mapped to its group's
+    `_chain_count`.  Hashing groups them, so the comparisons grow with the
+    zones, not with their pairs."""
+    by_set: dict = {}
     for z in zones:
-        by_count.setdefault(z.core.vertex_count, []).append(z)
-    alone, by_set = {}, {}
-    for n, same in by_count.items():
-        if len(same) == 1:
-            alone[n] = same[0].core
-        else:
-            for z in same:
-                by_set.setdefault(z.core.vertices, []).append(z.tti)
+        by_set.setdefault(z.core.vertices, []).append(z.tti)
     for vertices, ttis in by_set.items():  # a loop, not a comprehension frame
         by_set[vertices] = _chain_count(ttis, gap)
-    return alone, by_set
+    return by_set
 
 
 def _growth_rate(core, w, ctx):

@@ -410,6 +410,12 @@ def test_periodicity_with_and_without_a_memo_equals_the_scan(seed, p):
         want = scanned_periodicity(core, zones, p)
         assert evaluate(m, core, core.tti, base) == want
         assert evaluate(m, core, core.tti, shared) == want
+    # contexts that share the memo but replace the gap or the zones read
+    # groups built for their own, not for the first caller's
+    for other_zones, other_p in ((zones, p + 1), (zones[::2], p), (zones, p)):
+        ctx = shared._replace(all_zones=other_zones, params={"p": other_p})
+        for core in [z.core for z in zones] + absent:
+            assert evaluate(m, core, core.tti, ctx) == scanned_periodicity(core, other_zones, other_p)
 
 
 class CountedSet(frozenset):
