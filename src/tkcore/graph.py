@@ -291,10 +291,10 @@ class CoreSnapshot:
     `neighbor_sets` on first use, the last five off the graph's pair runs
     inside its TTI.  `CoreSnapshot(vertices, edges, tti, k)` takes an
     explicit vertex set and edge tuple instead, and counts `pair_count` off
-    the edges on first use.  `engagement` keeps two values on a capture:
-    its vertices by degree bound, and its value at the core's own TTI,
-    which depends on nothing but the graph, the core and the TTI.  An
-    explicit snapshot never keeps the second.  A snapshot is
+    the edges on first use.  `engagement` keeps two values on a capture
+    evaluated against its own graph: its vertices by degree bound, and its
+    value at the core's own TTI, which depends on nothing but the graph,
+    the core and the TTI.  An explicit snapshot keeps neither.  A snapshot is
     shared by every evaluation of its core and must not be modified
     otherwise, and one read off a core-time index (`coreindex`) by every
     later query of its graph and k.
@@ -305,7 +305,7 @@ class CoreSnapshot:
     """
 
     _graph = None  # the graph a capture was induced from
-    engagement_order = None  # kept by `engagement` on first use: its vertices by ascending degree bound
+    engagement_order = None  # kept by `engagement` on first use against its own graph: its vertices by bound
     engagement_at_tti = None  # kept by `engagement` on a capture's first evaluation at its TTI: the value there
 
     def __init__(self, vertices: frozenset, edges, tti: TimeInterval | None, k: int | None = None):
@@ -502,7 +502,11 @@ def normalize_timestamps(g: TemporalGraph, mode: str, width: int | None = None) 
     if g.edge_count == 0:
         raise ValueError("cannot normalize a graph with no edges")
     if mode == "bucket":
-        if width is None or width <= 0:
+        try:
+            width = index(width)
+        except TypeError:
+            width = 0  # refused with the widths below 1
+        if width <= 0:
             raise ValueError("bucket width must be a positive integer")
         lo = g.min_t
         # a bucket merges stamps, so runs of a later stamp may now sort

@@ -12,9 +12,9 @@ The built-in measures' values are exact: plain ints or `fractions.Fraction`.
 This module alone orders values, for every route and the oracle alike.
 Evaluators read what a captured core keeps: `burstiness` its distinct-pair
 count, `frequency` its least parallel-edge count, and `engagement` its
-vertices by degree bound and its value at its own TTI, which a capture
-keeps on its first evaluation there, so a core-time index answers every
-later evaluation at a TTI from the core itself.
+vertices by degree bound, ordered in exact integers, and its value at its
+TTI, both kept only against the core's own graph, so a core-time index
+answers every later evaluation at a TTI from the core itself.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from operator import attrgetter, ge, gt, itemgetter, le, lt, truediv
+from operator import attrgetter, floordiv, ge, gt, itemgetter, le, lt, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
@@ -295,57 +295,51 @@ def _burstiness(core, w, ctx):
     return Fraction(2 * core.pair_count, w.te - w.ts + 1)
 
 
+def _bound_keys(inners, counts):
+    """The integer sort keys of the ratios inner / count; `_engagement` says why they are exact."""
+    return map(floordiv, map(mul, inners, repeat(max(counts) ** 2)), counts)
+
+
 def _engagement(core, w, ctx):
     g = ctx.graph
     if g is None:
         raise ContractViolation("engagement needs the source graph in the context")
-    # The value at the core's own TTI depends on the graph, the core and
-    # the TTI alone, so a capture keeps it for every later evaluation there
-    # (a shrink-improving optimize reads only the TTI).  An explicit
-    # snapshot has no graph of its own, so it keeps nothing.
-    at_tti = g is core._graph and w == core.tti
+    # Both values a core keeps depend on the graph, so only a capture
+    # evaluated against its own graph keeps them; the value at its TTI
+    # depends on nothing else (a shrink-improving optimize reads only it).
+    own = g is core._graph
+    at_tti = own and w == core.tti
     if at_tti and core.engagement_at_tti is not None:
         return core.engagement_at_tti
     # A vertex's window degree is at most its distinct neighbors over the
     # whole graph, so its ratio is at least inner / that count, its bound.
-    # The core keeps its vertices by ascending bound, and the scan stops at
-    # the first bound that reaches the least ratio found: neither that
-    # vertex nor a later one can undercut it.  The stop is taken only when
-    # the window holds the TTI, where every core vertex has a neighbor, so
-    # a vertex with none still raises wherever the full scan would, and
-    # every ratio and bound lies in [0, 1].  Floats of int ratios are
-    # correctly rounded, so each lies within 2**-54 of its ratio, and two
-    # distinct ratios whose denominators are at most 2**26 differ by at
-    # least 2**-52.  So while the graph has at most 2**26 vertices the
-    # floats order the bounds and the stop exactly, and `cut` is the float
-    # just below the least ratio's, which a bound reaching it passes.  On a
-    # larger graph `cut` is the least ratio's float, so only a bound past
-    # it stops, and vertices whose floats tie are all scanned.  The least
-    # ratio is kept as an integer pair and compared by cross-multiplication,
-    # so only the result becomes a Fraction.
-    order = core.engagement_order
+    # The order is by bound, keyed by inner * q * q // count for q the
+    # largest count: ratios with denominators at most q differ by at least
+    # 1 / q**2, so the keys order and tie them exactly.  While the window
+    # holds the TTI the scan stops at the first bound that reaches the
+    # least ratio found: neither that vertex nor a later one can undercut
+    # it.  Elsewhere every vertex is read, and one with no neighbor raises.
+    order = core.engagement_order if own else None
     if order is None:  # built in C, as a walk's cores are new to every query
-        vertices, inners = tuple(core.degrees), tuple(core.degrees.values())
-        timelines = map(g._timelines.get, vertices, repeat(((), (), ())))
+        degrees = core.degrees
+        timelines = map(g._timelines.get, degrees, repeat(((), (), ())))
         counts = tuple(map(len, map(itemgetter(2), timelines)))
-        bounds = tuple(map(truediv, inners, counts))  # a vertex with no timeline raises, as its scan would
-        by_bound = sorted(range(len(bounds)), key=bounds.__getitem__)
-        order = tuple(tuple(map(seq.__getitem__, by_bound)) for seq in (vertices, inners, counts))
-        core.engagement_order = order
+        keys = _bound_keys(degrees.values(), counts)  # a vertex with no timeline raises, as its scan would
+        rows = sorted(zip(keys, degrees, degrees.values(), counts), key=itemgetter(0))
+        order = tuple(zip(*rows))[1:]  # vertices, core degrees and counts, kept as three tuples
+        if own:
+            core.engagement_order = order
     degree_in = g.degree_in
     holds = w.ts <= core.tti.ts and core.tti.te <= w.te
-    reach = g.vertex_count <= 2**26  # the floats order every ratio exactly
-    n, d, cut = None, 1, math.inf
+    n, d = 1, 0  # the least ratio so far as an int pair; 1 / 0 is above every ratio
     for v, inner, count in zip(*order):
-        if inner / count > cut:
+        if holds and inner * d >= n * count:
             break
         outer = degree_in(v, w)
         if not outer:
             raise ZeroDivisionError(f"engagement: vertex {v} has no neighbor in {tuple(w)}")
-        if n is None or inner * d < n * outer:
+        if inner * d < n * outer:
             n, d = inner, outer
-            if holds:
-                cut = math.nextafter(n / d, -math.inf) if reach else n / d
     value = Fraction(n, d)
     if at_tti:
         core.engagement_at_tti = value

@@ -184,12 +184,12 @@ def clamp_window(g: TemporalGraph, window) -> TimeInterval | None:
     return TimeInterval(lo, hi) if lo <= hi else None
 
 
-def loosest_cell(stamps, w: TimeInterval, lo: int, hi: int, r: int, c: int) -> Cell:
+def loosest_cell(stamps, w: TimeInterval, r: int, c: int) -> Cell:
     """The loosest raw cell of rank cell (r, c) of window `w`, whose stamps
-    are stamps[lo..hi]: it reaches from just past the previous stamp (or the
+    are `stamps`: it reaches from just past the previous stamp (or the
     window's start) to just before the next one (or the window's end), and
     every raw cell in it induces the same core."""
-    return Cell(w.ts if r == lo else stamps[r - 1] + 1, w.te if c == hi else stamps[c + 1] - 1)
+    return Cell(w.ts if r == 0 else stamps[r - 1] + 1, w.te if c == len(stamps) - 1 else stamps[c + 1] - 1)
 
 
 def run_tcd(g: TemporalGraph, k: int, window) -> CoreCatalog:
@@ -266,7 +266,7 @@ def walk_schedule(
                 stats.decompositions += 1
                 current = walker
             stats.cells_visited += 1
-            raw_cell = loosest_cell(times, w, 0, last, r, c)
+            raw_cell = loosest_cell(times, w, r, c)
             if debug:
                 stats.visit_trace.append(raw_cell)
             if current.edge_count:

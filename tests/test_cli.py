@@ -184,6 +184,7 @@ def test_usage_errors_exit_2(g0_file, capsys):
         ("query", "--input", g0_file, "--k", "2", "--ts", "5", "--te", "1"),
         ("query", "--input", "synthetic:20,60", "--k", "2"),
         ("query", "--input", g0_file, "--k", "2", "--granularity", "weekly"),
+        ("query", "--input", g0_file, "--k", "2", "--granularity", "bucket:2.5"),
         ("query", "--input", "synthetic:10,100,60,uniform", "--k", "2", "--algorithm", "oracle"),
     ]
     for argv in cases:

@@ -312,6 +312,11 @@ def test_normalize_validates_arguments():
         normalize_timestamps(g, "bucket")
     with pytest.raises(ValueError):
         normalize_timestamps(g, "bucket", width=0)
+    # a width that is not an integer would leave float stamps
+    for width in (2.5, "2"):
+        with pytest.raises(ValueError, match="positive integer"):
+            normalize_timestamps(g, "bucket", width=width)
+    assert normalize_timestamps(g, "bucket", width=2).pair_runs == ((0, 1, 1, 1),)
     with pytest.raises(ValueError):
         normalize_timestamps(g, "fourier")
     empty = TemporalGraph.from_edges(2, [])

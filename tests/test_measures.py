@@ -5,9 +5,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tkcore.graph
+import tkcore.measures
 import tkcore.txcq
 
 from tkcore import (
@@ -230,16 +231,58 @@ def test_engagement_stops_at_a_bound_past_the_least_ratio():
 def test_engagement_stops_at_a_bound_that_ties_the_least_ratio():
     # a triangle at t=1 where vertex 0 also meets 3 at t=1 and vertex 1
     # meets 4 at t=9: both bound at 2/3, and 0's ratio at (1, 1) is 2/3, so
-    # the scan stops at 1, whose ratio cannot undercut it; past 2**26
-    # vertices floats may tie distinct ratios, and a tied bound is scanned
+    # the scan stops at 1, whose ratio cannot undercut it; the bounds are
+    # compared as integers, so no graph size changes the stop
     g = TemporalGraph.from_edges(5, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (0, 3, 1), (1, 4, 9)])
     core, m = reference_core(g, 2, (1, 1)), get_measure("engagement")
-    for vertex_count, reads in ((5, [0]), (2**26 + 1, [0, 1])):
-        g.__dict__["vertex_count"] = vertex_count  # the count alone selects the stop
-        read = []
-        with counting_degree_in(read):
-            assert evaluate(m, core, (1, 1), EvalContext(graph=g)) == Fraction(2, 3)
-        assert read == reads
+    read = []
+    with counting_degree_in(read):
+        assert evaluate(m, core, (1, 1), EvalContext(graph=g)) == Fraction(2, 3)
+    assert read == [0]
+
+
+def ratio_pairs():
+    # (inner, count) pairs with counts up to 2**40: scaled copies of one
+    # ratio, which tie, and neighbors (c - 1) / c and c / (c + 1), whose
+    # floats can tie once c passes 2**26
+    scaled = st.builds(
+        lambda n, d, m: (min(n, d) * m, d * m),
+        st.integers(0, 2**20), st.integers(1, 2**20), st.integers(1, 2**20),
+    )
+    near = st.integers(2, 2**40 - 1).flatmap(lambda c: st.sampled_from(((c - 1, c), (c, c + 1))))
+    return st.lists(st.one_of(scaled, near), min_size=1, max_size=12)
+
+
+@given(pairs=ratio_pairs())
+@example(pairs=[(2**40 - 2, 2**40 - 1), (2**40 - 1, 2**40), (1, 2), (2**39, 2**40)])
+@settings(max_examples=300, deadline=None)
+def test_engagement_bound_keys_order_ratios_exactly(pairs):
+    inners, counts = zip(*pairs)
+    keys = tuple(tkcore.measures._bound_keys(inners, counts))
+    ratios = [Fraction(inner, count) for inner, count in pairs]
+    for i, (key, ratio) in enumerate(zip(keys, ratios)):
+        for other_key, other in zip(keys[i:], ratios[i:]):
+            assert (key < other_key, key == other_key) == (ratio < other, ratio == other)
+
+
+def test_engagement_reads_the_graph_it_is_evaluated_against():
+    # a triangle at t=1 whose vertex 2 also meets 3, 4 and 5 at t=1 in g2:
+    # evaluated against its own graph first, each core must not carry that
+    # graph's neighbor counts into g2, where 2's ratio is 2/5
+    triangle = [(0, 1, 1), (1, 2, 1), (0, 2, 1)]
+    g1 = TemporalGraph.from_edges(6, triangle)
+    g2 = TemporalGraph.from_edges(6, triangle + [(2, 3, 1), (2, 4, 1), (2, 5, 1)])
+    full, m = (1, 1), get_measure("engagement")
+    indexed = run_txcq(g1, QuerySpec(2, full))
+    assert indexed.stats.index == "built"
+    explicit, walked = reference_core(g1, 2, full), next(iter(run_otcd_star(g1, 2, full))).core
+    for core in (explicit, walked, indexed.entries[0].zone.core):
+        for g, want in ((g1, Fraction(1)), (g2, Fraction(2, 5))):
+            for w in (full, (0, 2)):
+                assert evaluate(m, core, w, EvalContext(graph=g)) == want == least_ratio_by_edge_scan(g, core, w)
+        # a capture keeps its own graph's values, an explicit snapshot none
+        kept = {"engagement_order", "engagement_at_tti"} & vars(core).keys()
+        assert kept == (set() if core is explicit else {"engagement_order", "engagement_at_tti"})
 
 
 def least_ratio_by_edge_scan(g, core, w):
@@ -294,7 +337,7 @@ def test_engagement_keeps_nothing_off_the_cores_own_graph(g0):
             values = [evaluate(m, core, core.tti, EvalContext(graph=g)) for _ in range(2)]
         assert values == [Fraction(1)] * 2
         assert read and read[: len(read) // 2] * 2 == read
-        assert "engagement_at_tti" not in vars(core)
+        assert not {"engagement_order", "engagement_at_tti"} & vars(core).keys()
     evaluate(m, captured, captured.tti, EvalContext(graph=g0))
     assert vars(captured)["engagement_at_tti"] == Fraction(1)
     # a window that holds the TTI but is not it keeps nothing either
