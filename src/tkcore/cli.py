@@ -314,12 +314,14 @@ def _stats_payload(stats: QueryStats) -> dict:
 
 
 def _query_payload(args, spec: QuerySpec) -> dict:
+    params = spec.measure.params if spec.measure else {}
     return {
         "input": args.input,
         "k": spec.k,
         "window": list(spec.window),
         "measure": spec.measure.name if spec.measure else None,
-        "measure_params": dict(spec.measure.params) if spec.measure else {},
+        # an int stays a JSON number; any other value, a Fraction, is its exact text, as `sigma` is
+        "measure_params": {name: v if type(v) is int else _value_text(v) for name, v in params.items()},
         "mode": spec.mode,
         "sigma": _value_text(spec.sigma) or None,
         "algorithm": getattr(args, "algorithm", None),

@@ -38,13 +38,17 @@ inside its TTI, each on first use.  Neither the LTIs nor the snapshot
 depend on a window, so both are kept for every later query of the
 (graph, k).  A window's rows lo..hi then keep the LTIs whose rows reach
 lo, cut them at row lo and column hi, and merge those the cut leaves in
-one column.  A row's distinct cores are kept ascending by TTI end, so a
-lookup stops reading a row at its first core that ends past the window,
-and reads nothing else of the rows.  The lookup cuts each core's LTIs in
-the same loop and hands over one `txcq.ZoneRecord` per zone, which the
-query reads as is.  The walk's counters of a window (cells visited,
-and pruned by `PoR` or `Empty`) are worked out from the rows' breakpoints
-only when a caller asks for them (`CoreIndex.counters`).
+one column.  Most rows hold no distinct core of their own, so the build
+ends by listing the rows that do, ascending, and a lookup bisects that
+list to rows lo..hi and steps through no other row.  A row's distinct cores are kept ascending by
+TTI end, so a lookup stops reading a row at its first core that ends past
+the window, and reads nothing else of the rows.  The lookup cuts each
+core's LTIs in the same loop and hands over one `txcq.ZoneRecord` per
+zone, which the query reads as is; it builds the records and their cells
+by `tuple.__new__`, so a lookup of cores read before runs no Python frame.
+The walk's counters of a window (cells visited, and pruned by `PoR` or
+`Empty`) are worked out from the rows' breakpoints only when a caller asks
+for them (`CoreIndex.counters`).
 """
 
 from __future__ import annotations
@@ -73,7 +77,8 @@ class CoreIndex:
     core with TTI (r, b), ascending by b: `pairs` counts its distinct
     adjacent vertex pairs, and its vertices are `order[:n]`, where `order`
     is the vertex order of the sweep that found it, shared by all of that
-    sweep's cores.  `read[(s, b)]` holds `(snapshot, ltis)` for each core
+    sweep's cores; `core_rows` lists the rows whose `cores` are not empty,
+    ascending.  `read[(s, b)]` holds `(snapshot, ltis)` for each core
     read so far: its snapshot, captured off `order`, `n` and `pairs`, and
     its loosest rank cells over the whole schedule.
     """
@@ -106,6 +111,7 @@ class CoreIndex:
                 edges = self.edges[row][:i] + edges
             self.cols[s : t + 1] = [cols] * (t + 1 - s)
             self.edges[s : t + 1] = [edges] * (t + 1 - s)
+        self.core_rows = [s for s, cores in enumerate(self.cores) if cores]
 
     def _sweep(self, walker: TEL, s: int):
         """Row s's breakpoints, their edge counts and its distinct cores,
@@ -144,8 +150,9 @@ class CoreIndex:
     def locate(self, window) -> list:
         """Every distinct nonempty core of `window` as a `ZoneRecord`, ascending
         by TTI, with its LTIs raw and by descending te.  These are the cores
-        of the window's rows lo..hi whose TTI ends by hi; a row's cores ascend
-        by TTI end, so its read stops at the first that ends past hi.
+        of the window's rows lo..hi whose TTI ends by hi: the rows are taken
+        off `core_rows`, and a row's cores ascend by TTI end, so its read
+        stops at the first that ends past hi.
 
         A core's LTIs are its loosest rank cells over the whole schedule
         (`read`), by descending row and column, each the topmost of the rows
@@ -162,8 +169,9 @@ class CoreIndex:
         if lo > hi:
             return zones
         first, end = max(ts, stamps[0]), min(te, stamps[-1])
-        read, cores, zone = self.read, self.cores, txcq.ZoneRecord
-        for s in range(lo, hi + 1):
+        read, cores, rows = self.read, self.cores, self.core_rows
+        new, zone, interval = tuple.__new__, txcq.ZoneRecord, TimeInterval
+        for s in rows[bisect_left(rows, lo) : bisect_right(rows, hi)]:
             for core in cores[s]:
                 b = core[0]
                 if b > hi:
@@ -171,16 +179,16 @@ class CoreIndex:
                 snap, ltis = read.get((s, b)) or self._first_read(s, *core)
                 cells: list = []
                 for r, c in ltis:
-                    cell = TimeInterval(
+                    cell = new(interval, (
                         first if r <= lo else stamps[r - 1] + 1, end if c >= hi else stamps[c + 1] - 1
-                    )
+                    ))
                     if c >= hi and cells:
                         cells[-1] = cell
                     else:
                         cells.append(cell)
                     if r <= lo:
                         break
-                zones.append(zone(snap, snap.tti, tuple(cells)))
+                zones.append(new(zone, (snap, snap.tti, tuple(cells))))
         return zones
 
     def counters(self, window) -> EngineStats:

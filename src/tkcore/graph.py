@@ -291,7 +291,9 @@ class CoreSnapshot:
     `neighbor_sets` on first use, the last five off the graph's pair runs
     inside its TTI.  `CoreSnapshot(vertices, edges, tti, k)` takes an
     explicit vertex set and edge tuple instead, and counts `pair_count` off
-    the edges on first use.  `engagement` keeps two values on a capture
+    the edges on first use; it refuses (`ContractViolation`) a self-loop,
+    an edge with an end outside `vertices` or a stamp outside `tti`, and
+    edges without a TTI or a TTI without edges.  `engagement` keeps two values on a capture
     evaluated against its own graph: its vertices by degree bound, and its
     value at the core's own TTI, which depends on nothing but the graph,
     the core and the TTI.  An explicit snapshot keeps neither.  A snapshot is
@@ -309,11 +311,19 @@ class CoreSnapshot:
     engagement_at_tti = None  # kept by `engagement` on a capture's first evaluation at its TTI: the value there
 
     def __init__(self, vertices: frozenset, edges, tti: TimeInterval | None, k: int | None = None):
+        edges = tuple(edges)
+        if (tti is None) != (not edges):
+            raise ContractViolation(f"a core has a TTI exactly when it has edges: tti {tti}, {len(edges)} edges")
+        for u, v, t in edges:
+            if u == v or u not in vertices or v not in vertices or not tti.ts <= t <= tti.te:
+                raise ContractViolation(
+                    f"edge {(u, v, t)} is not a graph edge between two of the vertices inside the TTI {tti}"
+                )
         self.vertices = vertices  # fills the lazy view
         self.vertex_count = len(vertices)
         self.tti = tti
         self.k = k
-        self.__dict__["edges"] = edges = tuple(edges)  # fills the lazy cache
+        self.__dict__["edges"] = edges  # fills the lazy cache
         self.edge_count = len(edges)
 
     @classmethod

@@ -8,7 +8,9 @@ evaluation schedule from that declaration, so a mislabeled measure produces
 wrong answers; `check_measure_sensitivity` spot-checks a declaration on
 real zones.
 
-The built-in measures' values are exact: plain ints or `fractions.Fraction`.
+The built-in measures' values are exact: plain ints or `fractions.Fraction`,
+which `growth_rate` and `burstiness` build by `_ratio`, without a
+`Fraction.__new__` frame.
 This module alone orders values, for every route and the oracle alike.
 Evaluators read what a captured core keeps: `burstiness` its distinct-pair
 count, `frequency` its least parallel-edge count, and `engagement` its
@@ -25,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
+from math import gcd
 from operator import attrgetter, floordiv, ge, gt, itemgetter, le, lt, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
@@ -285,14 +288,31 @@ def _periodicity_groups(zones, gap) -> dict:
     return by_set
 
 
+_new = object.__new__
+
+
+def _ratio(n: int, d: int) -> Fraction:
+    """`Fraction(n, d)` of two ints, built without `Fraction.__new__` when
+    d >= 1: the parts are cut by their `math.gcd` and set in the slots
+    that `EXACT_PARTS` reads.  Any other d goes through `Fraction`, which
+    moves a negative sign up and refuses 0."""
+    if d < 1:
+        return Fraction(n, d)
+    g = gcd(n, d)
+    value = _new(Fraction)
+    value._numerator = n // g
+    value._denominator = d // g
+    return value
+
+
 def _growth_rate(core, w, ctx):
     # w.te - w.ts + 1 is `w.duration` without a property call
-    return Fraction(core.vertex_count, w.te - w.ts + 1)
+    return _ratio(core.vertex_count, w.te - w.ts + 1)
 
 
 def _burstiness(core, w, ctx):
     # the degree sum counts every adjacent vertex pair twice
-    return Fraction(2 * core.pair_count, w.te - w.ts + 1)
+    return _ratio(2 * core.pair_count, w.te - w.ts + 1)
 
 
 def _bound_keys(inners, counts):

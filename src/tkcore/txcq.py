@@ -9,10 +9,13 @@ answers hold their members as `MemberSet` boxes and never list them.  The
 zone and answer records (`ZoneRecord`, `ResultEntry`, `QueryResult`) are
 NamedTuples, so they unpack and compare like tuples.
 
-Phase 1 has two routes.  `run_txcq` reads the zones off the graph's
+Phase 1 has two routes, and `_run` picks one per query before it hands
+the zones to phase 2.  `run_txcq` reads the zones off the graph's
 core-time index at k (`coreindex.CoreIndex`), built on the first query of
 that (graph, k) and cached on the graph; it keeps each core it has read,
-snapshot and LTIs, for the later queries.  A snapshot carries the counts
+snapshot and LTIs, for the later queries.  So a query on a built index
+runs `run_txcq`, `_run`, `CoreIndex.locate` and `_answer`, and phase 1
+runs no Python frame per zone once its cores have been read.  A snapshot carries the counts
 its sweep recorded (edges, vertices, distinct adjacent pairs), and reads
 its degrees off the graph's pair runs only when a measure first asks.  A
 graph whose ranks x pair runs exceed `coreindex.MAX_CORE_INDEX_SIZE` gets
@@ -486,35 +489,6 @@ def tmc_ls(zone: ZoneRecord, spec: QuerySpec, ctx: EvalContext):
 # -- dispatch ---------------------------------------------------------------
 
 
-def _phase1(g: TemporalGraph, k: int, window, use_index: bool) -> tuple[list, QueryStats]:
-    """Phase 1: the window's zones, ascending by TTI, and the query's stats.
-    With `use_index` the zones are read off the graph's core-time index at
-    k, built on first use; a graph that gets no index, like a query without
-    `use_index`, walks OTCD*."""
-    started = time.perf_counter()
-    index = how = None
-    build_ms = 0.0
-    if use_index:
-        try:
-            index, how = g.core_indexes[k], "reused"
-        except KeyError:  # the first query of (g, k) builds, if the size rule allows
-            if len(g.timestamps) * len(g.pair_runs) <= coreindex.MAX_CORE_INDEX_SIZE:
-                index, how = coreindex.CoreIndex(g, k), "built"
-                build_ms = (time.perf_counter() - started) * 1000.0
-            g.core_indexes[k] = index
-        if index is None:  # the size rule allowed none
-            how = "refused"
-    if index is None:
-        zones, walk = _locate(g, k, window, "otcd-star", rectangle_prune)
-        return zones, QueryStats.from_walk(walk, index=how, index_build_ms=build_ms)
-    zones = index.locate(window)
-    phase1_ms = (time.perf_counter() - started) * 1000.0
-    # built positionally: by keyword it costs twice as long (CPython 3.11)
-    return zones, QueryStats(
-        "core-index", phase1_ms, 0.0, 0, {}, False, how, build_ms, partial(index.counters, window),
-    )
-
-
 def run_txcq(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
     """Answer a measured temporal k-core query with the cheapest strategy
     the measure's declared sensitivity allows.  Phase 1 reads the graph's
@@ -530,6 +504,8 @@ def run_txcq_walk(g: TemporalGraph, spec: QuerySpec) -> QueryResult:
 
 
 def _run(g: TemporalGraph, spec: QuerySpec, use_index: bool) -> QueryResult:
+    """Pick phase 2's search from the measure's declaration, locate the
+    zones (phase 1) and answer from them (`_answer`)."""
     measure = spec.measure
     if spec.mode == "enumerate":
         search = None
@@ -542,7 +518,35 @@ def _run(g: TemporalGraph, spec: QuerySpec, use_index: bool) -> QueryResult:
         search = tmo_ls
     else:
         search = tmc_ls
-    return _answer(g, spec, *_phase1(g, spec.k, spec.window, use_index), search)
+    # phase 1: the window's zones, ascending by TTI.  With `use_index` they
+    # are read off the graph's core-time index at k, built by the first
+    # query of (g, k); a graph that gets no index, like a query without
+    # `use_index`, walks OTCD*.
+    k, window = spec.k, spec.window
+    started = time.perf_counter()
+    index = how = None
+    build_ms = 0.0
+    if use_index:
+        try:
+            index, how = g.core_indexes[k], "reused"
+        except KeyError:  # the first query of (g, k) builds, if the size rule allows
+            if len(g.timestamps) * len(g.pair_runs) <= coreindex.MAX_CORE_INDEX_SIZE:
+                index, how = coreindex.CoreIndex(g, k), "built"
+                build_ms = (time.perf_counter() - started) * 1000.0
+            g.core_indexes[k] = index
+        if index is None:  # the size rule allowed none
+            how = "refused"
+    if index is None:
+        zones, walk = _locate(g, k, window, "otcd-star", rectangle_prune)
+        stats = QueryStats.from_walk(walk, index=how, index_build_ms=build_ms)
+    else:
+        zones = index.locate(window)
+        # built positionally: by keyword it costs twice as long (CPython 3.11)
+        stats = QueryStats(
+            "core-index", (time.perf_counter() - started) * 1000.0, 0.0, 0, {}, False, how, build_ms,
+            partial(index.counters, window),
+        )
+    return _answer(g, spec, zones, stats, search)
 
 
 def run_tcd_star(g: TemporalGraph, spec: QuerySpec) -> QueryResult:

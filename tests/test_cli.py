@@ -166,6 +166,18 @@ def test_param_changes_a_measured_answer(capsys):
     assert len(spaced["zones"]) > len(default["zones"])
 
 
+@pytest.mark.parametrize("command", ["query", "verify"])
+def test_a_non_integer_param_prints_as_exact_text(capsys, command):
+    # the library answers a Fraction parameter; the JSON shows it as its
+    # exact text, as it shows `sigma`, and an int as a number
+    base = (command, "--input", "synthetic:60,600,20,planted-community", "--seed", "1",
+            "--k", "2", "--measure", "periodicity", "--mode", "optimize")
+    for text, shown in (("3/2", "3/2"), ("1.5", "3/2"), ("1e400", str(10**400)), ("2", 2)):
+        code, out, err = run_cli(capsys, *base, "--param", f"p={text}")
+        assert (code, err) == (0, ""), text
+        assert json.loads(out)["query"]["measure_params"] == {"p": shown}
+
+
 # -- exit codes ---------------------------------------------------------------
 
 

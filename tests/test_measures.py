@@ -265,6 +265,24 @@ def test_engagement_bound_keys_order_ratios_exactly(pairs):
             assert (key < other_key, key == other_key) == (ratio < other, ratio == other)
 
 
+@given(n=st.integers(0, 2**70), d=st.integers(1, 2**70), other=st.fractions())
+@example(n=0, d=5, other=Fraction(0))
+@example(n=6, d=4, other=Fraction(-3, 2))
+@example(n=3, d=-6, other=Fraction(1))  # below 1, d is left to Fraction
+@settings(max_examples=300, deadline=None)
+def test_ratio_is_the_fraction_it_stands_for(n, d, other):
+    # `growth_rate` and `burstiness` build their values with `_ratio`,
+    # which fills a Fraction's slots without Fraction.__new__
+    ratio, want = tkcore.measures._ratio(n, d), Fraction(n, d)
+    assert type(ratio) is Fraction
+    assert (ratio.numerator, ratio.denominator) == (want.numerator, want.denominator)
+    assert ratio == want and hash(ratio) == hash(want) and str(ratio) == str(want)
+    assert (ratio < other, ratio == other) == (want < other, want == other)
+    assert (ratio + other, ratio - other, ratio * other) == (want + other, want - other, want * other)
+    if other:
+        assert ratio / other == want / other
+
+
 def test_engagement_reads_the_graph_it_is_evaluated_against():
     # a triangle at t=1 whose vertex 2 also meets 3, 4 and 5 at t=1 in g2:
     # evaluated against its own graph first, each core must not carry that

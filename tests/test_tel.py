@@ -286,6 +286,18 @@ def test_an_explicit_snapshot_counts_a_pair_in_either_endpoint_order(first, seco
     assert (explicit.pair_count, explicit.least_pair_count, dict(explicit.degrees)) == (1, 2, {0: 1, 1: 1})
 
 
+@pytest.mark.parametrize("vertices, edges, tti", [
+    ({0}, [(0, 0, 1)], TimeInterval(1, 1)),  # a self-loop, which every graph drops
+    ({0}, [(0, 1, 1)], TimeInterval(1, 1)),  # an end outside the vertex set
+    ({0, 1}, [(0, 1, 1), (0, 1, 3)], TimeInterval(1, 2)),  # a stamp outside the TTI
+    ({0, 1}, [], TimeInterval(1, 2)),  # a TTI without edges
+    ({0, 1}, [(0, 1, 1)], None),  # edges without a TTI
+])
+def test_an_explicit_snapshot_refuses_edges_no_core_can_hold(vertices, edges, tti):
+    with pytest.raises(ContractViolation):
+        CoreSnapshot(frozenset(vertices), edges, tti, 1)
+
+
 def test_windowed_build_equals_build_then_truncate(tel_fixture_graph):
     for window in ((2, 6), (3, 5), (5, 6), (4, 4), (7, 9)):
         fused = TEL.from_graph(tel_fixture_graph, window)

@@ -724,6 +724,44 @@ def test_phase_two_runs_only_the_search_per_zone(monkeypatch):
         assert all(n <= len(res.entries) + 1 for code, n in frames.items() if n < zones)
 
 
+def test_a_warm_index_query_runs_no_frame_per_zone_outside_its_searches():
+    # a warm query runs `run_txcq`, `_run`, `CoreIndex.locate` and `_answer`:
+    # phase 1 is no layer of its own, and `locate` calls no Python frame,
+    # since it builds its cells and records by `tuple.__new__`; so per zone
+    # the query runs only the search and what the search calls, and a
+    # `burstiness` value is built without `Fraction.__new__`
+    assert not hasattr(txcq, "_phase1")
+    g = generate_synthetic(40, 300, 16, model="uniform", seed=3)
+    locate = CoreIndex.locate.__code__
+    built = {TimeInterval.__new__.__code__, ZoneRecord.__new__.__code__, Fraction.__new__.__code__}
+    cases = (  # (measure, mode, the frames each zone runs)
+        (None, "enumerate", set()),
+        (get_measure("burstiness"), "optimize", {"tmo_ls", "evaluate", "_burstiness", "_ratio"}),
+        (get_measure("growth_rate"), "optimize", {"tmo_ls", "evaluate", "_growth_rate", "_ratio"}),
+    )
+    for measure, mode, searched in cases:
+        spec = QuerySpec(2, (1, 16), measure, mode)
+        run_txcq(g, spec)  # warm: the index is built and every core read
+        frames, in_locate = {}, []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames[frame.f_code] = frames.get(frame.f_code, 0) + 1
+                if frame.f_back.f_code is locate:
+                    in_locate.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            res = run_txcq(g, spec)
+        finally:
+            sys.setprofile(None)
+        zones = len(res.stats.zone_eval_counts) or len(res.entries)
+        assert zones == 123 and res.stats.index == "reused"
+        assert frames[locate] == 1 and in_locate == []
+        assert built.isdisjoint(frames)
+        assert {code.co_name for code, n in frames.items() if n >= zones} == searched
+
+
 @pytest.mark.parametrize("run", [run_txcq, run_txcq_walk])
 def test_phase_two_evaluates_through_the_module_global(monkeypatch, run):
     # the searches look `evaluate` up in `txcq` at call time, so a wrapper

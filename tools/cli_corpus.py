@@ -26,9 +26,12 @@ The corpus:
 - the same instance at k=2: a `size` optimize with `--param q=3`, which
   `size` does not declare, a `periodicity` optimize with `--param p=nan`,
   and one with `--param p=2 --param p=9`, which names `p` twice; all three
-  exit 2 (3 commands).
+  exit 2 (3 commands);
+- the same instance at k=2: `query` and `verify` of a `periodicity`
+  optimize with a non-integer `--param`, p=3/2, p=1.5 and p=1e400, which
+  the JSON shows as exact text (6 commands).
 
-296 commands in all.
+302 commands in all.
 """
 
 from __future__ import annotations
@@ -86,6 +89,9 @@ def commands():
     yield ["query", *small, "--measure", "periodicity", "--param", "p=nan", "--mode", "optimize"]
     yield ["query", *small, "--measure", "periodicity", "--param", "p=2", "--param", "p=9",
            "--mode", "optimize"]
+    for p in ("p=3/2", "p=1.5", "p=1e400"):
+        for command in ("query", "verify"):
+            yield [command, *small, "--measure", "periodicity", "--param", p, "--mode", "optimize"]
 
 
 def run(main, argv) -> tuple[int, str]:
