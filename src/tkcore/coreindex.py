@@ -40,9 +40,10 @@ depend on a window, so both are kept for every later query of the
 lo, cut them at row lo and column hi, and merge those the cut leaves in
 one column.  Most rows hold no distinct core of their own, so the build
 ends by listing the rows that do, ascending, and a lookup bisects that
-list to rows lo..hi and steps through no other row.  A row's distinct cores are kept ascending by
-TTI end, so a lookup stops reading a row at its first core that ends past
-the window, and reads nothing else of the rows.  The lookup cuts each
+list to rows lo..hi and steps through no other row.  A row's distinct
+cores are kept ascending by TTI end, so a lookup stops reading a row at
+its first core that ends past the window, and reads nothing else of the
+rows.  The lookup cuts each
 core's LTIs in the same loop and hands over one `txcq.ZoneRecord` per
 zone, which the query reads as is; it builds the records and their cells
 by `tuple.__new__`, so a lookup of cores read before runs no Python frame.

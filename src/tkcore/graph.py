@@ -293,8 +293,8 @@ class CoreSnapshot:
     explicit vertex set and edge tuple instead, and counts `pair_count` off
     the edges on first use; it refuses (`ContractViolation`) a self-loop,
     an edge with an end outside `vertices` or a stamp outside `tti`, and
-    edges without a TTI or a TTI without edges.  `engagement` keeps two values on a capture
-    evaluated against its own graph: its vertices by degree bound, and its
+    edges without a TTI or a TTI without edges.  `engagement` keeps two
+    values on a capture evaluated against its own graph: its vertices by degree bound, and its
     value at the core's own TTI, which depends on nothing but the graph,
     the core and the TTI.  An explicit snapshot keeps neither.  A snapshot is
     shared by every evaluation of its core and must not be modified

@@ -15,9 +15,10 @@ core-time index at k (`coreindex.CoreIndex`), built on the first query of
 that (graph, k) and cached on the graph; it keeps each core it has read,
 snapshot and LTIs, for the later queries.  So a query on a built index
 runs `run_txcq`, `_run`, `CoreIndex.locate` and `_answer`, and phase 1
-runs no Python frame per zone once its cores have been read.  A snapshot carries the counts
-its sweep recorded (edges, vertices, distinct adjacent pairs), and reads
-its degrees off the graph's pair runs only when a measure first asks.  A
+runs no Python frame per zone once its cores have been read.  A snapshot
+carries the counts its sweep recorded (edges, vertices, distinct adjacent
+pairs), and reads its degrees off the graph's pair runs only when a
+measure first asks.  A
 graph whose ranks x pair runs exceed `coreindex.MAX_CORE_INDEX_SIZE` gets
 no index, and `run_txcq` walks.  That size rule bounds the build, and it
 also keeps the index's first reads of cores off large graphs, where a first
