@@ -43,10 +43,10 @@ ends by listing the rows that do, ascending, and a lookup bisects that
 list to rows lo..hi and steps through no other row.  A row's distinct
 cores are kept ascending by TTI end, so a lookup stops reading a row at
 its first core that ends past the window, and reads nothing else of the
-rows.  The lookup cuts each
-core's LTIs in the same loop and hands over one `txcq.ZoneRecord` per
-zone, which the query reads as is; it builds the records and their cells
-by `tuple.__new__`, so a lookup of cores read before runs no Python frame.
+rows.  The lookup cuts each core's LTIs in the same loop and hands over
+one `txcq.ZoneRecord` per zone, which the query reads as is; it builds
+the records and their cells by `tuple.__new__`, so a lookup of cores read
+before runs no Python frame (README.md has what each part measured).
 The walk's counters of a window (cells visited, and pruned by `PoR` or
 `Empty`) are worked out from the rows' breakpoints only when a caller asks
 for them (`CoreIndex.counters`).

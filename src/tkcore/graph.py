@@ -294,12 +294,12 @@ class CoreSnapshot:
     the edges on first use; it refuses (`ContractViolation`) a self-loop,
     an edge with an end outside `vertices` or a stamp outside `tti`, and
     edges without a TTI or a TTI without edges.  `engagement` keeps two
-    values on a capture evaluated against its own graph: its vertices by degree bound, and its
-    value at the core's own TTI, which depends on nothing but the graph,
-    the core and the TTI.  An explicit snapshot keeps neither.  A snapshot is
-    shared by every evaluation of its core and must not be modified
-    otherwise, and one read off a core-time index (`coreindex`) by every
-    later query of its graph and k.
+    values on a capture evaluated against its own graph: its vertices by
+    degree bound, and its value at the core's own TTI, which depends on
+    nothing but the graph, the core and the TTI.  An explicit snapshot
+    keeps neither.  A snapshot is shared by every evaluation of its core
+    and must not be modified otherwise, and one read off a core-time index
+    (`coreindex`) by every later query of its graph and k.
 
     Cores compare by TTI, `edge_count` and `vertex_count`, which settle most
     comparisons in O(1), then by `vertices`, and hash by those three.
@@ -313,7 +313,9 @@ class CoreSnapshot:
     def __init__(self, vertices: frozenset, edges, tti: TimeInterval | None, k: int | None = None):
         edges = tuple(edges)
         if (tti is None) != (not edges):
-            raise ContractViolation(f"a core has a TTI exactly when it has edges: tti {tti}, {len(edges)} edges")
+            raise ContractViolation(
+                f"a core has a TTI exactly when it has edges: tti {tti}, {len(edges)} edges"
+            )
         for u, v, t in edges:
             if u == v or u not in vertices or v not in vertices or not tti.ts <= t <= tti.te:
                 raise ContractViolation(

@@ -292,12 +292,9 @@ _new = object.__new__
 
 
 def _ratio(n: int, d: int) -> Fraction:
-    """`Fraction(n, d)` of two ints, built without `Fraction.__new__` when
-    d >= 1: the parts are cut by their `math.gcd` and set in the slots
-    that `EXACT_PARTS` reads.  Any other d goes through `Fraction`, which
-    moves a negative sign up and refuses 0."""
-    if d < 1:
-        return Fraction(n, d)
+    """`Fraction(n, d)` of two ints with d >= 1 (a window's duration), built
+    without `Fraction.__new__`: the parts are cut by their `math.gcd` and
+    set in the slots that `EXACT_PARTS` reads."""
     g = gcd(n, d)
     value = _new(Fraction)
     value._numerator = n // g

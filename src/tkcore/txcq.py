@@ -18,12 +18,11 @@ runs `run_txcq`, `_run`, `CoreIndex.locate` and `_answer`, and phase 1
 runs no Python frame per zone once its cores have been read.  A snapshot
 carries the counts its sweep recorded (edges, vertices, distinct adjacent
 pairs), and reads its degrees off the graph's pair runs only when a
-measure first asks.  A
-graph whose ranks x pair runs exceed `coreindex.MAX_CORE_INDEX_SIZE` gets
-no index, and `run_txcq` walks.  That size rule bounds the build, and it
-also keeps the index's first reads of cores off large graphs, where a first
-`engagement` query costs about 2.5 times the walk (README.md has the
-measurements).
+measure first asks.  A graph whose ranks x pair runs exceed
+`coreindex.MAX_CORE_INDEX_SIZE` gets no index, and `run_txcq` walks.
+That size rule bounds the build, and it also keeps the index's first
+reads of cores off large graphs, where a first `engagement` query costs
+about 2.5 times the walk (README.md has the measurements).
 The walk is `run_otcd_star`, which visits only LTI cells plus whatever
 empties it takes to get there, pruning each discovered rectangle wholesale.
 It stays the paper's engine and the index's reference: `run_otcd_star` and

@@ -1,5 +1,6 @@
 """Zone location and the measured query strategies."""
 
+import gc
 import random
 import sys
 from fractions import Fraction
@@ -715,6 +716,9 @@ def test_phase_two_runs_only_the_search_per_zone(monkeypatch):
                 sys.setprofile(None)
 
         monkeypatch.setattr(txcq, "_answer", answer)
+        # a collection inside the profiled call would close other tests'
+        # suspended generators there, and count their frames
+        gc.collect()
         res = run_txcq(g, spec)
         monkeypatch.setattr(txcq, "_answer", real)
         zones = len(res.stats.zone_eval_counts)
@@ -750,6 +754,7 @@ def test_a_warm_index_query_runs_no_frame_per_zone_outside_its_searches():
                 if frame.f_back.f_code is locate:
                     in_locate.append(frame.f_code.co_name)
 
+        gc.collect()  # as above: no other test's garbage is collected in the profiled call
         sys.setprofile(profile)
         try:
             res = run_txcq(g, spec)
